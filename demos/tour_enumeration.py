@@ -30,8 +30,8 @@ print(f"{q.size} elements")
 for x in range(q.size):
     print(f"  {x}: {q.element_name(x)}")
 
-# the operation table is stored one permutation per generator; the
-# full binary operation walks witnesses
+# the quandle stores one permutation per generator; the full binary
+# operation reads the operation table built from them
 a, b = q.generator_element
 print(f"\na > b        = element {full_op(q, a, b)}")
 print(f"(a > b) >' b = element {full_op(q, full_op(q, a, b), b, -1)}")

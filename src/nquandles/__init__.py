@@ -11,7 +11,6 @@ cross-checking.
 
 from .words import (
     Expression,
-    apply_expression,
     concat,
     expression_str,
     invert,

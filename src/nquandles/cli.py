@@ -239,7 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--dot", default=None, metavar="PATH",
                       help="write the Cayley graph in DOT format")
     enum.add_argument("--json", default=None, metavar="PATH",
-                      help="write the full structure as JSON")
+                      help="write element names, orders and generator "
+                           "action tables as JSON")
     enum.add_argument("--timing", action="store_true")
     enum.set_defaults(func=cmd_enumerate)
 

@@ -18,9 +18,13 @@ coset enumeration:
 
 The procedure halts exactly when the N-quandle is finite; vertex and
 step caps make the infinite case observable as an Exceeded outcome.
-Vertices keep the first expression a^w that named them as a witness;
-merges never rewrite witnesses, the smaller label simply survives.
-All worklists are ordered, so runs are bit-for-bit reproducible.
+Each created vertex keeps only its definition, the edge that created
+it: the parent label, the generator and the sign, as in a Todd-Coxeter
+coset table.  Following definitions back to a generator vertex spells
+the vertex's witness a^w; merges never rewrite definitions, the smaller
+label simply survives, and only the survivors' witnesses are spelled
+out when the graph is sealed.  All worklists are ordered, so runs are
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from heapq import heappop, heappush
 
 from .presentations import Presentation, PresentationError, secondary_relations
 from .quandle import FiniteQuandle
-from .words import Expression, Word, concat, reduce
+from .words import Expression, Word, concat
 
 DEFAULT_MAX_VERTICES = 100_000
 DEFAULT_MAX_STEPS = 100_000_000
@@ -78,6 +82,10 @@ class TraceGraph:
     union-find keyed by creation label; the least label represents its
     class.  Map keys are always live representatives once ``collapse``
     has drained; values may be stale and are resolved through ``find``.
+
+    Label v was created by the edge def_parent[v] --(def_gen[v],
+    def_sign[v])--> v, with def_parent[v] < v; a generator vertex has
+    def_parent -1, its own generator as def_gen and def_sign 0.
     """
 
     def __init__(self, presentation: Presentation,
@@ -89,7 +97,9 @@ class TraceGraph:
         self.fwd: list[dict[int, int]] = [{} for _ in range(g)]
         self.bwd: list[dict[int, int]] = [{} for _ in range(g)]
         self.parent: list[int] = []
-        self.witness: dict[int, Expression] = {}
+        self.def_parent: list[int] = []
+        self.def_gen: list[int] = []
+        self.def_sign: list[int] = []
         self.created = 0
         self.unions = 0
         self.steps = 0
@@ -97,7 +107,7 @@ class TraceGraph:
         self.worklist: list[int] = []
         self.done: set[int] = set()
         for j in range(g):
-            v = self.new_vertex(Expression(j, ()))
+            v = self.new_vertex(-1, j, 0)
             self.fwd[j][v] = v
             self.bwd[j][v] = v
 
@@ -110,15 +120,38 @@ class TraceGraph:
             v = parent[v]
         return v
 
-    def new_vertex(self, expr: Expression) -> int:
+    def new_vertex(self, parent: int, gen: int, sign: int) -> int:
         label = self.created
         self.created += 1
         if self.created > self.limits.max_vertices:
             raise _CapExceeded("vertices", self.created)
         self.parent.append(label)
-        self.witness[label] = expr
+        self.def_parent.append(parent)
+        self.def_gen.append(gen)
+        self.def_sign.append(sign)
         heappush(self.worklist, label)
         return label
+
+    def witnesses(self, labels: list[int]) -> list[Expression]:
+        """The witness a^w of each label, spelled along its definitions.
+
+        A label's word is its parent's word followed by its defining
+        letter; words of shared ancestors are built once.
+        """
+        memo = {j: Expression(j, ()) for j in range(self.ngens)}
+        out = []
+        for v in labels:
+            chain = []
+            while v not in memo:
+                chain.append(v)
+                v = self.def_parent[v]
+            expr = memo[v]
+            for u in reversed(chain):
+                letter = ((self.def_gen[u], self.def_sign[u]),)
+                expr = Expression(expr.base, concat(expr.word, letter))
+                memo[u] = expr
+            out.append(expr)
+        return out
 
     def live_vertices(self) -> list[int]:
         return [v for v in range(self.created) if self.parent[v] == v]
@@ -149,8 +182,7 @@ class TraceGraph:
         t = table.get(v)
         if t is not None:
             return self.find(t)
-        expr = self.witness[v]
-        w = self.new_vertex(Expression(expr.base, concat(expr.word, ((gen, sign),))))
+        w = self.new_vertex(v, gen, sign)
         table[v] = w
         (self.bwd[gen] if sign > 0 else self.fwd[gen])[w] = v
         return w
@@ -184,7 +216,6 @@ class TraceGraph:
                 a, b = b, a
             self.parent[b] = a
             self.unions += 1
-            self.witness.pop(b, None)
             for gen in range(self.ngens):
                 for table in (self.fwd[gen], self.bwd[gen]):
                     t = table.pop(b, None)
@@ -279,7 +310,7 @@ def _seal(graph: TraceGraph, presentation: Presentation) -> FiniteQuandle:
         generator_element=tuple(index[graph.find(j)] for j in range(graph.ngens)),
         component_of_generator=presentation.component_of,
         n_values=presentation.n_values,
-        witnesses=tuple(graph.witness[v] for v in live),
+        witnesses=tuple(graph.witnesses(live)),
         relations=presentation.relations,
     )
 

@@ -295,6 +295,9 @@ class Diagram:
     arc_component: Mapping[str, int]
 
 
+_SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
+
+
 def parse_diagram(text: str) -> Diagram:
     """Read the JSON-lines diagram format.
 
@@ -320,17 +323,25 @@ def parse_diagram(text: str) -> Diagram:
             raw = obj["arc_components"]
             if not isinstance(raw, dict):
                 raise DiagramError(f"line {line_no}: arc_components must be a map")
-            arc_component = {str(k): int(v) for k, v in raw.items()}
+            arc_component = {}
+            for arc, comp in raw.items():
+                try:
+                    arc_component[str(arc)] = int(comp)
+                except (TypeError, ValueError, OverflowError):
+                    raise DiagramError(
+                        f"line {line_no}: component of arc {arc!r} must be an "
+                        f"integer, not {comp!r}") from None
             continue
         try:
-            sign_raw = obj["sign"]
-            sign = {"+": 1, "-": -1, 1: 1, -1: -1}[sign_raw]
-            crossing = Crossing(
-                str(obj["over"]), str(obj["under_in"]), str(obj["under_out"]), sign
-            )
+            over, under_in, under_out, sign_raw = (
+                obj[key] for key in ("over", "under_in", "under_out", "sign"))
         except KeyError as exc:
-            raise DiagramError(f"line {line_no}: missing or bad field {exc}") from None
-        crossings.append(crossing)
+            raise DiagramError(f"line {line_no}: missing field {exc}") from None
+        # a list or map is unhashable, so test the type before the lookup
+        sign = _SIGNS.get(sign_raw) if isinstance(sign_raw, (str, int)) else None
+        if sign is None:
+            raise DiagramError(f"line {line_no}: bad sign {sign_raw!r}")
+        crossings.append(Crossing(str(over), str(under_in), str(under_out), sign))
     if arc_component is None:
         raise DiagramError("no arc_components line")
     for c in crossings:

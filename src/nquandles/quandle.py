@@ -2,25 +2,31 @@
 
 A sealed quandle stores, for each generator, the permutation x -> x^g
 of the element set {0, ..., size-1} and its inverse.  Every element
-carries a witness expression a^w recording how the enumeration first
-reached it; the full binary operation is recovered from witnesses by
+carries a witness expression a^w naming it.  The full operation table
+M[x, y] = x > y is built once per quandle along generator edges: the
+column of a generator element is that generator's action, and every
+other column follows from a column already built by the conjugation
+rule R_(y^g) = g' R_y g of self-distributivity,
 
-    x > (a^w)  =  x^(w' a w)
+    M[:, y^g] = A[g][M[A'[g], y]],    M[:, y^g'] = A'[g][M[A[g], y]],
 
-walked through the generator tables.  Orbits, point symmetries, axiom
-verification, isomorphism testing, and the DOT / JSON exports all work
-from this representation.
+with A[g] the action of g and A'[g] its inverse.  The full operation,
+point symmetries, power relations and isomorphism testing read that
+table.  Axiom verification needs only the generators: once each R_a of
+a generator a is an automorphism of M, the rule above carries that to
+every column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .presentations import PrimaryRelation
-from .words import Expression, expression_str, invert
+from .words import Expression, expression_str
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,12 @@ class FiniteQuandle:
     def element_name(self, x: int) -> str:
         return expression_str(self.witnesses[x], self.generator_names)
 
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int32 tables M[x, y] = x > y and M'[x, y] = x >' y,
+        built on first use; see ``dense_tables``."""
+        return _build_tables(self)
+
 
 @dataclass
 class VerificationReport:
@@ -57,87 +69,146 @@ class VerificationReport:
         return self.ok
 
 
-def _step(q: FiniteQuandle, x: int, gen: int, sign: int) -> int:
-    table = q.action[gen] if sign > 0 else q.inverse_action[gen]
-    return table[x]
+# roots (generator, element) and edges (parent, generator, sign, child)
+_Tree = tuple[list[tuple[int, int]], list[tuple[int, int, int, int]]]
+
+
+def _generator_tree(q: FiniteQuandle) -> _Tree:
+    """Breadth-first spanning forest over action and inverse-action edges.
+
+    Returns the roots (generator, element), one per distinct generator
+    element in generator order, and the tree edges (parent, generator,
+    sign, child) in discovery order; every element the generators reach
+    is a root or the child of exactly one edge.
+    """
+    seen = [False] * q.size
+    roots = []
+    for g, e in enumerate(q.generator_element):
+        if not seen[e]:
+            seen[e] = True
+            roots.append((g, e))
+    edges = []
+    queue = [e for _, e in roots]
+    for y in queue:
+        for g in range(len(q.generator_names)):
+            for sign, table in ((1, q.action[g]), (-1, q.inverse_action[g])):
+                z = table[y]
+                if not seen[z]:
+                    seen[z] = True
+                    edges.append((y, g, sign, z))
+                    queue.append(z)
+    return roots, edges
+
+
+def _build_tables(q: FiniteQuandle) -> tuple[np.ndarray, np.ndarray]:
+    n = q.size
+    act = np.asarray(q.action, dtype=np.int32).reshape(-1, n)
+    inv = np.asarray(q.inverse_action, dtype=np.int32).reshape(-1, n)
+    # cols[y] is column y of M, so each step writes one contiguous row
+    cols = np.full((n, n), -1, dtype=np.int32)
+    roots, edges = _generator_tree(q)
+    for g, e in roots:
+        cols[e] = act[g]
+    for y, g, sign, z in edges:
+        if sign > 0:
+            cols[z] = act[g][cols[y][inv[g]]]
+        else:
+            cols[z] = inv[g][cols[y][act[g]]]
+    reached = np.array([e for _, e in roots] + [z for *_, z in edges], dtype=np.int64)
+    inv_cols = np.full((n, n), -1, dtype=np.int32)
+    inv_cols[reached[:, np.newaxis], cols[reached]] = np.arange(n, dtype=np.int32)
+    tables = (cols.T, inv_cols.T)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def full_op(q: FiniteQuandle, x: int, y: int, sign: int = 1) -> int:
-    """x > y (or x >^-1 y when sign = -1) via y's witness a^w.
-
-    Walks x along w', then a with the requested sign, then w.
-    """
-    expr = q.witnesses[y]
-    for gen, s in invert(expr.word):
-        x = _step(q, x, gen, s)
-    x = _step(q, x, expr.base, sign)
-    for gen, s in expr.word:
-        x = _step(q, x, gen, s)
-    return x
-
-
-def _column(q: FiniteQuandle, y: int, sign: int = 1) -> list[int]:
-    """The permutation x -> x > y as a list, all elements at once."""
-    expr = q.witnesses[y]
-    vec = list(range(q.size))
-    for gen, s in invert(expr.word):
-        table = q.action[gen] if s > 0 else q.inverse_action[gen]
-        vec = [table[v] for v in vec]
-    table = q.action[expr.base] if sign > 0 else q.inverse_action[expr.base]
-    vec = [table[v] for v in vec]
-    for gen, s in expr.word:
-        table = q.action[gen] if s > 0 else q.inverse_action[gen]
-        vec = [table[v] for v in vec]
-    return vec
+    """x > y, or x >' y when sign = -1, read from the operation table."""
+    fwd, bwd = q.tables
+    return int((fwd if sign > 0 else bwd)[x, y])
 
 
 def point_symmetry(q: FiniteQuandle, x: int) -> tuple[int, ...]:
     """The symmetry at x: the permutation y -> y > x."""
-    return tuple(_column(q, x))
+    return tuple(q.tables[0][:, x].tolist())
 
 
 def dense_tables(q: FiniteQuandle) -> tuple[np.ndarray, np.ndarray]:
-    """Full operation tables M[x, y] = x > y and its inverse."""
-    n = q.size
-    fwd = np.empty((n, n), dtype=np.int64)
-    bwd = np.empty((n, n), dtype=np.int64)
-    for y in range(n):
-        fwd[:, y] = _column(q, y, 1)
-        bwd[:, y] = _column(q, y, -1)
-    return fwd, bwd
+    """Full operation tables M[x, y] = x > y and its inverse, as
+    read-only int32 arrays cached on the quandle.
+
+    Built in O(size^2) along the generator spanning forest.  Columns of
+    elements no generator reaches hold -1; so do the inverse-table
+    entries of a column that is not a permutation.  ``verify_axioms``
+    proves the tables are those of a quandle.
+    """
+    return q.tables
 
 
 def verify_axioms(q: FiniteQuandle) -> VerificationReport:
-    """Check the three quandle axioms on the full operation table.
+    """Prove the three quandle axioms for the operation table.
 
-    Idempotence and invertibility are quadratic scans; self-distributivity
-    (x>y)>z = (x>z)>(y>z) runs over all size^3 triples.  The first
-    violated instance is reported.
+    Checked, with the first violated instance of each reported:
+    idempotence; each generator's action and inverse action undo each
+    other; the generators reach every element; each generator element's
+    column is its generator's action; each witness names its element;
+    and for each generator a, R_a is an automorphism of the table,
+    (x>y)>a = (x>a)>(y>a).  Every other column is g' R_y g for a column
+    R_y built before it, so by induction every column is a bijective
+    automorphism: right invertibility and self-distributivity for all
+    size^3 triples, in O(generators * size^2).
     """
     n = q.size
-    fwd, bwd = dense_tables(q)
+    fwd, _ = dense_tables(q)
     failures: list[str] = []
     idx = np.arange(n)
+    reached = fwd[0] >= 0
 
     diag = fwd[idx, idx]
-    if not np.array_equal(diag, idx):
-        x = int(np.nonzero(diag != idx)[0][0])
+    bad = reached & (diag != idx)
+    if bad.any():
+        x = int(np.argmax(bad))
         failures.append(f"idempotence: {x} > {x} = {int(diag[x])}")
 
-    undo = bwd[fwd, idx[np.newaxis, :]]
-    redo = fwd[bwd, idx[np.newaxis, :]]
-    want = np.broadcast_to(idx[:, np.newaxis], (n, n))
-    if not np.array_equal(undo, want):
-        x, y = map(int, np.argwhere(undo != want)[0])
-        failures.append(f"invertibility: ({x} > {y}) >' {y} = {int(undo[x, y])}")
-    elif not np.array_equal(redo, want):
-        x, y = map(int, np.argwhere(redo != want)[0])
-        failures.append(f"invertibility: ({x} >' {y}) > {y} = {int(redo[x, y])}")
+    act = np.asarray(q.action, dtype=np.int32).reshape(-1, n)
+    inv = np.asarray(q.inverse_action, dtype=np.int32).reshape(-1, n)
+    for g, name in enumerate(q.generator_names):
+        undo = inv[g][act[g]]
+        redo = act[g][inv[g]]
+        if not np.array_equal(undo, idx):
+            x = int(np.argmax(undo != idx))
+            failures.append(f"invertibility: ({x} > {name}) >' {name} = {int(undo[x])}")
+            break
+        if not np.array_equal(redo, idx):
+            x = int(np.argmax(redo != idx))
+            failures.append(f"invertibility: ({x} >' {name}) > {name} = {int(redo[x])}")
+            break
 
-    for z in range(n):
-        col = fwd[:, z]
-        lhs = col[fwd]                      # (x>y)>z
-        rhs = fwd[np.ix_(col, col)]         # (x>z)>(y>z)
+    if not reached.all():
+        x = int(np.argmin(reached))
+        failures.append(f"generation: element {x} is not reached from the generators")
+        return VerificationReport(False, failures)
+
+    for g, e in enumerate(q.generator_element):
+        if not np.array_equal(fwd[:, e], act[g]):
+            failures.append(
+                f"generator column: x > {e} differs from the action of "
+                f"{q.generator_names[g]}")
+            break
+
+    for y, expr in enumerate(q.witnesses):
+        x = q.generator_element[expr.base]
+        for gen, sign in expr.word:
+            x = (q.action[gen] if sign > 0 else q.inverse_action[gen])[x]
+        if x != y:
+            failures.append(f"witness: {q.element_name(y)} names element {x}, not {y}")
+            break
+
+    for g, z in enumerate(q.generator_element):
+        a = act[g]
+        lhs = a[fwd]                        # (x>y)>z
+        rhs = fwd[np.ix_(a, a)]             # (x>z)>(y>z)
         if not np.array_equal(lhs, rhs):
             x, y = map(int, np.argwhere(lhs != rhs)[0])
             failures.append(
@@ -211,20 +282,21 @@ def verify_n_relations(q: FiniteQuandle) -> VerificationReport:
     if failures:
         return VerificationReport(False, failures)
 
-    for y in range(q.size):
-        n = orbit_n[part.orbit_of[y]]
-        col = _column(q, y)
-        vec = list(range(q.size))
-        for _ in range(n):
-            vec = [col[v] for v in vec]
-        for x, v in enumerate(vec):
-            if v != x:
-                failures.append(
-                    f"power relation: {x} acted on {n} times by {y} gives {v}"
-                )
-                break
-        if failures:
-            break
+    fwd, _ = q.tables
+    size = q.size
+    n_of = np.array([orbit_n[o] for o in part.orbit_of])
+    idx = np.arange(size)
+    # power[x, y] = x acted on by y as many times as y's orbit's n
+    power = np.broadcast_to(idx[:, np.newaxis], (size, size))
+    for step in range(int(n_of.max())):
+        power = np.where(n_of > step, np.take_along_axis(fwd, power, axis=0), power)
+    bad = power != idx[:, np.newaxis]
+    if bad.any():
+        y, x = map(int, np.argwhere(bad.T)[0])
+        failures.append(
+            f"power relation: {x} acted on {int(n_of[y])} times by {y} gives "
+            f"{int(power[x, y])}"
+        )
     return VerificationReport(not failures, failures)
 
 
@@ -245,40 +317,46 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
 
 
 def _invariants(q: FiniteQuandle) -> list[tuple[int, tuple[int, ...]]]:
+    """(orbit size, cycle type of the point symmetry) per element.
+
+    Point symmetries in one orbit are conjugate, R_(y^g) = g' R_y g, so
+    one column per orbit gives the cycle type of all its members.
+    """
     part = orbits(q)
     sizes = part.sizes()
-    return [
-        (sizes[part.orbit_of[x]], _cycle_type(_column(q, x)))
-        for x in range(q.size)
-    ]
+    fwd, _ = q.tables
+    first: dict[int, int] = {}
+    for x, o in enumerate(part.orbit_of):
+        first.setdefault(o, x)
+    types = {o: _cycle_type(fwd[:, x].tolist()) for o, x in first.items()}
+    return [(sizes[o], types[o]) for o in part.orbit_of]
 
 
-def _extend_by_witnesses(q1: FiniteQuandle, q2: FiniteQuandle,
-                         images: Sequence[int]) -> list[int] | None:
-    """Extend generator images to all of q1 along witnesses; check the
-    result is a bijective homomorphism.  Returns the map or None."""
-    phi = []
-    for x in range(q1.size):
-        expr = q1.witnesses[x]
-        val = images[expr.base]
-        for gen, sign in expr.word:
-            val = full_op(q2, val, images[gen], sign)
-        phi.append(val)
-    if len(set(phi)) != q1.size:
-        return None
-    for g in range(len(q1.generator_names)):
-        img = images[g]
-        for x in range(q1.size):
-            if phi[q1.action[g][x]] != full_op(q2, phi[x], img, 1):
-                return None
-    return phi
+def _extends(q1: FiniteQuandle, tables2: tuple[np.ndarray, np.ndarray],
+             images: Sequence[int], tree: _Tree) -> bool:
+    """Extend generator images to all of q1 along its generator tree,
+    phi(y^g) = phi(y) > phi(g) in the target's tables; True when the
+    result is a bijective homomorphism on every generator action."""
+    fwd2, bwd2 = tables2
+    roots, edges = tree
+    phi = np.full(q1.size, -1, dtype=np.int64)
+    for g, e in roots:
+        phi[e] = images[g]
+    for y, g, sign, z in edges:
+        phi[z] = (fwd2 if sign > 0 else bwd2)[phi[y], images[g]]
+    if (phi < 0).any() or len(np.unique(phi)) != q1.size:
+        return False
+    act1 = np.asarray(q1.action).reshape(-1, q1.size)
+    return all(np.array_equal(phi[act1[g]], fwd2[phi, images[g]])
+               for g in range(len(q1.generator_names)))
 
 
-def _relation_holds(q2: FiniteQuandle, rel: PrimaryRelation,
+def _relation_holds(tables2: tuple[np.ndarray, np.ndarray], rel: PrimaryRelation,
                     images: Sequence[int | None]) -> bool:
+    fwd2, bwd2 = tables2
     val = images[rel.base]
     for gen, sign in rel.word:
-        val = full_op(q2, val, images[gen], sign)
+        val = (fwd2 if sign > 0 else bwd2)[val, images[gen]]
     return val == images[rel.target]
 
 
@@ -337,10 +415,12 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
 
     images: list[int | None] = [None] * len(gens)
     orbit_map: dict[int, int] = {}
+    tables2 = q2.tables
+    tree = _generator_tree(q1)
 
     def dfs(depth: int) -> bool:
         if depth == len(order):
-            return _extend_by_witnesses(q1, q2, images) is not None  # type: ignore[arg-type]
+            return _extends(q1, tables2, images, tree)  # type: ignore[arg-type]
         g = order[depth]
         o1 = part1.orbit_of[q1.generator_element[g]]
         for e in candidates[g]:
@@ -354,7 +434,7 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
             added = o1 not in orbit_map
             if added:
                 orbit_map[o1] = o2
-            if all(_relation_holds(q2, r, images) for r in checks_at[depth]):
+            if all(_relation_holds(tables2, r, images) for r in checks_at[depth]):
                 if dfs(depth + 1):
                     return True
             images[g] = None

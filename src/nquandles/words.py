@@ -26,11 +26,6 @@ Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 
 
-def letter_inverse(letter: Letter) -> Letter:
-    gen, sign = letter
-    return (gen, -sign)
-
-
 def reduce(letters: Iterable[Letter]) -> Word:
     """Freely reduce a letter sequence by cancelling adjacent inverses.
 
@@ -38,11 +33,11 @@ def reduce(letters: Iterable[Letter]) -> Word:
     word, so reduce is idempotent and order of cancellation is moot.
     """
     out: list[Letter] = []
-    for letter in letters:
-        if out and out[-1] == letter_inverse(letter):
+    for gen, sign in letters:
+        if out and out[-1] == (gen, -sign):
             out.pop()
         else:
-            out.append(letter)
+            out.append((gen, sign))
     return tuple(out)
 
 
@@ -76,22 +71,6 @@ class Expression:
 
     base: int
     word: Word
-
-
-def apply_expression(target: Expression, operand: Expression, sign: int = 1) -> Expression:
-    """Act on ``target`` by ``operand`` (or its inverse when sign = -1).
-
-    For target a^u and operand b^v this is a^(u v' b v), with b' in the
-    middle instead when sign is -1.  The base never changes; only the
-    exponent word grows, then reduces.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    middle: Word = ((operand.base, sign),)
-    return Expression(
-        target.base,
-        concat(target.word, invert(operand.word), middle, operand.word),
-    )
 
 
 def word_str(word: Iterable[Letter], names: Sequence[str]) -> str:

@@ -91,6 +91,21 @@ def test_enumerate_parse_error_position(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text, where", [
+    ('{"arc_components": {"x0": "a"}}\n', "line 1"),
+    ('{"arc_components": {"x0": 1}}\n'
+     '{"over": "x0", "under_in": "x0", "under_out": "x0", "sign": [1]}\n', "line 2"),
+])
+def test_enumerate_bad_diagram_field(tmp_path, capsys, text, where):
+    path = tmp_path / "d.jsonl"
+    path.write_text(text)
+    code, out, err = run(capsys, "enumerate", "--diagram", str(path), "--N", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + where + ":")
+    assert "Traceback" not in err
+
+
 def test_enumerate_writes_dot_and_json(tmp_path, capsys):
     dot = tmp_path / "g.dot"
     js = tmp_path / "g.json"

@@ -17,6 +17,7 @@ from nquandles.presentations import (
     parse_presentation,
     parse_word,
 )
+from nquandles.words import Expression
 
 
 def family(name, ns=None, k=None):
@@ -133,8 +134,9 @@ def test_step_is_none_until_forced():
     v = g.force_step(a, b, 1)
     assert g.step(a, b, 1) == v
     assert g.step(v, b, -1) == a  # the reverse edge lands with it
-    assert g.witness[v].base == a
-    assert g.witness[v].word == ((b, 1),)
+    # the new vertex is defined by the edge a --b--> v, so named a^b
+    assert (g.def_parent[v], g.def_gen[v], g.def_sign[v]) == (a, b, 1)
+    assert g.witnesses([v]) == [Expression(a, ((b, 1),))]
 
 
 def test_live_accounting_after_schedule():
@@ -147,8 +149,15 @@ def test_live_accounting_after_schedule():
     live = g.live_vertices()
     assert g.live_count == len(live) == 10
     assert all(g.find(v) == v for v in live)
-    # every live vertex kept its witness; dead ones dropped theirs
-    assert set(g.witness) == set(live)
+    # every created label kept its definition, pointing to an older
+    # label, and every live vertex's witness spelled from the
+    # definitions walks back to it without creating anything
+    assert len(g.def_parent) == len(g.def_gen) == len(g.def_sign) == g.created
+    assert all(g.def_parent[v] < v for v in range(len(p.generator_names), g.created))
+    created = g.created
+    for v, w in zip(live, g.witnesses(live)):
+        assert g.trace(w.base, w.word) == v
+    assert g.created == created
 
 
 def test_outcome_reports_final_size():

@@ -258,6 +258,15 @@ def test_parse_diagram_errors():
         parse_diagram('not json\n')
 
 
+def test_parse_diagram_rejects_bad_field_values():
+    # a non-integer component and an unhashable sign, each at its line
+    with pytest.raises(DiagramError, match=r"^line 1: component of arc 'x0'"):
+        parse_diagram('{"arc_components": {"x0": "a"}}\n')
+    with pytest.raises(DiagramError, match=r"^line 2: bad sign \[1\]"):
+        parse_diagram('{"arc_components": {"x0": 1}}\n'
+                      '{"over": "x0", "under_in": "x0", "under_out": "x0", "sign": [1]}\n')
+
+
 def test_wirtinger_rejects_duplicate_under_out():
     d = Diagram(
         crossings=(

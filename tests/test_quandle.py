@@ -1,10 +1,15 @@
 """Operation tables, verification, orbits, isomorphism, exports."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import re
 
+import numpy as np
+import pytest
+
+from nquandles.catalog import iter_checks
 from nquandles.enumerator import enumerate_quandle
 from nquandles.presentations import augment_n, builtin_family
 from nquandles.quandle import (
@@ -96,6 +101,10 @@ def test_dense_tables_agree_with_full_op():
     q = enum("T24", (3, 3))
     fwd, bwd = dense_tables(q)
     assert fwd.shape == bwd.shape == (8, 8)
+    # built once, shared read-only with every caller
+    assert dense_tables(q)[0] is fwd
+    assert fwd.dtype == bwd.dtype == np.int32
+    assert not fwd.flags.writeable and not bwd.flags.writeable
     for x in range(q.size):
         for y in range(q.size):
             assert fwd[x, y] == full_op(q, x, y)
@@ -148,6 +157,112 @@ def test_verify_axioms_catches_inverse_break():
         q, inverse_action=(q.inverse_action[0], q.action[1]))
     report = verify_axioms(bad)
     assert not report
+
+
+@pytest.fixture(scope="module")
+def catalog_quandles():
+    """The quandles of the default verify-catalog sweep, in its order."""
+    return [enumerate_quandle(c.presentation).quandle for c in iter_checks()]
+
+
+def cubic_oracle(q):
+    """Reference verifier sharing no code with verify_axioms: every
+    column is walked from its witness, x > a^w = x^(w' a w), then
+    idempotence, bijective columns and all size^3 self-distributivity
+    triples are checked."""
+    n = q.size
+    idx = np.arange(n)
+    act = np.array(q.action).reshape(-1, n)
+    inv = np.array(q.inverse_action).reshape(-1, n)
+
+    def walk_all(vec, word):
+        for gen, sign in word:
+            vec = (act if sign > 0 else inv)[gen][vec]
+        return vec
+
+    fwd = np.empty((n, n), dtype=np.int64)
+    for y, w in enumerate(q.witnesses):
+        fwd[:, y] = walk_all(act[w.base][walk_all(idx, invert(w.word))], w.word)
+    if not np.array_equal(fwd[idx, idx], idx):
+        return False
+    if not (np.sort(fwd, axis=0) == idx[:, np.newaxis]).all():
+        return False
+    return all(np.array_equal(fwd[:, z][fwd], fwd[np.ix_(fwd[:, z], fwd[:, z])])
+               for z in range(n))
+
+
+def renamed(q):
+    """q with witnesses re-derived breadth-first along its actions, so
+    every reachable element's name walks to it whatever the tables say."""
+    names = list(q.witnesses)
+    seen = set()
+    queue = []
+    for g, e in enumerate(q.generator_element):
+        if e not in seen:
+            seen.add(e)
+            names[e] = Expression(g, ())
+            queue.append(e)
+    for y in queue:
+        for g in range(len(q.generator_names)):
+            for sign, table in ((1, q.action[g]), (-1, q.inverse_action[g])):
+                z = table[y]
+                if z not in seen:
+                    seen.add(z)
+                    names[z] = Expression(names[y].base, names[y].word + ((g, sign),))
+                    queue.append(z)
+    return dataclasses.replace(q, witnesses=tuple(names))
+
+
+def tampered(q, g, x1, x2):
+    """q with entries x1, x2 of generator g's action swapped and the
+    inverse action kept its inverse."""
+    row = list(q.action[g])
+    row[x1], row[x2] = row[x2], row[x1]
+    inv = [0] * q.size
+    for x, y in enumerate(row):
+        inv[y] = x
+    return dataclasses.replace(
+        q,
+        action=q.action[:g] + (tuple(row),) + q.action[g + 1:],
+        inverse_action=q.inverse_action[:g] + (tuple(inv),) + q.inverse_action[g + 1:],
+    )
+
+
+def test_verify_axioms_agrees_with_cubic_oracle_on_catalog(catalog_quandles):
+    assert len(catalog_quandles) == 92
+    assert max(q.size for q in catalog_quandles) == 242
+    for q in catalog_quandles:
+        assert bool(verify_axioms(q)) == cubic_oracle(q) is True
+
+
+@pytest.mark.parametrize("rename", [False, True])
+def test_verify_axioms_rejects_tampered_actions(catalog_quandles, rename):
+    # swapped action entries, with witnesses either kept or re-derived
+    # so that names stay valid and only the algebra can give it away
+    rng = random.Random(5)
+    rejected = 0
+    for q in catalog_quandles:
+        if q.size < 3:
+            continue
+        for _ in range(4):
+            g = rng.randrange(len(q.generator_names))
+            x1, x2 = rng.sample(range(q.size), 2)
+            bad = tampered(q, g, x1, x2)
+            if rename:
+                bad = renamed(bad)
+            if not cubic_oracle(bad):
+                rejected += 1
+                assert not verify_axioms(bad), (q.generator_names, g, x1, x2)
+    assert rejected >= 300
+
+
+def test_exports_golden_digest(catalog_quandles):
+    # pins element names and both exports byte for byte over the sweep
+    digest = hashlib.sha256()
+    for q in catalog_quandles:
+        digest.update((export_dot(q) + export_json(q)).encode())
+    assert digest.hexdigest() == (
+        "03e74614332d0bffe8057f5e308b93a600d84962f3111cfb3ccf5874529712d0")
 
 
 def test_verify_n_relations_pass():

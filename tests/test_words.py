@@ -3,15 +3,11 @@
 import itertools
 import random
 
-import pytest
-
 from nquandles.words import (
     Expression,
-    apply_expression,
     concat,
     expression_str,
     invert,
-    letter_inverse,
     power,
     reduce,
     word_str,
@@ -28,7 +24,7 @@ def naive_reduce(letters):
     while changed:
         changed = False
         for i in range(len(out) - 1):
-            if out[i] == letter_inverse(out[i + 1]):
+            if out[i] == (out[i + 1][0], -out[i + 1][1]):
                 del out[i:i + 2]
                 changed = True
                 break
@@ -95,49 +91,6 @@ def test_power():
     assert power(((B, 1),), -3) == ((B, -1),) * 3
     # self-cancelling word stays trivial at any power
     assert power(((A, 1), (A, -1)), 5) == ()
-
-
-def test_apply_expression_flattens_to_normal_form():
-    a = Expression(A, ())
-    b = Expression(B, ())
-    # a acted on by b: a^[b]
-    assert apply_expression(a, b) == Expression(A, ((B, 1),))
-    # inverse action puts the inverse letter in the middle
-    assert apply_expression(a, b, sign=-1) == Expression(A, ((B, -1),))
-    # a^[c] acted on by b^[c]: conjugator c' b c collapses against the tail
-    a_c = Expression(A, ((C, 1),))
-    b_c = Expression(B, ((C, 1),))
-    assert apply_expression(a_c, b_c) == Expression(A, ((B, 1), (C, 1)))
-    assert apply_expression(a_c, b_c, -1) == Expression(A, ((B, -1), (C, 1)))
-
-
-def test_apply_expression_keeps_base_and_reduction():
-    rng = random.Random(17)
-    expr = Expression(A, ())
-    for _ in range(300):
-        operand = Expression(
-            rng.randrange(3),
-            reduce(rng.choice(ALPHABET) for _ in range(rng.randrange(6))),
-        )
-        expr = apply_expression(expr, operand, rng.choice((1, -1)))
-        assert expr.base == A
-        assert reduce(expr.word) == expr.word
-
-
-def test_apply_expression_inverse_undoes():
-    rng = random.Random(19)
-    for _ in range(100):
-        x = Expression(A, reduce(rng.choice(ALPHABET) for _ in range(5)))
-        y = Expression(B, reduce(rng.choice(ALPHABET) for _ in range(5)))
-        assert apply_expression(apply_expression(x, y, 1), y, -1) == x
-        assert apply_expression(apply_expression(x, y, -1), y, 1) == x
-
-
-def test_apply_expression_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        apply_expression(Expression(A, ()), Expression(B, ()), 0)
-    with pytest.raises(ValueError):
-        apply_expression(Expression(A, ()), Expression(B, ()), 2)
 
 
 def test_word_str_single_char_names_concatenate():
