@@ -42,6 +42,7 @@ from .enumerator import (
     EnumerationInternalError,
     EnumerationLimits,
     EnumerationOutcome,
+    EnumerationStats,
     TraceGraph,
     enumerate_quandle,
     run_schedule,

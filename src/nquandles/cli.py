@@ -113,8 +113,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if not outcome.finite:
         cap = (limits.max_vertices if outcome.cap_kind == "vertices"
                else limits.max_steps)
+        stats = outcome.stats
         print(f"exceeded {outcome.cap_kind} cap ({cap}); "
-              f"{outcome.vertices} vertices created before the stop")
+              f"{stats.created} vertices created before the stop, "
+              f"{stats.live} live, {stats.steps} steps")
         return 4
 
     q = outcome.quandle

@@ -17,21 +17,27 @@ coset enumeration:
     every live vertex has been processed.
 
 The procedure halts exactly when the N-quandle is finite; vertex and
-step caps make the infinite case observable as an Exceeded outcome.
-Each created vertex keeps only its definition, the edge that created
-it: the parent label, the generator and the sign, as in a Todd-Coxeter
-coset table.  Following definitions back to a generator vertex spells
-the vertex's witness a^w; merges never rewrite definitions, the smaller
-label simply survives, and only the survivors' witnesses are spelled
-out when the graph is sealed.  All worklists are ordered, so runs are
+step caps make the infinite case observable as an Exceeded outcome,
+and the counters of ``EnumerationStats`` say how far either kind of
+run got.  As in a Todd-Coxeter coset table, the edges are kept in one
+flat row per letter (a generator or its inverse) indexed by vertex
+label, and a relation is compiled once to letter codes and walked in a
+single loop.  Each created vertex keeps only its definition, the edge
+that created it: the parent label, the generator and the sign.
+Following definitions back to a generator vertex spells the vertex's
+witness a^w; merges never rewrite definitions, the smaller label
+simply survives, and only the survivors' witnesses are spelled out
+when the graph is sealed.  All worklists are ordered, so runs are
 bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple, Sequence
 
 from .presentations import Presentation, PresentationError, secondary_relations
 from .quandle import FiniteQuandle
@@ -47,10 +53,27 @@ class EnumerationLimits:
     max_steps: int = DEFAULT_MAX_STEPS
 
 
+class EnumerationStats(NamedTuple):
+    """Work done up to the stop, finite or not.
+
+    created counts vertex labels, the one whose allocation broke the
+    vertex cap included (what ``max_vertices`` caps); unions counts the
+    identifications performed; steps the letters walked plus the
+    identification pairs drained (what ``max_steps`` caps); live is
+    created - unions.  A named tuple, not a frozen dataclass, because
+    it is about ten times cheaper to define at import.
+    """
+
+    created: int
+    unions: int
+    steps: int
+    live: int
+
+
 class _CapExceeded(Exception):
-    def __init__(self, kind: str, created: int):
+    def __init__(self, kind: str, stats: EnumerationStats):
         self.kind = kind
-        self.created = created
+        self.stats = stats
 
 
 class EnumerationInternalError(RuntimeError):
@@ -62,30 +85,41 @@ class EnumerationOutcome:
     """Finite (quandle set) or Exceeded (cap_kind set).
 
     vertices is the live count when finite, the total created when a
-    cap stopped the run.
+    cap stopped the run; stats holds the counters in either case.
     """
 
     quandle: FiniteQuandle | None
     cap_kind: str | None
     vertices: int
+    stats: EnumerationStats
 
     @property
     def finite(self) -> bool:
         return self.quandle is not None
 
 
+def _codes(word: Word) -> list[int]:
+    """Letter codes of a word: 2*gen for gen, 2*gen + 1 for its inverse."""
+    return [2 * gen + (sign < 0) for gen, sign in word]
+
+
 class TraceGraph:
     """Partial Cayley graph under construction.
 
-    Per generator, fwd maps a vertex to its image and bwd to its
-    preimage; entries exist in pairs.  Vertex identities live in a
-    union-find keyed by creation label; the least label represents its
-    class.  Map keys are always live representatives once ``collapse``
-    has drained; values may be stale and are resolved through ``find``.
+    Edges live in one row per letter, indexed by vertex label.  Letter
+    code 2*gen stands for gen and 2*gen + 1 for its inverse, so code ^ 1
+    inverts a letter; rows[code][v] is the far end of v's edge with that
+    letter, -1 when v has none, and every edge is entered in both
+    directions.  Vertex identities live in a union-find keyed by
+    creation label; the least label represents its class.  Only
+    representatives' rows are read, and their entries may be stale
+    labels, resolved through ``find``.
 
     Label v was created by the edge def_parent[v] --(def_gen[v],
     def_sign[v])--> v, with def_parent[v] < v; a generator vertex has
-    def_parent -1, its own generator as def_gen and def_sign 0.
+    def_parent -1, its own generator as def_gen and def_sign 0.  The
+    definitions are read only when witnesses are spelled, so they are
+    kept as machine-integer arrays, a few bytes per label.
     """
 
     def __init__(self, presentation: Presentation,
@@ -94,12 +128,11 @@ class TraceGraph:
         self.limits = limits
         g = len(presentation.generator_names)
         self.ngens = g
-        self.fwd: list[dict[int, int]] = [{} for _ in range(g)]
-        self.bwd: list[dict[int, int]] = [{} for _ in range(g)]
+        self.rows: list[list[int]] = [[] for _ in range(2 * g)]
         self.parent: list[int] = []
-        self.def_parent: list[int] = []
-        self.def_gen: list[int] = []
-        self.def_sign: list[int] = []
+        self.def_parent = array("i")
+        self.def_gen = array("i")
+        self.def_sign = array("b")
         self.created = 0
         self.unions = 0
         self.steps = 0
@@ -108,8 +141,11 @@ class TraceGraph:
         self.done: set[int] = set()
         for j in range(g):
             v = self.new_vertex(-1, j, 0)
-            self.fwd[j][v] = v
-            self.bwd[j][v] = v
+            self.rows[2 * j][v] = v
+            self.rows[2 * j + 1][v] = v
+
+    def stats(self) -> EnumerationStats:
+        return EnumerationStats(self.created, self.unions, self.steps, self.live_count)
 
     # -- vertices ----------------------------------------------------
 
@@ -124,11 +160,13 @@ class TraceGraph:
         label = self.created
         self.created += 1
         if self.created > self.limits.max_vertices:
-            raise _CapExceeded("vertices", self.created)
+            raise _CapExceeded("vertices", self.stats())
         self.parent.append(label)
         self.def_parent.append(parent)
         self.def_gen.append(gen)
         self.def_sign.append(sign)
+        for row in self.rows:
+            row.append(-1)
         heappush(self.worklist, label)
         return label
 
@@ -162,37 +200,48 @@ class TraceGraph:
 
     # -- edges ---------------------------------------------------------
 
-    def _tick(self):
-        self.steps += 1
-        if self.steps > self.limits.max_steps:
-            raise _CapExceeded("steps", self.created)
-
     def step(self, v: int, gen: int, sign: int) -> int | None:
         """Follow an existing edge; None when absent."""
-        v = self.find(v)
-        table = self.fwd[gen] if sign > 0 else self.bwd[gen]
-        t = table.get(v)
-        return None if t is None else self.find(t)
+        t = self.rows[2 * gen + (sign < 0)][self.find(v)]
+        return None if t < 0 else self.find(t)
 
-    def force_step(self, v: int, gen: int, sign: int) -> int:
-        """Follow an edge, creating a fresh far vertex when absent."""
-        self._tick()
-        v = self.find(v)
-        table = self.fwd[gen] if sign > 0 else self.bwd[gen]
-        t = table.get(v)
-        if t is not None:
-            return self.find(t)
-        w = self.new_vertex(v, gen, sign)
-        table[v] = w
-        (self.bwd[gen] if sign > 0 else self.fwd[gen])[w] = v
-        return w
+    def walk(self, v: int, codes: Sequence[int]) -> int:
+        """Walk letter codes from representative ``v``, giving each absent
+        edge a fresh far vertex; return the endpoint.
+
+        Every letter is one step.  Nothing merges during a walk, so each
+        vertex reached is a representative.  Only a walk that might reach
+        a cap counts its steps letter by letter, so that the cap stops it
+        on the exact step.
+        """
+        limits = self.limits
+        n = len(codes)
+        near_cap = (self.steps + n > limits.max_steps
+                    or self.created + n > limits.max_vertices)
+        if not near_cap:
+            self.steps += n
+        rows, parent = self.rows, self.parent
+        for c in codes:
+            if near_cap:
+                self.steps += 1
+                if self.steps > limits.max_steps:
+                    raise _CapExceeded("steps", self.stats())
+            t = rows[c][v]
+            if t < 0:
+                t = self.new_vertex(v, c >> 1, -1 if c & 1 else 1)
+                rows[c][v] = t
+                rows[c ^ 1][t] = v
+            else:
+                while parent[t] != t:
+                    parent[t] = parent[parent[t]]
+                    t = parent[t]
+            v = t
+        return v
 
     def trace(self, start: int, word: Word, end: int | None = None) -> int:
         """Walk ``word`` from ``start``, creating edges as needed; when
         ``end`` is given, schedule its identification with the endpoint."""
-        v = self.find(start)
-        for gen, sign in word:
-            v = self.force_step(v, gen, sign)
+        v = self.walk(self.find(start), _codes(word))
         if end is not None:
             e = self.find(end)
             if v != e:
@@ -202,33 +251,37 @@ class TraceGraph:
     def collapse(self):
         """Drain scheduled identifications to a fixpoint.
 
-        Each union keeps the smaller label, folds the loser's edge rows
-        into it, schedules any resulting conflicts, and re-enqueues the
-        survivor for the universal sweep since its edge set changed.
+        Each drained pair is one step.  Each union keeps the smaller
+        label, folds the loser's rows into it in letter-code order,
+        schedules any resulting conflicts, and re-enqueues the survivor
+        for the universal sweep since its edge set changed.
         """
-        while self.pending:
-            self._tick()
-            a, b = self.pending.popleft()
-            a, b = self.find(a), self.find(b)
+        pending, parent, rows, find = self.pending, self.parent, self.rows, self.find
+        max_steps = self.limits.max_steps
+        while pending:
+            self.steps += 1
+            if self.steps > max_steps:
+                raise _CapExceeded("steps", self.stats())
+            a, b = pending.popleft()
+            a, b = find(a), find(b)
             if a == b:
                 continue
             if b < a:
                 a, b = b, a
-            self.parent[b] = a
+            parent[b] = a
             self.unions += 1
-            for gen in range(self.ngens):
-                for table in (self.fwd[gen], self.bwd[gen]):
-                    t = table.pop(b, None)
-                    if t is None:
-                        continue
-                    t = self.find(t)
-                    u = table.get(a)
-                    if u is None:
-                        table[a] = t
-                    else:
-                        u = self.find(u)
-                        if u != t:
-                            self.pending.append((u, t))
+            for row in rows:
+                t = row[b]
+                if t < 0:
+                    continue
+                t = find(t)
+                u = row[a]
+                if u < 0:
+                    row[a] = t
+                else:
+                    u = find(u)
+                    if u != t:
+                        pending.append((u, t))
             self.done.discard(a)
             heappush(self.worklist, a)
 
@@ -237,20 +290,24 @@ def run_schedule(graph: TraceGraph, presentation: Presentation) -> TraceGraph:
     """Step 5: sweep live vertices in label order, tracing every
     universal relation at each and collapsing after each trace.
 
-    Expects the primary relations already traced (steps 1 to 4).  A
-    vertex merged away mid-sweep continues as its representative;
-    representatives whose edges changed return to the worklist.
+    Expects the primary relations already traced (steps 1 to 4) and
+    collapsed.  A vertex merged away mid-sweep continues as its
+    representative; representatives whose edges changed return to the
+    worklist.
     """
-    universals = [u.word for u in secondary_relations(presentation)]
-    while graph.worklist:
-        v = heappop(graph.worklist)
-        if graph.parent[v] != v or v in graph.done:
+    universals = [_codes(u.word) for u in secondary_relations(presentation)]
+    worklist, parent, done = graph.worklist, graph.parent, graph.done
+    while worklist:
+        v = heappop(worklist)
+        if parent[v] != v or v in done:
             continue
-        for word in universals:
-            graph.trace(v, word, end=v)
-            graph.collapse()
-            v = graph.find(v)
-        graph.done.add(v)
+        for codes in universals:
+            e = graph.walk(v, codes)
+            if e != v:
+                graph.pending.append((e, v))
+                graph.collapse()
+                v = graph.find(v)
+        done.add(v)
     return graph
 
 
@@ -332,7 +389,7 @@ def enumerate_quandle(presentation: Presentation,
             graph.collapse()
         run_schedule(graph, presentation)
     except _CapExceeded as exc:
-        return EnumerationOutcome(None, exc.kind, exc.created)
+        return EnumerationOutcome(None, exc.kind, exc.stats.created, exc.stats)
     _audit(graph, presentation)
     quandle = _seal(graph, presentation)
-    return EnumerationOutcome(quandle, None, quandle.size)
+    return EnumerationOutcome(quandle, None, quandle.size, graph.stats())

@@ -189,12 +189,19 @@ def parse_presentation(text: str) -> Presentation:
                         raise ParseError(f"duplicate generator {token!r}", line_no, col)
                     gens.append(token)
             elif keyword == "comp":
+                end = col - 1 + len(keyword)
                 for token in rest.split():
+                    token_col = raw_line.index(token, end) + 1
+                    end = token_col - 1 + len(token)
                     name, sep, num = token.partition(":")
                     if not sep or not num.isdigit():
-                        raise ParseError(f"expected name:index, got {token!r}", line_no, col)
+                        raise ParseError(f"expected name:index, got {token!r}",
+                                         line_no, token_col)
+                    if int(num) < 1:
+                        raise ParseError(f"component index must be positive, got {token!r}",
+                                         line_no, token_col)
                     comp[name] = int(num)
-                    comp_pos[name] = (line_no, col)
+                    comp_pos[name] = (line_no, token_col)
             elif keyword == "N":
                 if n_values is not None:
                     raise ParseError("duplicate N statement", line_no, col)
@@ -202,6 +209,8 @@ def parse_presentation(text: str) -> Presentation:
                 if not tokens or not all(t.isdigit() for t in tokens):
                     raise ParseError("N needs positive integers", line_no, col)
                 n_values = tuple(int(t) for t in tokens)
+                if 0 in n_values:
+                    raise ParseError("n-values must be positive", line_no, col)
             elif keyword == "rel":
                 match = _REL_RE.match(rest)
                 if not match:

@@ -442,7 +442,13 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
                 del orbit_map[o1]
         return False
 
-    return dfs(0)
+    # dfs reaches itself through its closure cell; breaking that cycle
+    # frees both quandles' tables as soon as the caller drops them,
+    # instead of at the next full garbage collection.
+    try:
+        return dfs(0)
+    finally:
+        del dfs
 
 
 _EDGE_STYLES = ("solid", "dashed", "dotted", "bold")

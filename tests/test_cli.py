@@ -66,6 +66,8 @@ def test_enumerate_cap_exceeded(capsys):
                        "--max-vertices", "10000")
     assert code == 4
     assert out.startswith("exceeded vertices cap (10000)")
+    assert out == ("exceeded vertices cap (10000); 10001 vertices created "
+                   "before the stop, 1706 live, 70724 steps\n")
 
 
 def test_enumerate_from_file(tmp_path, capsys):
@@ -89,6 +91,19 @@ def test_enumerate_parse_error_position(tmp_path, capsys):
     code, _, err = run(capsys, "enumerate", "--file", str(path))
     assert code == 1
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("gens a b\nN 0\n", "line 2, col 1: n-values must be positive"),
+    ("gens a b\ncomp a:0 b:1\nN 2\n", "line 2, col 6: component index must be positive"),
+])
+def test_enumerate_bad_value_position(tmp_path, capsys, text, where):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "enumerate", "--file", str(path))
+    assert code == 1
+    assert err.startswith(f"error: {where}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, where", [

@@ -89,6 +89,23 @@ def test_tiny_vertex_cap_trips_during_setup():
     assert out.cap_kind == "vertices"
 
 
+# Counters at the stop, measured before the edge tables became per-letter
+# rows: the layout of the tables must not change which vertex is created,
+# merged or kept, nor where a cap stops the run.
+@pytest.mark.parametrize("p, limits, counters, cap_kind", [
+    (family("Mk", k=6), {}, (4583, 4377, 69891, 206), None),
+    (family("T24", (3, 4)), {}, (41, 27, 355, 14), None),
+    (family("Mk", k=30), {}, (51455, 50385, 2141331, 1070), None),
+    (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 1632, 13477, 369), "vertices"),
+    (family("Mk", k=6), {"max_steps": 20000}, (2549, 1744, 20001, 805), "steps"),
+], ids=["Mk6", "T24", "Mk30", "trefoil-vertex-cap", "Mk6-step-cap"])
+def test_trajectory_is_pinned(p, limits, counters, cap_kind):
+    out = enumerate_quandle(p, EnumerationLimits(**limits))
+    assert out.stats == counters
+    assert out.cap_kind == cap_kind
+    assert out.vertices == (out.stats.live if cap_kind is None else out.stats.created)
+
+
 def test_default_limits():
     limits = EnumerationLimits()
     assert limits.max_vertices == DEFAULT_MAX_VERTICES
@@ -131,7 +148,7 @@ def test_step_is_none_until_forced():
     g = TraceGraph(p, EnumerationLimits())
     a, b = 0, 1
     assert g.step(a, b, 1) is None
-    v = g.force_step(a, b, 1)
+    v = g.trace(a, ((b, 1),))
     assert g.step(a, b, 1) == v
     assert g.step(v, b, -1) == a  # the reverse edge lands with it
     # the new vertex is defined by the edge a --b--> v, so named a^b

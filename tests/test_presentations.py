@@ -101,6 +101,18 @@ def test_parse_error_unknown_statement():
     assert err.value.line == 2
 
 
+def test_parse_error_zero_n_value_on_its_line():
+    with pytest.raises(ParseError, match="n-values must be positive") as err:
+        parse_presentation("gens a b\nN 0\n")
+    assert err.value.line == 2
+
+
+def test_parse_error_zero_component_names_its_token():
+    with pytest.raises(ParseError, match="'a:0'") as err:
+        parse_presentation("gens a b\n  comp b:1 a:0\n")
+    assert (err.value.line, err.value.column) == (2, 12)
+
+
 def test_parse_error_message_mentions_position():
     with pytest.raises(ParseError, match=r"line \d+"):
         parse_presentation("rel a^[b]=a\n")

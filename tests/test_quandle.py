@@ -1,10 +1,12 @@
 """Operation tables, verification, orbits, isomorphism, exports."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -331,6 +333,19 @@ def test_is_isomorphic_reflexive_symmetric():
     assert is_isomorphic(a, a)
     assert is_isomorphic(a, b)
     assert is_isomorphic(b, a)
+
+
+def test_is_isomorphic_frees_the_tables_without_garbage_collection():
+    a = enum("Lk", ns=(2, 3), k=3)
+    b = enum("Lk", ns=(2, 3), k=-3)
+    gc.disable()
+    try:
+        assert is_isomorphic(a, b)
+        tables = [weakref.ref(t) for t in (*a.tables, *b.tables)]
+        del a, b
+        assert all(ref() is None for ref in tables)
+    finally:
+        gc.enable()
 
 
 def test_is_isomorphic_rejects_size_mismatch():
