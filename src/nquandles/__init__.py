@@ -57,7 +57,6 @@ from .quandle import (
     full_op,
     is_isomorphic,
     orbits,
-    point_symmetry,
     verify_all,
     verify_axioms,
     verify_n_relations,

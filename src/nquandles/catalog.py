@@ -14,6 +14,7 @@ import ast
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -78,7 +79,13 @@ def _eval_formula(text: str, env: Mapping[str, int]) -> int:
             return abs(ev(node.args[0]))
         raise CatalogError(f"unsupported formula syntax in {text!r}")
 
-    return ev(ast.parse(text, mode="eval"))
+    return ev(_parse_formula(text))
+
+
+@lru_cache(maxsize=None)
+def _parse_formula(text: str) -> ast.Expression:
+    """Parsed once per formula text: a sweep evaluates each many times."""
+    return ast.parse(text, mode="eval")
 
 
 def load_catalog() -> list[CatalogEntry]:
@@ -121,13 +128,33 @@ def _row(row_id: str) -> CatalogEntry:
     raise CatalogError(f"no catalog row {row_id!r}")
 
 
+def _shapes(n_shape: str) -> list[tuple[int | str, ...]]:
+    """The N shapes of an N column such as "(2,n)" or "(2) or (2,2)":
+    one tuple per alternative, a name standing for a row parameter."""
+    return [tuple(int(t) if t.isdigit() else t for t in re.findall(r"\w+", alt))
+            for alt in n_shape.split(" or ")]
+
+
+def _bind_shape(entry: CatalogEntry, ns: tuple[int, ...]) -> dict[str, int]:
+    """The parameters ``ns`` binds in the first of the row's N shapes it
+    fits, e.g. {"n": 5} for (2, 5) against (2,n); CatalogError when it
+    fits none."""
+    for shape in _shapes(entry.n_shape):
+        if len(shape) == len(ns) and all(
+                isinstance(s, str) or s == n for s, n in zip(shape, ns)):
+            return {s: n for s, n in zip(shape, ns) if isinstance(s, str)}
+    raise CatalogError(f"row {entry.row_id} has N of shape {entry.n_shape}, not N={ns}")
+
+
 def expected_cardinality(row_id: str, n_values: Sequence[int],
                          **params: int) -> int:
     """Expected size for a catalog row at the given N and parameters.
 
     ``row_id`` may also name a parity-split family bare ("T2k", "Lk");
-    the parity of k picks the row.  Raises CatalogError when the row or
-    the N tuple is unknown.
+    the parity of k picks the row.  Raises CatalogError when the row is
+    unknown or holds no value for the N tuple: an exact row lists its N
+    tuples, a closed form takes N of the shapes in its N column, and a
+    parameter of the shape (n in "(2,n)") is read from its position.
     """
     ns = tuple(int(n) for n in n_values)
     if row_id in ("T2k", "Lk"):
@@ -140,9 +167,7 @@ def expected_cardinality(row_id: str, n_values: Sequence[int],
         if ns not in exact:
             raise CatalogError(f"row {entry.row_id} has no value for N={ns}")
         return exact[ns]
-    env = dict(params)
-    env.setdefault("n", ns[-1])
-    return _eval_formula(entry.expected, env)
+    return _eval_formula(entry.expected, {**params, **_bind_shape(entry, ns)})
 
 
 @dataclass(frozen=True)
@@ -170,9 +195,10 @@ def iter_checks(k_values: Sequence[int] = tuple(range(-6, 7)),
                 n_values: Sequence[int] = (2, 3, 4, 5)) -> Iterator[CatalogCheck]:
     """Executable checks for every in-scope row.
 
-    Parameterized rows sweep k over ``k_values`` (filtered to the row's
-    parity, zero excluded where the family demands) and n over
-    ``n_values``; exact rows yield one check per recorded N tuple.
+    Closed-form rows sweep k over ``k_values`` (filtered to the parity
+    of an -odd or -even row, which also excludes zero) and the n of
+    their N shape over ``n_values``, and expect the row's own formula;
+    exact rows yield one check per recorded N tuple.
     """
     for entry in catalog():
         if not entry.in_repo_scope:
@@ -183,30 +209,13 @@ def iter_checks(k_values: Sequence[int] = tuple(range(-6, 7)),
                 p = augment_n(_family_presentation(entry.family), ns)
                 yield CatalogCheck(entry.row_id, f"N={ns}", p, expected)
             continue
-        if entry.row_id.startswith("T2k"):
-            want_odd = entry.row_id.endswith("odd")
-            for k in k_values:
-                if k == 0 or (k % 2 != 0) != want_odd:
-                    continue
-                ns = (2,) if want_odd else (2, 2)
-                p = augment_n(_family_presentation("T2k", k), ns)
-                yield CatalogCheck(entry.row_id, f"k={k} N={ns}", p, abs(k))
-        elif entry.row_id.startswith("Lk"):
-            want_odd = entry.row_id.endswith("odd")
-            for k in k_values:
-                if k == 0 or (k % 2 != 0) != want_odd:
-                    continue
-                for n in n_values:
-                    ns = (2, n) if want_odd else (2, 2, n)
-                    p = augment_n(_family_presentation("Lk", k), ns)
-                    yield CatalogCheck(
-                        entry.row_id, f"k={k} N={ns}", p, n * abs(k) + 2
-                    )
-        elif entry.row_id == "Mk":
-            for k in k_values:
-                p = _family_presentation("Mk", k)
-                yield CatalogCheck(
-                    entry.row_id, f"k={k} N=(2, 3)", p, 18 * abs(2 * k - 1) + 8
-                )
-        else:  # pragma: no cover - data file and code must agree
-            raise ValueError(f"no sweep rule for catalog row {entry.row_id}")
+        parity = entry.row_id.rpartition("-")[2]
+        (shape,) = _shapes(entry.n_shape)
+        for k in k_values:
+            if parity in ("odd", "even") and (k == 0 or k % 2 != (parity == "odd")):
+                continue
+            p = _family_presentation(entry.family, k)
+            for n in (n_values if "n" in shape else (None,)):
+                ns = tuple(n if s == "n" else s for s in shape)
+                expected = _eval_formula(entry.expected, {"k": k, **_bind_shape(entry, ns)})
+                yield CatalogCheck(entry.row_id, f"k={k} N={ns}", augment_n(p, ns), expected)

@@ -14,7 +14,12 @@ coset enumeration:
 5.  a sweep in vertex-label order that traces every universal relation
     y^w = y (the N relations first, then the conjugates of the primary
     relations) at each live vertex, collapsing after each trace, until
-    every live vertex has been processed.
+    every live vertex has been processed;
+6.  sealing: the live vertices, in label order, become the elements
+    0..n-1 and the letter rows become integer action tables, which must
+    pass every postcondition (each generator a bijection with its
+    inverse edges, every primary and universal relation closed) before
+    they are handed to a ``FiniteQuandle``.
 
 The procedure halts exactly when the N-quandle is finite; vertex and
 step caps make the infinite case observable as an Exceeded outcome,
@@ -23,11 +28,11 @@ run got.  As in a Todd-Coxeter coset table, the edges are kept in one
 flat row per letter (a generator or its inverse) indexed by vertex
 label, and a relation is compiled once to letter codes and walked in a
 single loop.  Each created vertex keeps only its definition, the edge
-that created it: the parent label, the generator and the sign.
-Following definitions back to a generator vertex spells the vertex's
-witness a^w; merges never rewrite definitions, the smaller label
-simply survives, and only the survivors' witnesses are spelled out
-when the graph is sealed.  All worklists are ordered, so runs are
+that created it: the parent label and the letter code.  Following
+definitions back to a generator vertex spells the vertex's witness
+a^w; merges never rewrite definitions, the smaller label simply
+survives, and only the survivors' witnesses are spelled out when the
+graph is sealed.  All worklists are ordered, so runs are
 bit-for-bit reproducible.
 """
 
@@ -115,9 +120,9 @@ class TraceGraph:
     representatives' rows are read, and their entries may be stale
     labels, resolved through ``find``.
 
-    Label v was created by the edge def_parent[v] --(def_gen[v],
-    def_sign[v])--> v, with def_parent[v] < v; a generator vertex has
-    def_parent -1, its own generator as def_gen and def_sign 0.  The
+    Label v was created by the edge def_parent[v] --def_code[v]--> v,
+    with def_parent[v] < v and def_code[v] a letter code as in the rows;
+    generator vertex j has def_parent -1 and def_code 2*j.  The
     definitions are read only when witnesses are spelled, so they are
     kept as machine-integer arrays, a few bytes per label.
     """
@@ -131,8 +136,7 @@ class TraceGraph:
         self.rows: list[list[int]] = [[] for _ in range(2 * g)]
         self.parent: list[int] = []
         self.def_parent = array("i")
-        self.def_gen = array("i")
-        self.def_sign = array("b")
+        self.def_code = array("i")
         self.created = 0
         self.unions = 0
         self.steps = 0
@@ -140,7 +144,7 @@ class TraceGraph:
         self.worklist: list[int] = []
         self.done: set[int] = set()
         for j in range(g):
-            v = self.new_vertex(-1, j, 0)
+            v = self.new_vertex(-1, 2 * j)
             self.rows[2 * j][v] = v
             self.rows[2 * j + 1][v] = v
 
@@ -156,15 +160,14 @@ class TraceGraph:
             v = parent[v]
         return v
 
-    def new_vertex(self, parent: int, gen: int, sign: int) -> int:
+    def new_vertex(self, parent: int, code: int) -> int:
         label = self.created
         self.created += 1
         if self.created > self.limits.max_vertices:
             raise _CapExceeded("vertices", self.stats())
         self.parent.append(label)
         self.def_parent.append(parent)
-        self.def_gen.append(gen)
-        self.def_sign.append(sign)
+        self.def_code.append(code)
         for row in self.rows:
             row.append(-1)
         heappush(self.worklist, label)
@@ -185,25 +188,18 @@ class TraceGraph:
                 v = self.def_parent[v]
             expr = memo[v]
             for u in reversed(chain):
-                letter = ((self.def_gen[u], self.def_sign[u]),)
+                code = self.def_code[u]
+                letter = ((code >> 1, -1 if code & 1 else 1),)
                 expr = Expression(expr.base, concat(expr.word, letter))
                 memo[u] = expr
             out.append(expr)
         return out
-
-    def live_vertices(self) -> list[int]:
-        return [v for v in range(self.created) if self.parent[v] == v]
 
     @property
     def live_count(self) -> int:
         return self.created - self.unions
 
     # -- edges ---------------------------------------------------------
-
-    def step(self, v: int, gen: int, sign: int) -> int | None:
-        """Follow an existing edge; None when absent."""
-        t = self.rows[2 * gen + (sign < 0)][self.find(v)]
-        return None if t < 0 else self.find(t)
 
     def walk(self, v: int, codes: Sequence[int]) -> int:
         """Walk letter codes from representative ``v``, giving each absent
@@ -228,7 +224,7 @@ class TraceGraph:
                     raise _CapExceeded("steps", self.stats())
             t = rows[c][v]
             if t < 0:
-                t = self.new_vertex(v, c >> 1, -1 if c & 1 else 1)
+                t = self.new_vertex(v, c)
                 rows[c][v] = t
                 rows[c ^ 1][t] = v
             else:
@@ -311,60 +307,50 @@ def run_schedule(graph: TraceGraph, presentation: Presentation) -> TraceGraph:
     return graph
 
 
-def _audit(graph: TraceGraph, presentation: Presentation):
-    """Postconditions: every relation closes at every vertex and every
-    generator acts as a bijection on the live set."""
-    live = graph.live_vertices()
-    live_set = set(live)
-    for gen in range(graph.ngens):
-        targets = []
-        for v in live:
-            t = graph.step(v, gen, 1)
-            if t is None:
-                raise EnumerationInternalError(
-                    f"generator {gen} undefined at vertex {v}"
-                )
-            if graph.step(t, gen, -1) != v:
-                raise EnumerationInternalError(
-                    f"generator {gen} edges inconsistent at vertex {v}"
-                )
-            targets.append(t)
-        if set(targets) != live_set:
-            raise EnumerationInternalError(f"generator {gen} is not a bijection")
-    for rel in presentation.relations:
-        v = graph.find(rel.base)
-        for gen, sign in rel.word:
-            v = graph.step(v, gen, sign)  # type: ignore[assignment]
-        if v != graph.find(rel.target):
-            raise EnumerationInternalError("primary relation does not close")
-    for word in (u.word for u in secondary_relations(presentation)):
-        for start in live:
-            v = start
-            for gen, sign in word:
-                v = graph.step(v, gen, sign)  # type: ignore[assignment]
-            if v != start:
-                raise EnumerationInternalError(
-                    "universal relation does not close at some vertex"
-                )
-
-
 def _seal(graph: TraceGraph, presentation: Presentation) -> FiniteQuandle:
-    live = graph.live_vertices()
+    """Step 6: number the live labels in label order, read each letter
+    row once into an action table over them, and check the
+    postconditions on those tables: every edge defined, each generator's
+    inverse table undoing its action (so both are bijections and the
+    inverse edges agree), and every primary and universal relation
+    closing."""
+    parent, find = graph.parent, graph.find
+    live = [v for v in range(graph.created) if parent[v] == v]
     index = {v: i for i, v in enumerate(live)}
-    action = tuple(
-        tuple(index[graph.step(v, gen, 1)] for v in live)
-        for gen in range(graph.ngens)
-    )
-    inverse_action = tuple(
-        tuple(index[graph.step(v, gen, -1)] for v in live)
-        for gen in range(graph.ngens)
-    )
+    tables = []
+    for code, row in enumerate(graph.rows):
+        ends = [row[v] for v in live]
+        if -1 in ends:
+            v = live[ends.index(-1)]
+            raise EnumerationInternalError(f"generator {code >> 1} undefined at vertex {v}")
+        tables.append(tuple([index[find(t)] for t in ends]))
+    action, inverse_action = tuple(tables[0::2]), tuple(tables[1::2])
+    for gen, (act, inv) in enumerate(zip(action, inverse_action)):
+        if any(inv[y] != x for x, y in enumerate(act)):
+            raise EnumerationInternalError(
+                f"generator {gen} is not a bijection with its inverse edges")
+    generator_element = tuple(index[find(j)] for j in range(graph.ngens))
+    for rel in presentation.relations:
+        x = generator_element[rel.base]
+        for c in _codes(rel.word):
+            x = tables[c][x]
+        if x != generator_element[rel.target]:
+            raise EnumerationInternalError("primary relation does not close")
+    identity = list(range(len(live)))
+    for u in secondary_relations(presentation):
+        perm = identity
+        for c in _codes(u.word):
+            table = tables[c]
+            perm = [table[x] for x in perm]
+        if perm != identity:
+            raise EnumerationInternalError(
+                "universal relation does not close at some vertex")
     return FiniteQuandle(
         size=len(live),
         generator_names=presentation.generator_names,
         action=action,
         inverse_action=inverse_action,
-        generator_element=tuple(index[graph.find(j)] for j in range(graph.ngens)),
+        generator_element=generator_element,
         component_of_generator=presentation.component_of,
         n_values=presentation.n_values,
         witnesses=tuple(graph.witnesses(live)),
@@ -390,6 +376,5 @@ def enumerate_quandle(presentation: Presentation,
         run_schedule(graph, presentation)
     except _CapExceeded as exc:
         return EnumerationOutcome(None, exc.kind, exc.stats.created, exc.stats)
-    _audit(graph, presentation)
     quandle = _seal(graph, presentation)
     return EnumerationOutcome(quandle, None, quandle.size, graph.stats())

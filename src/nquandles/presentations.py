@@ -35,14 +35,12 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .words import (
-    Expression,
     Letter,
     Word,
     concat,
     invert,
     power,
     reduce,
-    word_str,
 )
 
 
@@ -167,15 +165,18 @@ def parse_presentation(text: str) -> Presentation:
     comp: dict[str, int] = {}
     comp_pos: dict[str, tuple[int, int]] = {}
     n_values: tuple[int, ...] | None = None
-    raw_rels: list[tuple[str, str, str, int]] = []
+    n_pos = (1, 1)
+    raw_rels: list[tuple[str, str, str, int, int]] = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
-        for stmt in line.split(";"):
-            stmt = stmt.strip()
+        offset = 0
+        for part in line.split(";"):
+            stmt = part.strip()
+            col = offset + len(part) - len(part.lstrip()) + 1
+            offset += len(part) + 1
             if not stmt:
                 continue
-            col = raw_line.index(stmt.split()[0]) + 1
             keyword, _, rest = stmt.partition(" ")
             rest = rest.strip()
             if keyword == "gens":
@@ -209,13 +210,14 @@ def parse_presentation(text: str) -> Presentation:
                 if not tokens or not all(t.isdigit() for t in tokens):
                     raise ParseError("N needs positive integers", line_no, col)
                 n_values = tuple(int(t) for t in tokens)
+                n_pos = (line_no, col)
                 if 0 in n_values:
                     raise ParseError("n-values must be positive", line_no, col)
             elif keyword == "rel":
                 match = _REL_RE.match(rest)
                 if not match:
                     raise ParseError("expected rel name^[letters]=name", line_no, col)
-                raw_rels.append((match.group(1), match.group(2), match.group(3), line_no))
+                raw_rels.append((*match.group(1, 2, 3), line_no, col))
             else:
                 raise ParseError(f"unknown statement {keyword!r}", line_no, col)
 
@@ -226,17 +228,27 @@ def parse_presentation(text: str) -> Presentation:
             line_no, col = comp_pos[name]
             raise ParseError(f"comp references unknown generator {name!r}", line_no, col)
     component_of = tuple(comp.get(name, 1) for name in gens)
+    # the checks Presentation would make, reported where the fault lies:
+    # the first comp token past a gap in the numbering, the N statement
+    m = max(component_of)
+    missing = sorted(set(range(1, m + 1)) - set(component_of))
+    if missing:
+        line_no, col = min(comp_pos[name] for name, c in comp.items() if c > missing[0])
+        raise ParseError(f"components {missing} have no generator", line_no, col)
+    if n_values is not None and len(n_values) != m:
+        raise ParseError(f"expected {m} n-values, got {len(n_values)}", *n_pos)
 
     index = {name: i for i, name in enumerate(gens)}
     relations = []
-    for base, word_text, target, line_no in raw_rels:
+    for base, word_text, target, line_no, col in raw_rels:
         for name in (base, target):
             if name not in index:
-                raise ParseError(f"rel references unknown generator {name!r}", line_no)
+                raise ParseError(f"rel references unknown generator {name!r}",
+                                 line_no, col)
         try:
             word = parse_word(word_text, gens)
         except PresentationError as exc:
-            raise ParseError(str(exc), line_no) from None
+            raise ParseError(str(exc), line_no, col) from None
         relations.append(PrimaryRelation(index[base], word, index[target]))
 
     try:
@@ -509,14 +521,6 @@ def _mk(names: str, comps: Sequence[int], rels: Iterable[tuple[str, Word, str]],
 
 def _letters(text: str, names: str) -> Word:
     return parse_word(text, tuple(names.split()))
-
-
-def _even_torus(m: int) -> Presentation:
-    """T(2,2m) with one generator per component: a^((ba)^(m-1) b) = a
-    and the same with a, b swapped."""
-    w1 = concat(power(_letters("b a", "a b"), m - 1), _letters("b", "a b"))
-    w2 = concat(power(_letters("a b", "a b"), m - 1), _letters("a", "a b"))
-    return _mk("a b", (1, 2), [("a", w1, "a"), ("b", w2, "b")], None)
 
 
 def _family_lk(k: int) -> Presentation:

@@ -129,11 +129,6 @@ def full_op(q: FiniteQuandle, x: int, y: int, sign: int = 1) -> int:
     return int((fwd if sign > 0 else bwd)[x, y])
 
 
-def point_symmetry(q: FiniteQuandle, x: int) -> tuple[int, ...]:
-    """The symmetry at x: the permutation y -> y > x."""
-    return tuple(q.tables[0][:, x].tolist())
-
-
 def dense_tables(q: FiniteQuandle) -> tuple[np.ndarray, np.ndarray]:
     """Full operation tables M[x, y] = x > y and its inverse, as
     read-only int32 arrays cached on the quandle.

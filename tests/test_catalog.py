@@ -1,7 +1,10 @@
 """The bundled cardinality table and its executable checks."""
 
+from dataclasses import replace
+
 import pytest
 
+from nquandles import catalog as catalog_module
 from nquandles.catalog import (
     CatalogError,
     catalog,
@@ -9,6 +12,7 @@ from nquandles.catalog import (
     iter_checks,
     load_catalog,
 )
+from nquandles.cli import main
 from nquandles.enumerator import enumerate_quandle
 
 
@@ -53,6 +57,26 @@ def test_expected_cardinality_formula_rows():
         expected_cardinality("Lk", (2, 2))  # k missing
 
 
+@pytest.mark.parametrize("row_id, ns, params", [
+    ("Mk", (5, 7), {"k": 1}),       # the row holds only N = (2, 3)
+    ("T2k", (9,), {"k": 4}),        # even k: N = (2, 2)
+    ("Lk", (7,), {"k": 3}),         # odd k: N = (2, n)
+    ("Lk", (3, 5), {"k": 3}),
+    ("Lpq", (2, 2, 2), {"p": 3, "q": 2}),
+])
+def test_expected_cardinality_refuses_n_outside_the_row_shape(row_id, ns, params):
+    with pytest.raises(CatalogError, match="N of shape"):
+        expected_cardinality(row_id, ns, **params)
+
+
+def test_expected_cardinality_reads_n_from_its_shape_position():
+    # n is the last entry of (2,n) and (2,2,n); Lpq's two shapes both fit
+    assert expected_cardinality("Lk", (2, 5), k=3) == 17
+    assert expected_cardinality("Lk", (2, 2, 5), k=-2) == 12
+    assert expected_cardinality("Lpq", (2,), p=3, q=5) == 5
+    assert expected_cardinality("Lpq", (2, 2), p=3, q=4) == 4
+
+
 def test_expected_cardinality_out_of_scope_rows_still_answer():
     # the table records values beyond what the enumerator families cover
     assert expected_cardinality("T23B", (2, 2)) == 18
@@ -93,3 +117,20 @@ def test_iter_checks_expected_values_hold():
         out = enumerate_quandle(check.presentation)
         assert out.finite, check.label
         assert out.vertices == check.expected, (check.row_id, check.label)
+
+
+@pytest.mark.parametrize("row_id, tampered, argv, line", [
+    ("Mk", "18*abs(2*k-1)+9", ["--k-range", "1:1"], "FAIL Mk k=1 N=(2, 3): want 27 got 26"),
+    ("Lk-odd", "n*abs(k)+3", ["--k-range", "1:1", "--n-range", "2:2"],
+     "FAIL Lk-odd k=1 N=(2, 2): want 5 got 4"),
+    ("T2k-even", "abs(k)+1", ["--k-range", "2:2"], "FAIL T2k-even k=2 N=(2, 2): want 3 got 2"),
+])
+def test_verify_catalog_checks_the_file_formulas(monkeypatch, capsys, row_id, tampered,
+                                                 argv, line):
+    # the checks expect what the data file says, not a formula restated in code
+    rows = [replace(e, expected=tampered) if e.row_id == row_id else e for e in catalog()]
+    monkeypatch.setattr(catalog_module, "_CATALOG", rows)
+    code = main(["verify-catalog", "--rows", row_id, *argv])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.splitlines()[0] == line

@@ -96,6 +96,9 @@ def test_enumerate_parse_error_position(tmp_path, capsys):
 @pytest.mark.parametrize("text, where", [
     ("gens a b\nN 0\n", "line 2, col 1: n-values must be positive"),
     ("gens a b\ncomp a:0 b:1\nN 2\n", "line 2, col 6: component index must be positive"),
+    ("gens a b\ncomp a:1 b:3\nN 2 2\n", "line 2, col 10: components [2] have no generator"),
+    ("gens a b\nN 2 3\n", "line 2, col 1: expected 1 n-values, got 2"),
+    ("gens a b; N 2; N 3\n", "line 1, col 16: duplicate N statement"),
 ])
 def test_enumerate_bad_value_position(tmp_path, capsys, text, where):
     path = tmp_path / "p.txt"

@@ -5,8 +5,10 @@ import pytest
 from nquandles.enumerator import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VERTICES,
+    EnumerationInternalError,
     EnumerationLimits,
     TraceGraph,
+    _seal,
     enumerate_quandle,
     run_schedule,
 )
@@ -139,21 +141,28 @@ def test_idempotence_loops_preinstalled():
     p = family("T24", (3, 3))
     g = TraceGraph(p, EnumerationLimits())
     for v in (0, 1):
-        assert g.step(v, v, 1) == v
-        assert g.step(v, v, -1) == v
+        assert g.rows[2 * v][v] == v
+        assert g.rows[2 * v + 1][v] == v
+        # a generator vertex is defined by no edge, only by its letter
+        assert (g.def_parent[v], g.def_code[v]) == (-1, 2 * v)
+    assert g.witnesses([0, 1]) == [Expression(0, ()), Expression(1, ())]
 
 
 def test_step_is_none_until_forced():
     p = family("T24", (3, 3))
     g = TraceGraph(p, EnumerationLimits())
     a, b = 0, 1
-    assert g.step(a, b, 1) is None
+    assert g.rows[2 * b][a] == -1
     v = g.trace(a, ((b, 1),))
-    assert g.step(a, b, 1) == v
-    assert g.step(v, b, -1) == a  # the reverse edge lands with it
+    assert g.rows[2 * b][a] == v
+    assert g.rows[2 * b + 1][v] == a  # the reverse edge lands with it
     # the new vertex is defined by the edge a --b--> v, so named a^b
-    assert (g.def_parent[v], g.def_gen[v], g.def_sign[v]) == (a, b, 1)
+    assert (g.def_parent[v], g.def_code[v]) == (a, 2 * b)
     assert g.witnesses([v]) == [Expression(a, ((b, 1),))]
+    # an inverse letter is defined by the odd code and spelled back as one
+    u = g.trace(a, ((b, -1),))
+    assert (g.def_parent[u], g.def_code[u]) == (a, 2 * b + 1)
+    assert g.witnesses([u]) == [Expression(a, ((b, -1),))]
 
 
 def test_live_accounting_after_schedule():
@@ -163,13 +172,14 @@ def test_live_accounting_after_schedule():
         g.trace(rel.base, rel.word, end=rel.target)
     g.collapse()
     run_schedule(g, p)
-    live = g.live_vertices()
+    live = [v for v in range(g.created) if g.parent[v] == v]
     assert g.live_count == len(live) == 10
     assert all(g.find(v) == v for v in live)
     # every created label kept its definition, pointing to an older
     # label, and every live vertex's witness spelled from the
     # definitions walks back to it without creating anything
-    assert len(g.def_parent) == len(g.def_gen) == len(g.def_sign) == g.created
+    assert len(g.def_parent) == len(g.def_code) == g.created
+    assert all(0 <= c < 2 * len(p.generator_names) for c in g.def_code)
     assert all(g.def_parent[v] < v for v in range(len(p.generator_names), g.created))
     created = g.created
     for v, w in zip(live, g.witnesses(live)):
@@ -181,3 +191,73 @@ def test_outcome_reports_final_size():
     out = enumerate_quandle(family("T28", (2, 3)))
     assert out.finite
     assert out.vertices == out.quandle.size == 20
+
+
+# --- sealing postconditions ------------------------------------------------------
+
+def finished_t24():
+    """A closed T24 N=(3,3) graph, its live labels in label order."""
+    p = family("T24", (3, 3))
+    g = TraceGraph(p, EnumerationLimits())
+    for rel in p.relations:
+        g.trace(rel.base, rel.word, end=rel.target)
+        g.collapse()
+    run_schedule(g, p)
+    live = [v for v in range(g.created) if g.find(v) == v]
+    assert len(live) == 8
+    return p, g, live
+
+
+def swap_edges(g, code, x, y):
+    """Exchange the far ends of x's and y's edges with letter ``code``,
+    re-entering the inverse edges so that the letter stays a bijection."""
+    fwd, bwd = g.rows[code], g.rows[code ^ 1]
+    fx, fy = g.find(fwd[x]), g.find(fwd[y])
+    fwd[x], fwd[y] = fy, fx
+    bwd[fy], bwd[fx] = x, y
+
+
+def test_seal_accepts_the_finished_graph():
+    p, g, live = finished_t24()
+    q = _seal(g, p)
+    assert q.size == 8
+    assert q == enumerate_quandle(p).quandle
+
+
+@pytest.mark.parametrize("code", [0, 3])
+def test_seal_rejects_an_undefined_edge(code):
+    p, g, live = finished_t24()
+    g.rows[code][live[2]] = -1
+    with pytest.raises(EnumerationInternalError,
+                       match=f"generator {code >> 1} undefined at vertex {live[2]}"):
+        _seal(g, p)
+
+
+def test_seal_rejects_a_non_bijection():
+    p, g, live = finished_t24()
+    g.rows[0][live[1]] = g.rows[0][live[2]]  # two vertices, one image
+    with pytest.raises(EnumerationInternalError, match="generator 0 is not a bijection"):
+        _seal(g, p)
+
+
+def test_seal_rejects_inverse_edges_that_disagree():
+    p, g, live = finished_t24()
+    g.rows[3][live[4]], g.rows[3][live[5]] = g.rows[3][live[5]], g.rows[3][live[4]]
+    with pytest.raises(EnumerationInternalError, match="generator 1 is not a bijection"):
+        _seal(g, p)
+
+
+def test_seal_rejects_an_open_primary_relation():
+    p, g, live = finished_t24()
+    swap_edges(g, 0, live[0], live[1])
+    with pytest.raises(EnumerationInternalError, match="primary relation"):
+        _seal(g, p)
+
+
+def test_seal_rejects_an_open_universal_relation():
+    # this swap of a's edges keeps both primary relations closed (they
+    # are checked first), so only a universal relation can catch it
+    p, g, live = finished_t24()
+    swap_edges(g, 0, live[0], live[3])
+    with pytest.raises(EnumerationInternalError, match="universal relation"):
+        _seal(g, p)

@@ -1,5 +1,7 @@
 """Presentation text format, diagrams, and the builtin families."""
 
+import re
+
 import pytest
 
 from nquandles.presentations import (
@@ -111,6 +113,19 @@ def test_parse_error_zero_component_names_its_token():
     with pytest.raises(ParseError, match="'a:0'") as err:
         parse_presentation("gens a b\n  comp b:1 a:0\n")
     assert (err.value.line, err.value.column) == (2, 12)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("gens a b\ncomp a:1 b:3\nN 2 2\n", "components [2] have no generator", (2, 10)),
+    ("gens a b c\ncomp c:3 a:2 b:4\n", "components [1] have no generator", (2, 6)),
+    ("gens a b\n\n  N 2 3\n", "expected 1 n-values, got 2", (3, 3)),
+    ("gens a b; N 2; N 3\n", "duplicate N statement", (1, 16)),
+    ("gens a b;  rel a^[b q]=a\n", "unknown generator 'q' in word", (1, 12)),
+])
+def test_parse_error_points_at_the_faulty_statement(text, message, position):
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == position
 
 
 def test_parse_error_message_mentions_position():
