@@ -79,6 +79,21 @@ def _int_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected e.g. -6:6")
 
 
+_RANGE_OPTIONS = ("--k-range", "--n-range")
+
+
+def _attach_range_values(argv: list[str]) -> list[str]:
+    """Join each range option to the argument after it, so that a value
+    such as -3:3, which argparse would take for an option, stays its
+    value."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in _RANGE_OPTIONS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def _load_presentation(args: argparse.Namespace) -> Presentation:
     if args.family is not None:
         return builtin_family(args.family, k=args.k)
@@ -281,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_range_values(argv))
     try:
         return args.func(args)
     except (ParseError, PresentationError, DiagramError, CatalogError) as exc:

@@ -6,14 +6,18 @@ coset enumeration:
 
 1.  one vertex per generator;
 2.  an oriented loop at each generator vertex (idempotence);
-3.  each primary relation base^w = target traced as a path labeled w
-    from base, its endpoint identified with target;
-4.  after every trace, collapse: while two same-labeled edges point the
+3.  each primary relation base^w = target scanned as a path labeled w
+    from base to target: forwards from base and backwards from target
+    along the edges already there, the gap between the two scans filled
+    with fresh vertices, a one-letter gap by a deduced edge, and scans
+    that meet at two vertices scheduling their identification;
+4.  after every scan, collapse: while two same-labeled edges point the
     same way into or out of a shared vertex, identify their far ends,
     folding the loser's edges into the survivor (least label wins);
-5.  a sweep in vertex-label order that traces every universal relation
+5.  a sweep in vertex-label order that scans every universal relation
     y^w = y (the N relations first, then the conjugates of the primary
-    relations) at each live vertex, collapsing after each trace, until
+    relations) from each live vertex back to itself in the same way,
+    collapsing after each scan that schedules an identification, until
     every live vertex has been processed;
 6.  sealing: the live vertices, in label order, become the elements
     0..n-1 and the letter rows become integer action tables, which must
@@ -26,14 +30,15 @@ step caps make the infinite case observable as an Exceeded outcome,
 and the counters of ``EnumerationStats`` say how far either kind of
 run got.  As in a Todd-Coxeter coset table, the edges are kept in one
 flat row per letter (a generator or its inverse) indexed by vertex
-label, and a relation is compiled once to letter codes and walked in a
-single loop.  Each created vertex keeps only its definition, the edge
-that created it: the parent label and the letter code.  Following
-definitions back to a generator vertex spells the vertex's witness
-a^w; merges never rewrite definitions, the smaller label simply
-survives, and only the survivors' witnesses are spelled out when the
-graph is sealed.  All worklists are ordered, so runs are
-bit-for-bit reproducible.
+label, and a relation is compiled once to letter codes and scanned from
+both ends, as in the HLT strategy of coset enumeration, so a vertex is
+made only for a letter that neither scan could read.  Each created
+vertex keeps only its definition, the edge that created it: the parent
+label and the letter code.  Following definitions back to a generator
+vertex spells the vertex's witness a^w; merges never rewrite
+definitions, the smaller label simply survives, and only the
+survivors' witnesses are spelled out when the graph is sealed.  All
+worklists are ordered, so runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -63,10 +68,13 @@ class EnumerationStats(NamedTuple):
 
     created counts vertex labels, the one whose allocation broke the
     vertex cap included (what ``max_vertices`` caps); unions counts the
-    identifications performed; steps the letters walked plus the
-    identification pairs drained (what ``max_steps`` caps); live is
-    created - unions.  A named tuple, not a frozen dataclass, because
-    it is about ten times cheaper to define at import.
+    identifications performed; steps the letters scanned plus the
+    identification pairs drained (what ``max_steps`` caps), where a
+    scanned letter is one read forwards, read backwards or filled into
+    the gap between the two, so that every scan of a relation costs its
+    length; live is created - unions.  A named tuple, not a frozen
+    dataclass, because it is about ten times cheaper to define at
+    import.
     """
 
     created: int
@@ -117,8 +125,13 @@ class TraceGraph:
     letter, -1 when v has none, and every edge is entered in both
     directions.  Vertex identities live in a union-find keyed by
     creation label; the least label represents its class.  Only
-    representatives' rows are read, and their entries may be stale
-    labels, resolved through ``find``.
+    representatives' rows are read, and between collapses every entry
+    in them is a representative whose reverse entry points back: a
+    union takes each of the loser's edges out of its far end's row and
+    enters it at the survivor, so a scan follows edges without ``find``.
+    New labels are created in label order and reached by ``cursor``;
+    only survivors behind the cursor are re-queued, in ``requeued``
+    (a heap), and ``queued`` holds those not yet processed again.
 
     Label v was created by the edge def_parent[v] --def_code[v]--> v,
     with def_parent[v] < v and def_code[v] a letter code as in the rows;
@@ -141,12 +154,18 @@ class TraceGraph:
         self.unions = 0
         self.steps = 0
         self.pending: deque[tuple[int, int]] = deque()
-        self.worklist: list[int] = []
-        self.done: set[int] = set()
+        self.cursor = 0
+        self.requeued: list[int] = []
+        self.queued: set[int] = set()
+        if g > limits.max_vertices:
+            self.created = limits.max_vertices + 1
+            raise _CapExceeded("vertices", self.stats())
+        self._allocate(g)
         for j in range(g):
-            v = self.new_vertex(-1, 2 * j)
-            self.rows[2 * j][v] = v
-            self.rows[2 * j + 1][v] = v
+            self.def_parent.append(-1)
+            self.def_code.append(2 * j)
+            self.rows[2 * j][j] = j
+            self.rows[2 * j + 1][j] = j
 
     def stats(self) -> EnumerationStats:
         return EnumerationStats(self.created, self.unions, self.steps, self.live_count)
@@ -160,18 +179,16 @@ class TraceGraph:
             v = parent[v]
         return v
 
-    def new_vertex(self, parent: int, code: int) -> int:
-        label = self.created
-        self.created += 1
-        if self.created > self.limits.max_vertices:
-            raise _CapExceeded("vertices", self.stats())
-        self.parent.append(label)
-        self.def_parent.append(parent)
-        self.def_code.append(code)
+    def _allocate(self, m: int) -> int:
+        """Append m fresh labels, each its own class with no edges yet;
+        return the first.  The caller enters their definitions."""
+        base = self.created
+        self.created = base + m
+        self.parent.extend(range(base, base + m))
+        fill = [-1] * m
         for row in self.rows:
-            row.append(-1)
-        heappush(self.worklist, label)
-        return label
+            row += fill
+        return base
 
     def witnesses(self, labels: list[int]) -> list[Expression]:
         """The witness a^w of each label, spelled along its definitions.
@@ -201,56 +218,99 @@ class TraceGraph:
 
     # -- edges ---------------------------------------------------------
 
-    def walk(self, v: int, codes: Sequence[int]) -> int:
-        """Walk letter codes from representative ``v``, giving each absent
-        edge a fresh far vertex; return the endpoint.
+    def scan(self, v: int, codes: Sequence[int], e: int) -> None:
+        """Close the path labeled ``codes`` from representative ``v`` to
+        representative ``e``.
 
-        Every letter is one step.  Nothing merges during a walk, so each
-        vertex reached is a representative.  Only a walk that might reach
-        a cap counts its steps letter by letter, so that the cap stops it
-        on the exact step.
+        The forward scan follows defined edges from v, the backward scan
+        follows the inverse letters from e, each until an edge is
+        missing.  Scans that meet schedule the identification of their
+        ends when these differ.  Otherwise the gap between them is
+        filled: one fresh vertex per gap letter but the last, defined
+        along the forward side, and the last letter joins the backward
+        end; a one-letter gap is thus a deduced edge and makes no
+        vertex.  When the gap runs from a vertex back to itself and
+        its first letter undoes its last, the join would give that
+        vertex a second edge with one letter; the two far ends of that
+        letter are scheduled for identification instead.
+
+        Every letter is one step, whether read forwards, read backwards
+        or filled into the gap, so a scan costs len(codes) steps.
         """
-        limits = self.limits
-        n = len(codes)
-        near_cap = (self.steps + n > limits.max_steps
-                    or self.created + n > limits.max_vertices)
-        if not near_cap:
-            self.steps += n
-        rows, parent = self.rows, self.parent
+        rows = self.rows
+        i = 0
         for c in codes:
-            if near_cap:
-                self.steps += 1
-                if self.steps > limits.max_steps:
-                    raise _CapExceeded("steps", self.stats())
             t = rows[c][v]
             if t < 0:
-                t = self.new_vertex(v, c)
-                rows[c][v] = t
-                rows[c ^ 1][t] = v
-            else:
-                while parent[t] != t:
-                    parent[t] = parent[parent[t]]
-                    t = parent[t]
+                break
             v = t
-        return v
-
-    def trace(self, start: int, word: Word, end: int | None = None) -> int:
-        """Walk ``word`` from ``start``, creating edges as needed; when
-        ``end`` is given, schedule its identification with the endpoint."""
-        v = self.walk(self.find(start), _codes(word))
-        if end is not None:
-            e = self.find(end)
+            i += 1
+        j = n = len(codes)
+        while j > i:
+            t = rows[codes[j - 1] ^ 1][e]
+            if t < 0:
+                break
+            e = t
+            j -= 1
+        gap = j - i
+        limits = self.limits
+        if (self.steps + n > limits.max_steps
+                or gap > 1 and self.created + gap > limits.max_vertices + 1):
+            self._stop(n - gap, gap)
+        self.steps += n
+        if not gap:
             if v != e:
                 self.pending.append((v, e))
-        return v
+            return
+        if gap > 1:
+            y = self._allocate(gap - 1)
+            self.def_parent.append(v)
+            self.def_parent.extend(range(y, self.created - 1))
+            self.def_code.extend(codes[i:j - 1])
+            for c in codes[i:j - 1]:
+                rows[c][v] = y
+                rows[c ^ 1][y] = v
+                v = y
+                y += 1
+        c = codes[j - 1]
+        w = rows[c ^ 1][e]
+        if w < 0:
+            rows[c][v] = e
+            rows[c ^ 1][e] = v
+        else:
+            self.pending.append((w, v))
+
+    def _stop(self, scanned: int, gap: int) -> None:
+        """Raise the cap broken by a scan that read ``scanned`` letters
+        and has ``gap`` letters to fill, with the counters as they stand
+        at the letter that breaks it: the step counted before the
+        letter's vertex is made."""
+        limits = self.limits
+        step_at = limits.max_steps - self.steps - scanned + 1
+        vertex_at = limits.max_vertices - self.created + 1
+        if step_at <= min(gap, vertex_at):
+            self.created += max(step_at - 1, 0)
+            self.steps = limits.max_steps + 1
+            raise _CapExceeded("steps", self.stats())
+        self.steps += scanned + vertex_at
+        self.created = limits.max_vertices + 1
+        raise _CapExceeded("vertices", self.stats())
+
+    def trace(self, start: int, word: Word, end: int) -> None:
+        """Scan ``word`` from ``start`` to ``end`` (step 3)."""
+        self.scan(self.find(start), _codes(word), self.find(end))
 
     def collapse(self):
         """Drain scheduled identifications to a fixpoint.
 
         Each drained pair is one step.  Each union keeps the smaller
-        label, folds the loser's rows into it in letter-code order,
-        schedules any resulting conflicts, and re-enqueues the survivor
-        for the universal sweep since its edge set changed.
+        label and moves the loser's edges to it in letter-code order: an
+        edge leaves its far end's reverse row and is entered at the
+        survivor; where the survivor already has an edge with that
+        letter, or the far end one with its inverse, the two vertices
+        that would clash are scheduled for identification instead.  A
+        survivor behind the sweep's cursor is re-queued, since its edge
+        set changed.
         """
         pending, parent, rows, find = self.pending, self.parent, self.rows, self.find
         max_steps = self.limits.max_steps
@@ -266,44 +326,60 @@ class TraceGraph:
                 a, b = b, a
             parent[b] = a
             self.unions += 1
-            for row in rows:
+            for c, row in enumerate(rows):
                 t = row[b]
                 if t < 0:
                     continue
-                t = find(t)
+                inverse = rows[c ^ 1]
+                inverse[t] = -1
+                if t == b:
+                    t = a
                 u = row[a]
-                if u < 0:
-                    row[a] = t
-                else:
-                    u = find(u)
+                if u >= 0:
                     if u != t:
                         pending.append((u, t))
-            self.done.discard(a)
-            heappush(self.worklist, a)
+                elif inverse[t] >= 0:
+                    pending.append((inverse[t], a))
+                else:
+                    row[a] = t
+                    inverse[t] = a
+            if a < self.cursor and a not in self.queued:
+                self.queued.add(a)
+                heappush(self.requeued, a)
 
 
 def run_schedule(graph: TraceGraph, presentation: Presentation) -> TraceGraph:
-    """Step 5: sweep live vertices in label order, tracing every
-    universal relation at each and collapsing after each trace.
+    """Step 5: sweep live vertices in label order, scanning every
+    universal relation at each and collapsing after each scan that
+    schedules an identification.
 
-    Expects the primary relations already traced (steps 1 to 4) and
+    Expects the primary relations already scanned (steps 1 to 4) and
     collapsed.  A vertex merged away mid-sweep continues as its
     representative; representatives whose edges changed return to the
     worklist.
     """
     universals = [_codes(u.word) for u in secondary_relations(presentation)]
-    worklist, parent, done = graph.worklist, graph.parent, graph.done
-    while worklist:
-        v = heappop(worklist)
-        if parent[v] != v or v in done:
+    parent, requeued, queued = graph.parent, graph.requeued, graph.queued
+    scan, pending = graph.scan, graph.pending
+    while True:
+        if requeued:
+            v = heappop(requeued)
+            if v not in queued:
+                continue
+            queued.remove(v)
+        elif graph.cursor < graph.created:
+            v = graph.cursor
+            graph.cursor = v + 1
+        else:
+            break
+        if parent[v] != v:
             continue
         for codes in universals:
-            e = graph.walk(v, codes)
-            if e != v:
-                graph.pending.append((e, v))
+            scan(v, codes, v)
+            if pending:
                 graph.collapse()
                 v = graph.find(v)
-        done.add(v)
+        queued.discard(v)
     return graph
 
 

@@ -67,7 +67,7 @@ def test_enumerate_cap_exceeded(capsys):
     assert code == 4
     assert out.startswith("exceeded vertices cap (10000)")
     assert out == ("exceeded vertices cap (10000); 10001 vertices created "
-                   "before the stop, 1706 live, 70724 steps\n")
+                   "before the stop, 5562 live, 163278 steps\n")
 
 
 def test_enumerate_from_file(tmp_path, capsys):
@@ -182,6 +182,28 @@ def test_verify_catalog_k_range(capsys):
                        "--k-range", "0:2")
     assert code == 0
     assert "checks: 3 total, 3 ok, 0 failed" in out
+
+
+def test_verify_catalog_range_value_may_start_with_a_dash(capsys):
+    _, joined, _ = run(capsys, "verify-catalog", "--rows", "Mk", "--k-range=-3:3")
+    code, spaced, err = run(capsys, "verify-catalog", "--rows", "Mk", "--k-range", "-3:3")
+    assert code == 0
+    assert err == ""
+    assert spaced == joined
+    assert spaced.endswith("checks: 7 total, 7 ok, 0 failed\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k-range", "x"], "argument --k-range: bad range 'x', expected e.g. -6:6"),
+    (["--k-range=x"], "argument --k-range: bad range 'x', expected e.g. -6:6"),
+    (["--n-range", "-2:"], "argument --n-range: bad range '-2:', expected e.g. -6:6"),
+    (["--k-range"], "argument --k-range: expected one argument"),
+])
+def test_verify_catalog_malformed_range(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-catalog", "--rows", "Mk", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
 
 
 def test_verify_catalog_parallel_matches_serial(capsys):

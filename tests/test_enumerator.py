@@ -1,13 +1,19 @@
-"""Tracing, collapsing, caps, and determinism of the enumerator."""
+"""Scanning, collapsing, caps, and determinism of the enumerator."""
+
+import hashlib
+from functools import lru_cache
 
 import pytest
 
+from nquandles.catalog import iter_checks
 from nquandles.enumerator import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VERTICES,
     EnumerationInternalError,
     EnumerationLimits,
     TraceGraph,
+    _CapExceeded,
+    _codes,
     _seal,
     enumerate_quandle,
     run_schedule,
@@ -19,12 +25,31 @@ from nquandles.presentations import (
     parse_presentation,
     parse_word,
 )
+from nquandles.quandle import export_dot, export_json
 from nquandles.words import Expression
 
 
 def family(name, ns=None, k=None):
     p = builtin_family(name, k=k)
     return augment_n(p, ns) if ns is not None else p
+
+
+@lru_cache(maxsize=None)
+def mk(k):
+    """Mk under the default limits, run once per k for this module."""
+    return enumerate_quandle(family("Mk", k=k), EnumerationLimits())
+
+
+def follow(g, v, word):
+    """The end of the path labeled ``word`` from v's class, or None where
+    an edge is missing; reads the rows and changes nothing."""
+    v = g.find(v)
+    for code in _codes(word):
+        v = g.rows[code][v]
+        if v < 0:
+            return None
+        v = g.find(v)
+    return v
 
 
 # --- whole-run behaviour ------------------------------------------------------
@@ -58,14 +83,16 @@ def test_determinism_same_object():
 
 
 def test_cap_does_not_change_the_answer():
-    # creation for this run peaks at 62 vertices; any cap above that
-    # must give the identical quandle
+    # this run creates 21 vertices in all; a cap of 21 or more must give
+    # the identical quandle, and one of 20 stops it
     p = family("trefoil", (5,))
-    tight = enumerate_quandle(p, EnumerationLimits(max_vertices=100))
+    tight = enumerate_quandle(p, EnumerationLimits(max_vertices=21))
     loose = enumerate_quandle(p, EnumerationLimits(max_vertices=100_000))
     assert tight.finite and loose.finite
     assert tight.quandle == loose.quandle
     assert tight.vertices == 12
+    assert loose.stats.created == 21
+    assert enumerate_quandle(p, EnumerationLimits(max_vertices=20)).cap_kind == "vertices"
 
 
 def test_vertex_cap_trips():
@@ -91,21 +118,94 @@ def test_tiny_vertex_cap_trips_during_setup():
     assert out.cap_kind == "vertices"
 
 
-# Counters at the stop, measured before the edge tables became per-letter
-# rows: the layout of the tables must not change which vertex is created,
-# merged or kept, nor where a cap stops the run.
+# Counters at the stop of the two-ended scan, which reads each relation
+# forwards and backwards along the edges already there and makes vertices
+# only for the gap between: they pin which vertex is created, merged or
+# kept, and where a cap stops the run.  Mk k=60 closes under the default
+# limits.
 @pytest.mark.parametrize("p, limits, counters, cap_kind", [
-    (family("Mk", k=6), {}, (4583, 4377, 69891, 206), None),
-    (family("T24", (3, 4)), {}, (41, 27, 355, 14), None),
-    (family("Mk", k=30), {}, (51455, 50385, 2141331, 1070), None),
-    (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 1632, 13477, 369), "vertices"),
-    (family("Mk", k=6), {"max_steps": 20000}, (2549, 1744, 20001, 805), "steps"),
-], ids=["Mk6", "T24", "Mk30", "trefoil-vertex-cap", "Mk6-step-cap"])
+    (family("Mk", k=6), {}, (1688, 1482, 36901, 206), None),
+    (family("T24", (3, 4)), {}, (16, 2, 330, 14), None),
+    (family("Mk", k=30), {}, (8000, 6930, 450961, 1070), None),
+    (family("Mk", k=60), {}, (15890, 13740, 1584136, 2150), None),
+    (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 863, 31401, 1138), "vertices"),
+    (family("Mk", k=6), {"max_steps": 20000}, (1519, 1115, 20001, 404), "steps"),
+], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "Mk6-step-cap"])
 def test_trajectory_is_pinned(p, limits, counters, cap_kind):
     out = enumerate_quandle(p, EnumerationLimits(**limits))
     assert out.stats == counters
     assert out.cap_kind == cap_kind
     assert out.vertices == (out.stats.live if cap_kind is None else out.stats.created)
+
+
+# sha256 of export_dot + export_json, measured with the forward-only walk
+# that preceded the scan, its vertex cap lifted (it needed 176,465 and
+# 179,025 vertices).
+MK_EXPORT_DIGESTS = {
+    60: "bf1815152f4bd39d8c93e9e601da1c66783a63263198cbcbb5c8bcc934df619d",
+    -59: "e270c6977b1ccd607f8d3afa354a01842b53eb1b32ce32200db4bd77cfa50d88",
+}
+
+
+@pytest.mark.parametrize("k", sorted(MK_EXPORT_DIGESTS))
+def test_mk_closes_under_the_default_limits_with_the_same_quandle(k):
+    out = mk(k)
+    assert out.finite
+    assert out.quandle.size == 2150
+    q = out.quandle
+    digest = hashlib.sha256((export_dot(q) + export_json(q)).encode()).hexdigest()
+    assert digest == MK_EXPORT_DIGESTS[k]
+
+
+def test_created_per_live_is_at_most_ten_on_the_ladder():
+    outs = [enumerate_quandle(c.presentation) for c in iter_checks()]
+    outs += [enumerate_quandle(family("T33", (2, 3, 5)))] + [mk(k) for k in (6, 30, 60)]
+    assert len(outs) == 96
+    for out in outs:
+        assert out.finite
+        assert out.stats.created <= 10 * out.stats.live, out.stats
+
+
+def test_vertex_cap_stops_on_the_vertex_that_breaks_it():
+    p = family("trefoil", (6,))
+    for cap in range(1, 61):
+        out = enumerate_quandle(p, EnumerationLimits(max_vertices=cap))
+        assert out.cap_kind == "vertices"
+        assert out.vertices == out.stats.created == cap + 1
+        steps, unions = out.stats.steps, out.stats.unions
+        if steps:
+            # a step cap one below stops on the same letter, counted but
+            # its vertex not yet made
+            early = enumerate_quandle(p, EnumerationLimits(max_steps=steps - 1))
+            assert early.cap_kind == "steps"
+            assert early.stats == (cap, unions, steps, cap - unions)
+
+
+def test_step_cap_stops_on_the_exact_step():
+    p = family("trefoil", (6,))
+    previous = None
+    for cap in range(1, 61):
+        out = enumerate_quandle(p, EnumerationLimits(max_steps=cap))
+        assert out.cap_kind == "steps"
+        assert out.stats.steps == cap + 1
+        if previous is not None:
+            assert out.stats.created >= previous.created
+            assert out.stats.unions >= previous.unions
+        previous = out.stats
+
+
+@pytest.mark.parametrize("limits, counters", [
+    ({"max_vertices": 4}, (5, 0, 3, 5)),
+    ({"max_steps": 2}, (4, 0, 3, 4)),
+], ids=["vertex-cap", "step-cap"])
+def test_cap_inside_a_gap(limits, counters):
+    # a^[b a b a b] = a has no edge at either end, so its five letters
+    # are a gap of four new vertices; both caps break on its third letter
+    p = family("T24", (3, 3))
+    g = TraceGraph(p, EnumerationLimits(**limits))
+    with pytest.raises(_CapExceeded) as exc:
+        g.trace(0, parse_word("b a b a b", p.generator_names), end=0)
+    assert exc.value.stats == counters
 
 
 def test_default_limits():
@@ -121,20 +221,80 @@ def test_trace_and_collapse_by_hand():
     p = family("T24", (3, 3))
     g = TraceGraph(p, EnumerationLimits())
     assert g.live_count == 2  # the generator vertices
-    names = p.generator_names
+    word = parse_word("b a b", p.generator_names)
     a, b = 0, 1
 
-    g.trace(a, parse_word("b a b", names), end=a)
-    # three fresh vertices a^b, a^ba, a^bab; the last is pending = a
-    assert g.created == 5
-    assert len(g.pending) == 1
+    g.trace(a, word, end=a)
+    # neither end has an edge to read, so the gap is all three letters:
+    # fresh vertices a^b and a^ba, and the last letter joins a^ba to a
+    assert g.created == 4
+    assert not g.pending
+    assert (g.def_parent[2], g.def_code[2]) == (a, 2 * b)
+    assert (g.def_parent[3], g.def_code[3]) == (2, 2 * a)
+    assert g.rows[2 * b][3] == a and g.rows[2 * b + 1][a] == 3
 
     g.collapse()
     assert g.live_count == 4
-    assert g.find(4) == a  # a^bab folded into a
-    # the relation path is now closed: walking it again creates nothing
-    assert g.trace(a, parse_word("b a b", names)) == a
-    assert g.created == 5
+    # the relation path is now closed; scanning it again reads every
+    # letter forwards and changes nothing
+    assert follow(g, a, word) == a
+    steps = g.steps
+    g.trace(a, word, end=a)
+    assert (g.created, g.unions, len(g.pending)) == (4, 0, 0)
+    assert g.steps == steps + 3
+
+
+def test_one_letter_gap_is_a_deduced_edge():
+    p = family("T24", (3, 3))
+    g = TraceGraph(p, EnumerationLimits())
+    names = p.generator_names
+    a, b = 0, 1
+    g.trace(a, parse_word("b a", names), end=b)  # makes v = a^b, v --a--> b
+    v = 2
+    assert g.created == 3
+    # from v, b leads nowhere yet, and backwards from a neither does b^-1:
+    # the gap is the one letter b, entered in both rows
+    g.trace(v, parse_word("b", names), end=a)
+    assert g.rows[2 * b][v] == a
+    assert g.rows[2 * b + 1][a] == v
+    assert g.created == 3
+    assert not g.pending
+    assert follow(g, v, parse_word("b", names)) == a
+
+
+def test_scans_that_meet_schedule_one_identification():
+    p = family("T24", (3, 3))
+    g = TraceGraph(p, EnumerationLimits())
+    names = p.generator_names
+    a, b = 0, 1
+    g.trace(a, parse_word("b a", names), end=b)  # makes v = a^b, v --a--> b
+    v = 2
+    # v^a is read to b, which is not the end a: b and a must be identified
+    g.trace(v, parse_word("a", names), end=a)
+    assert g.created == 3
+    assert list(g.pending) == [(b, a)]
+    g.collapse()
+    assert g.find(b) == a
+    # b's loop b --b--> b now sits at a beside a --b--> v, so v follows
+    assert g.find(v) == a
+    assert g.live_count == 1
+
+
+def test_collapse_moves_a_loop_onto_an_inverse_edge():
+    p = family("T24", (3, 3))
+    g = TraceGraph(p, EnumerationLimits())
+    a, b = 0, 1
+    g.trace(a, parse_word("b' a", p.generator_names), end=b)  # a --b'--> v --a--> b
+    v = 2
+    assert g.rows[2 * b][a] == -1 and g.rows[2 * b + 1][a] == v
+    # merging b into a brings b's loop b --b--> b to a, which has no
+    # b-edge but meets the loop's reverse at its edge a --b'--> v: v is
+    # identified with a, and the loop survives in both rows
+    g.pending.append((a, b))
+    g.collapse()
+    assert g.live_count == 1
+    assert g.find(v) == a
+    assert [row[a] for row in g.rows] == [a, a, a, a]
 
 
 def test_idempotence_loops_preinstalled():
@@ -153,16 +313,22 @@ def test_step_is_none_until_forced():
     g = TraceGraph(p, EnumerationLimits())
     a, b = 0, 1
     assert g.rows[2 * b][a] == -1
-    v = g.trace(a, ((b, 1),))
+    assert follow(g, a, ((b, 1),)) is None
+    # a^[b b] = a: a two-letter gap, so one new vertex v between
+    g.trace(a, ((b, 1), (b, 1)), end=a)
+    v = 2
+    assert g.created == 3
     assert g.rows[2 * b][a] == v
     assert g.rows[2 * b + 1][v] == a  # the reverse edge lands with it
+    assert follow(g, a, ((b, 1),)) == v
     # the new vertex is defined by the edge a --b--> v, so named a^b
     assert (g.def_parent[v], g.def_code[v]) == (a, 2 * b)
     assert g.witnesses([v]) == [Expression(a, ((b, 1),))]
     # an inverse letter is defined by the odd code and spelled back as one
-    u = g.trace(a, ((b, -1),))
-    assert (g.def_parent[u], g.def_code[u]) == (a, 2 * b + 1)
-    assert g.witnesses([u]) == [Expression(a, ((b, -1),))]
+    g.trace(b, ((a, -1), (a, -1)), end=b)
+    u = 3
+    assert (g.def_parent[u], g.def_code[u]) == (b, 2 * a + 1)
+    assert g.witnesses([u]) == [Expression(b, ((a, -1),))]
 
 
 def test_live_accounting_after_schedule():
@@ -177,14 +343,12 @@ def test_live_accounting_after_schedule():
     assert all(g.find(v) == v for v in live)
     # every created label kept its definition, pointing to an older
     # label, and every live vertex's witness spelled from the
-    # definitions walks back to it without creating anything
+    # definitions follows edges that are all there back to it
     assert len(g.def_parent) == len(g.def_code) == g.created
     assert all(0 <= c < 2 * len(p.generator_names) for c in g.def_code)
     assert all(g.def_parent[v] < v for v in range(len(p.generator_names), g.created))
-    created = g.created
     for v, w in zip(live, g.witnesses(live)):
-        assert g.trace(w.base, w.word) == v
-    assert g.created == created
+        assert follow(g, w.base, w.word) == v
 
 
 def test_outcome_reports_final_size():
