@@ -28,6 +28,7 @@ from .presentations import (
     PrimaryRelation,
     UniversalRelation,
     augment_n,
+    braid_presentation,
     builtin_family,
     closed_braid_diagram,
     parse_diagram,

@@ -4,8 +4,8 @@ Three subcommands.  ``enumerate`` builds the finite quandle of one
 presentation and reports size, orbit structure, and verification.
 ``verify-catalog`` sweeps the bundled cardinality table and compares
 every enumerated size against its recorded value.  ``convert`` turns a
-closed braid word or a diagram file into a generator presentation (or a
-diagram file).
+closed braid word (one generator per strand) or a diagram file (one per
+arc) into a generator presentation, or either into a diagram file.
 
 Exit codes: 0 success, 1 bad input or I/O failure, 2 usage error,
 3 verification or catalog mismatch, 4 enumeration cap exceeded.
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .catalog import CatalogCheck, CatalogError, catalog, iter_checks
@@ -36,6 +35,7 @@ from .presentations import (
     Presentation,
     PresentationError,
     augment_n,
+    braid_presentation,
     builtin_family,
     closed_braid_diagram,
     parse_diagram,
@@ -166,7 +166,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _run_check(check: CatalogCheck) -> tuple[bool, str]:
-    """Top level so worker processes can unpickle it."""
     outcome = enumerate_quandle(check.presentation)
     if not outcome.finite:
         return False, f"exceeded {outcome.cap_kind} cap"
@@ -188,14 +187,9 @@ def cmd_verify_catalog(args: argparse.Namespace) -> int:
         print("no checks selected")
         return 1
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_check, checks, chunksize=1))
-    else:
-        results = [_run_check(c) for c in checks]
-
     failed = 0
-    for check, (ok, got) in zip(checks, results):
+    for check in checks:
+        ok, got = _run_check(check)
         if ok:
             print(f"ok   {check.row_id} {check.label}: {got}")
         else:
@@ -208,21 +202,19 @@ def cmd_verify_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    if args.braid is not None:
-        if args.strands is None:
-            print("error: --braid needs --strands", file=sys.stderr)
-            return 1
-        diagram = closed_braid_diagram(args.braid, args.strands)
-    else:
-        diagram = parse_diagram(Path(args.diagram).read_text())
-
+    if args.braid is not None and args.strands is None:
+        print("error: --braid needs --strands", file=sys.stderr)
+        return 1
     if args.to == "diagram":
         if args.N is not None:
             print("error: --N only applies to presentation output", file=sys.stderr)
             return 1
+        diagram = (closed_braid_diagram(args.braid, args.strands) if args.braid is not None
+                   else parse_diagram(Path(args.diagram).read_text()))
         _write_or_print(print_diagram(diagram), args.output)
         return 0
-    p = wirtinger(diagram)
+    p = (braid_presentation(args.braid, args.strands) if args.braid is not None
+         else wirtinger(parse_diagram(Path(args.diagram).read_text())))
     if args.N is not None:
         p = augment_n(p, args.N)
     _write_or_print(print_presentation(p), args.output)
@@ -271,8 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar="A:B", help="k sweep for parameterized rows")
     vc.add_argument("--n-range", type=_int_range, default=range(2, 6),
                     metavar="A:B", help="n sweep for axis components")
-    vc.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default: 1)")
     vc.add_argument("--timing", action="store_true")
     vc.set_defaults(func=cmd_verify_catalog)
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 from .presentations import Presentation, PresentationError, secondary_relations
@@ -129,9 +128,6 @@ class TraceGraph:
     in them is a representative whose reverse entry points back: a
     union takes each of the loser's edges out of its far end's row and
     enters it at the survivor, so a scan follows edges without ``find``.
-    New labels are created in label order and reached by ``cursor``;
-    only survivors behind the cursor are re-queued, in ``requeued``
-    (a heap), and ``queued`` holds those not yet processed again.
 
     Label v was created by the edge def_parent[v] --def_code[v]--> v,
     with def_parent[v] < v and def_code[v] a letter code as in the rows;
@@ -154,9 +150,6 @@ class TraceGraph:
         self.unions = 0
         self.steps = 0
         self.pending: deque[tuple[int, int]] = deque()
-        self.cursor = 0
-        self.requeued: list[int] = []
-        self.queued: set[int] = set()
         if g > limits.max_vertices:
             self.created = limits.max_vertices + 1
             raise _CapExceeded("vertices", self.stats())
@@ -308,9 +301,7 @@ class TraceGraph:
         edge leaves its far end's reverse row and is entered at the
         survivor; where the survivor already has an edge with that
         letter, or the far end one with its inverse, the two vertices
-        that would clash are scheduled for identification instead.  A
-        survivor behind the sweep's cursor is re-queued, since its edge
-        set changed.
+        that would clash are scheduled for identification instead.
         """
         pending, parent, rows, find = self.pending, self.parent, self.rows, self.find
         max_steps = self.limits.max_steps
@@ -343,9 +334,6 @@ class TraceGraph:
                 else:
                     row[a] = t
                     inverse[t] = a
-            if a < self.cursor and a not in self.queued:
-                self.queued.add(a)
-                heappush(self.requeued, a)
 
 
 def run_schedule(graph: TraceGraph, presentation: Presentation) -> TraceGraph:
@@ -354,24 +342,17 @@ def run_schedule(graph: TraceGraph, presentation: Presentation) -> TraceGraph:
     schedules an identification.
 
     Expects the primary relations already scanned (steps 1 to 4) and
-    collapsed.  A vertex merged away mid-sweep continues as its
-    representative; representatives whose edges changed return to the
-    worklist.
+    collapsed.  A cursor visits each label once, including the labels
+    created during the sweep; a vertex merged away mid-sweep continues
+    as its representative.  A survivor behind the cursor is not scanned
+    again: a relation that closes at a vertex still closes at its class
+    after any later identification.
     """
     universals = [_codes(u.word) for u in secondary_relations(presentation)]
-    parent, requeued, queued = graph.parent, graph.requeued, graph.queued
-    scan, pending = graph.scan, graph.pending
-    while True:
-        if requeued:
-            v = heappop(requeued)
-            if v not in queued:
-                continue
-            queued.remove(v)
-        elif graph.cursor < graph.created:
-            v = graph.cursor
-            graph.cursor = v + 1
-        else:
-            break
+    parent, scan, pending = graph.parent, graph.scan, graph.pending
+    cursor = 0
+    while cursor < graph.created:
+        v, cursor = cursor, cursor + 1
         if parent[v] != v:
             continue
         for codes in universals:
@@ -379,7 +360,6 @@ def run_schedule(graph: TraceGraph, presentation: Presentation) -> TraceGraph:
             if pending:
                 graph.collapse()
                 v = graph.find(v)
-        queued.discard(v)
     return graph
 
 

