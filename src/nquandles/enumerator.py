@@ -37,8 +37,10 @@ vertex keeps only its definition, the edge that created it: the parent
 label and the letter code.  Following definitions back to a generator
 vertex spells the vertex's witness a^w; merges never rewrite
 definitions, the smaller label simply survives, and only the
-survivors' witnesses are spelled out when the graph is sealed.  All
-worklists are ordered, so runs are bit-for-bit reproducible.
+survivors' witnesses are spelled out when the graph is sealed, one
+letter per label on top of its parent's word, all words sharing one
+letter object per letter code.  All worklists are ordered, so runs are
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 from .presentations import Presentation, PresentationError, secondary_relations
 from .quandle import FiniteQuandle
-from .words import Expression, Word, concat
+from .words import Expression, Word
 
 DEFAULT_MAX_VERTICES = 100_000
 DEFAULT_MAX_STEPS = 100_000_000
@@ -186,22 +188,30 @@ class TraceGraph:
     def witnesses(self, labels: list[int]) -> list[Expression]:
         """The witness a^w of each label, spelled along its definitions.
 
-        A label's word is its parent's word followed by its defining
-        letter; words of shared ancestors are built once.
+        A label's word is its parent's word extended by its defining
+        letter, one letter per label: the parent's word is freely
+        reduced, so the letter either cancels the parent's last letter
+        or is appended.  Words of shared ancestors are built once, and
+        every word holds the same 2*ngens letter objects, one per code.
         """
+        letters = [(c >> 1, -1 if c & 1 else 1) for c in range(2 * self.ngens)]
+        def_parent, def_code = self.def_parent, self.def_code
         memo = {j: Expression(j, ()) for j in range(self.ngens)}
         out = []
         for v in labels:
             chain = []
             while v not in memo:
                 chain.append(v)
-                v = self.def_parent[v]
+                v = def_parent[v]
             expr = memo[v]
+            base, word = expr.base, expr.word
             for u in reversed(chain):
-                code = self.def_code[u]
-                letter = ((code >> 1, -1 if code & 1 else 1),)
-                expr = Expression(expr.base, concat(expr.word, letter))
-                memo[u] = expr
+                code = def_code[u]
+                if word and word[-1] is letters[code ^ 1]:
+                    word = word[:-1]
+                else:
+                    word = word + (letters[code],)
+                expr = memo[u] = Expression(base, word)
             out.append(expr)
         return out
 
@@ -369,23 +379,35 @@ def _seal(graph: TraceGraph, presentation: Presentation) -> FiniteQuandle:
     postconditions on those tables: every edge defined, each generator's
     inverse table undoing its action (so both are bijections and the
     inverse edges agree), and every primary and universal relation
-    closing."""
-    parent, find = graph.parent, graph.find
+    closing.
+
+    After the last collapse the rows of representatives hold only
+    representatives, so each entry is numbered directly; an entry that
+    is a merged label is a broken postcondition, not something to
+    remap."""
+    parent = graph.parent
     live = [v for v in range(graph.created) if parent[v] == v]
-    index = {v: i for i, v in enumerate(live)}
+    index = [-1] * graph.created
+    for i, v in enumerate(live):
+        index[v] = i
     tables = []
     for code, row in enumerate(graph.rows):
         ends = [row[v] for v in live]
         if -1 in ends:
             v = live[ends.index(-1)]
             raise EnumerationInternalError(f"generator {code >> 1} undefined at vertex {v}")
-        tables.append(tuple([index[find(t)] for t in ends]))
+        table = [index[t] for t in ends]
+        if -1 in table:
+            i = table.index(-1)
+            raise EnumerationInternalError(
+                f"generator {code >> 1} at vertex {live[i]} points at merged label {ends[i]}")
+        tables.append(tuple(table))
     action, inverse_action = tuple(tables[0::2]), tuple(tables[1::2])
     for gen, (act, inv) in enumerate(zip(action, inverse_action)):
         if any(inv[y] != x for x, y in enumerate(act)):
             raise EnumerationInternalError(
                 f"generator {gen} is not a bijection with its inverse edges")
-    generator_element = tuple(index[find(j)] for j in range(graph.ngens))
+    generator_element = tuple(index[graph.find(j)] for j in range(graph.ngens))
     for rel in presentation.relations:
         x = generator_element[rel.base]
         for c in _codes(rel.word):

@@ -26,7 +26,7 @@ from nquandles.presentations import (
     parse_word,
 )
 from nquandles.quandle import export_dot, export_json
-from nquandles.words import Expression
+from nquandles.words import Expression, concat
 
 
 def family(name, ns=None, k=None):
@@ -356,6 +356,80 @@ def test_live_accounting_after_schedule():
         assert follow(g, w.base, w.word) == v
 
 
+# --- witness spelling -------------------------------------------------------------
+
+def closed(p):
+    """The finished graph of p under the default limits (steps 1 to 5),
+    and its live labels in label order."""
+    g = TraceGraph(p, EnumerationLimits())
+    for rel in p.relations:
+        g.trace(rel.base, rel.word, end=rel.target)
+        g.collapse()
+    run_schedule(g, p)
+    return g, [v for v in range(g.created) if g.find(v) == v]
+
+
+def concat_witnesses(g, labels):
+    """Oracle: each label's word re-reduced from its parent's word plus
+    its defining letter with ``words.concat``, a fresh letter tuple per
+    letter."""
+    memo = {j: Expression(j, ()) for j in range(g.ngens)}
+    out = []
+    for v in labels:
+        chain = []
+        while v not in memo:
+            chain.append(v)
+            v = g.def_parent[v]
+        expr = memo[v]
+        for u in reversed(chain):
+            code = g.def_code[u]
+            letter = ((code >> 1, -1 if code & 1 else 1),)
+            expr = Expression(expr.base, concat(expr.word, letter))
+            memo[u] = expr
+        out.append(expr)
+    return out
+
+
+@pytest.fixture(scope="module")
+def sealed_graphs():
+    """(presentation, finished graph, live labels) for every check of the
+    default sweep and for Mk at k = 30 and -29."""
+    ps = [c.presentation for c in iter_checks()] + [family("Mk", k=k) for k in (30, -29)]
+    return [(p, *closed(p)) for p in ps]
+
+
+def test_witnesses_equal_the_concat_spelling(sealed_graphs):
+    assert len(sealed_graphs) == 94
+    for p, g, live in sealed_graphs:
+        assert _seal(g, p).witnesses == tuple(concat_witnesses(g, live))
+
+
+def test_witness_words_are_freely_reduced(sealed_graphs):
+    for p, g, live in sealed_graphs:
+        for w in g.witnesses(live):
+            assert all(x != (gen, -sign) for x, (gen, sign) in zip(w.word, w.word[1:])), w
+
+
+def test_witnesses_share_one_letter_object_per_letter(sealed_graphs):
+    for p, g, live in sealed_graphs:
+        q = _seal(g, p)
+        letters = {id(x) for w in q.witnesses for x in w.word}
+        assert len(letters) <= 2 * len(p.generator_names)
+
+
+def test_a_letter_that_undoes_its_parents_last_letter_cancels():
+    # a definition forest the sweep does not make: label 2 = a^b, then
+    # label 3 defined from it along b' must be spelled a, not a^(b b'),
+    # and label 4 from label 3 along a as a^a
+    g = TraceGraph(family("T24", (3, 3)), EnumerationLimits())
+    base = g._allocate(3)
+    g.def_parent.extend([0, base, base + 1])
+    g.def_code.extend([2, 3, 0])
+    labels = [base, base + 1, base + 2]
+    assert g.witnesses(labels) == concat_witnesses(g, labels) == [
+        Expression(0, ((1, 1),)), Expression(0, ()), Expression(0, ((0, 1),))]
+
+
 def test_outcome_reports_final_size():
     out = enumerate_quandle(family("T28", (2, 3)))
     assert out.finite
@@ -367,12 +441,7 @@ def test_outcome_reports_final_size():
 def finished_t24():
     """A closed T24 N=(3,3) graph, its live labels in label order."""
     p = family("T24", (3, 3))
-    g = TraceGraph(p, EnumerationLimits())
-    for rel in p.relations:
-        g.trace(rel.base, rel.word, end=rel.target)
-        g.collapse()
-    run_schedule(g, p)
-    live = [v for v in range(g.created) if g.find(v) == v]
+    g, live = closed(p)
     assert len(live) == 8
     return p, g, live
 
@@ -399,6 +468,15 @@ def test_seal_rejects_an_undefined_edge(code):
     g.rows[code][live[2]] = -1
     with pytest.raises(EnumerationInternalError,
                        match=f"generator {code >> 1} undefined at vertex {live[2]}"):
+        _seal(g, p)
+
+
+def test_seal_rejects_an_edge_to_a_merged_label():
+    p, g, live = finished_t24()
+    merged = next(v for v in range(g.created) if g.parent[v] != v)
+    g.rows[0][live[2]] = merged
+    with pytest.raises(EnumerationInternalError,
+                       match=f"generator 0 at vertex {live[2]} points at merged label {merged}"):
         _seal(g, p)
 
 

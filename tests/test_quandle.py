@@ -236,24 +236,31 @@ def test_verify_axioms_agrees_with_cubic_oracle_on_catalog(catalog_quandles):
         assert bool(verify_axioms(q)) == cubic_oracle(q) is True
 
 
-@pytest.mark.parametrize("rename", [False, True])
-def test_verify_axioms_rejects_tampered_actions(catalog_quandles, rename):
-    # swapped action entries, with witnesses either kept or re-derived
-    # so that names stay valid and only the algebra can give it away
+def tamperings(quandles):
+    """Four tampered copies of each quandle with at least three
+    elements, as (q, g, x1, x2, tampered(q, g, x1, x2)), from a fixed
+    seed."""
     rng = random.Random(5)
-    rejected = 0
-    for q in catalog_quandles:
+    for q in quandles:
         if q.size < 3:
             continue
         for _ in range(4):
             g = rng.randrange(len(q.generator_names))
             x1, x2 = rng.sample(range(q.size), 2)
-            bad = tampered(q, g, x1, x2)
-            if rename:
-                bad = renamed(bad)
-            if not cubic_oracle(bad):
-                rejected += 1
-                assert not verify_axioms(bad), (q.generator_names, g, x1, x2)
+            yield q, g, x1, x2, tampered(q, g, x1, x2)
+
+
+@pytest.mark.parametrize("rename", [False, True])
+def test_verify_axioms_rejects_tampered_actions(catalog_quandles, rename):
+    # swapped action entries, with witnesses either kept or re-derived
+    # so that names stay valid and only the algebra can give it away
+    rejected = 0
+    for q, g, x1, x2, bad in tamperings(catalog_quandles):
+        if rename:
+            bad = renamed(bad)
+        if not cubic_oracle(bad):
+            rejected += 1
+            assert not verify_axioms(bad), (q.generator_names, g, x1, x2)
     assert rejected >= 300
 
 
@@ -296,6 +303,61 @@ def test_verify_n_relations_flags_wrong_order():
     report = verify_n_relations(q)
     assert not report
     assert any("power relation" in f for f in report.failures)
+
+
+def full_table_n_relations(q):
+    """Oracle: x^(y^n) = x for every pair of elements, on every column
+    of the full operation table, with n from y's orbit."""
+    part = orbits(q)
+    orbit_n = {}
+    for gen, el in enumerate(q.generator_element):
+        n = q.n_values[q.component_of_generator[gen] - 1]
+        if orbit_n.setdefault(part.orbit_of[el], n) != n:
+            return False
+    if len(orbit_n) != part.orbit_count:
+        return False
+    fwd, _ = q.tables
+    n_of = np.array([orbit_n[o] for o in part.orbit_of])
+    idx = np.arange(q.size)
+    # power[x, y] = x acted on by y as many times as y's orbit's n
+    power = np.broadcast_to(idx[:, np.newaxis], (q.size, q.size))
+    for step in range(int(n_of.max())):
+        power = np.where(n_of > step, np.take_along_axis(fwd, power, axis=0), power)
+    return bool((power == idx[:, np.newaxis]).all())
+
+
+def test_verify_n_relations_agrees_with_full_table_on_catalog(catalog_quandles):
+    assert len(catalog_quandles) == 92
+    for q in catalog_quandles:
+        assert bool(verify_n_relations(q)) == full_table_n_relations(q) is True
+
+
+def test_verify_n_relations_agrees_with_full_table_on_tampered_actions(catalog_quandles):
+    rejected = 0
+    for q, g, x1, x2, bad in tamperings(catalog_quandles):
+        ok = bool(verify_n_relations(bad))
+        assert ok == full_table_n_relations(bad), (q.generator_names, g, x1, x2)
+        rejected += not ok
+    assert rejected >= 300
+
+
+def test_verify_n_relations_rejects_an_n_the_actions_do_not_satisfy(catalog_quandles):
+    # raising a component's n by one keeps every action's order a
+    # divisor of the old n only, so the check must fail unless all of
+    # the component's generators act trivially
+    rejected = 0
+    for q in catalog_quandles:
+        for c, n in enumerate(q.n_values):
+            ns = q.n_values[:c] + (n + 1,) + q.n_values[c + 1:]
+            bad = dataclasses.replace(q, n_values=ns)
+            trivial = all(q.action[g] == tuple(range(q.size))
+                          for g, comp in enumerate(q.component_of_generator) if comp == c + 1)
+            report = verify_n_relations(bad)
+            assert bool(report) == trivial == full_table_n_relations(bad), (q.generator_names, c)
+            if not trivial:
+                rejected += 1
+                assert any("power relation" in f for f in report.failures)
+    assert rejected >= 190
 
 
 def test_verify_all():
