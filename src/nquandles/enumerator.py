@@ -407,7 +407,7 @@ def _seal(graph: TraceGraph, presentation: Presentation) -> FiniteQuandle:
         if any(inv[y] != x for x, y in enumerate(act)):
             raise EnumerationInternalError(
                 f"generator {gen} is not a bijection with its inverse edges")
-    generator_element = tuple(index[graph.find(j)] for j in range(graph.ngens))
+    generator_element = tuple([index[graph.find(j)] for j in range(graph.ngens)])
     for rel in presentation.relations:
         x = generator_element[rel.base]
         for c in _codes(rel.word):

@@ -141,7 +141,7 @@ class Presentation:
 
 def augment_n(p: Presentation, n_values: Sequence[int]) -> Presentation:
     """Attach (or replace) the N tuple; length must match components."""
-    return replace(p, n_values=tuple(int(n) for n in n_values))
+    return replace(p, n_values=tuple([int(n) for n in n_values]))
 
 
 def parse_word(text: str, names: Sequence[str]) -> Word:
@@ -212,7 +212,7 @@ def parse_presentation(text: str) -> Presentation:
                 tokens = rest.split()
                 if not tokens or not all(t.isdigit() for t in tokens):
                     raise ParseError("N needs positive integers", line_no, col)
-                n_values = tuple(int(t) for t in tokens)
+                n_values = tuple([int(t) for t in tokens])
                 n_pos = (line_no, col)
                 if 0 in n_values:
                     raise ParseError("n-values must be positive", line_no, col)
@@ -230,7 +230,7 @@ def parse_presentation(text: str) -> Presentation:
         if name not in gens:
             line_no, col = comp_pos[name]
             raise ParseError(f"comp references unknown generator {name!r}", line_no, col)
-    component_of = tuple(comp.get(name, 1) for name in gens)
+    component_of = tuple([comp.get(name, 1) for name in gens])
     # the checks Presentation would make, reported where the fault lies:
     # the first comp token past a gap in the numbering, the N statement
     m = max(component_of)

@@ -2,7 +2,7 @@
 
 A sealed quandle stores, for each generator, the permutation x -> x^g
 of the element set {0, ..., size-1} and its inverse.  Every element
-carries a witness expression a^w naming it.  The full operation table
+carries a witness expression a^w naming it.  The operation table
 M[x, y] = x > y is built once per quandle along generator edges: the
 column of a generator element is that generator's action, and every
 other column follows from a column already built by the conjugation
@@ -10,24 +10,31 @@ rule R_(y^g) = g' R_y g of self-distributivity,
 
     M[:, y^g] = A[g][M[A'[g], y]],    M[:, y^g'] = A'[g][M[A[g], y]],
 
-with A[g] the action of g and A'[g] its inverse.  The full operation,
-point symmetries and isomorphism testing read that table.  Axiom
-verification needs only the generators: once each R_a of a generator a
-is an automorphism of M, the rule above carries that to every column.
-So do the power relations, since every column is conjugate to a
-generator's action.
+with A[g] the action of g and A'[g] its inverse.  The table is one
+read-only array, int16 while the size is below 2^15 and int32 above,
+so a quandle of n elements holds 2n^2 bytes of it.  No inverse table
+is kept: x >' y inverts column y, in O(n), where it is needed.  The
+full operation, point symmetries and isomorphism testing read that
+table.  Axiom verification needs only the generators: once each R_a of
+a generator a is an automorphism of M, the rule above carries that to
+every column.  So do the power relations, since every column is
+conjugate to a generator's action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .presentations import PrimaryRelation
 from .words import Expression, expression_str
+
+# table entries compared at a time when verify_axioms proves a
+# generator's action an automorphism of the table
+_BAND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,10 +62,16 @@ class FiniteQuandle:
         return expression_str(self.witnesses[x], self.generator_names)
 
     @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only int32 tables M[x, y] = x > y and M'[x, y] = x >' y,
-        built on first use; see ``dense_tables``."""
-        return _build_tables(self)
+    def table(self) -> np.ndarray:
+        """Read-only table M[x, y] = x > y, built on first use; see
+        ``dense_tables``."""
+        return _build_table(self)
+
+    @cached_property
+    def partition(self) -> OrbitPartition:
+        """Orbits under the generator actions, found on first use; see
+        ``orbits``."""
+        return _orbit_partition(self)
 
 
 @dataclass
@@ -101,12 +114,18 @@ def _generator_tree(q: FiniteQuandle) -> _Tree:
     return roots, edges
 
 
-def _build_tables(q: FiniteQuandle) -> tuple[np.ndarray, np.ndarray]:
+def _table_dtype(size: int) -> type[np.signedinteger]:
+    """int16 while every element and the -1 of an unbuilt column fit."""
+    return np.int16 if size < 1 << 15 else np.int32
+
+
+def _build_table(q: FiniteQuandle) -> np.ndarray:
     n = q.size
-    act = np.asarray(q.action, dtype=np.int32).reshape(-1, n)
-    inv = np.asarray(q.inverse_action, dtype=np.int32).reshape(-1, n)
+    dtype = _table_dtype(n)
+    act = np.asarray(q.action, dtype=dtype).reshape(-1, n)
+    inv = np.asarray(q.inverse_action, dtype=dtype).reshape(-1, n)
     # cols[y] is column y of M, so each step writes one contiguous row
-    cols = np.full((n, n), -1, dtype=np.int32)
+    cols = np.full((n, n), -1, dtype=dtype)
     roots, edges = _generator_tree(q)
     for g, e in roots:
         cols[e] = act[g]
@@ -115,31 +134,58 @@ def _build_tables(q: FiniteQuandle) -> tuple[np.ndarray, np.ndarray]:
             cols[z] = act[g][cols[y][inv[g]]]
         else:
             cols[z] = inv[g][cols[y][act[g]]]
-    reached = np.array([e for _, e in roots] + [z for *_, z in edges], dtype=np.int64)
-    inv_cols = np.full((n, n), -1, dtype=np.int32)
-    inv_cols[reached[:, np.newaxis], cols[reached]] = np.arange(n, dtype=np.int32)
-    tables = (cols.T, inv_cols.T)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    table = cols.T
+    table.flags.writeable = False
+    return table
+
+
+def _inverse_column(table: np.ndarray, y: int) -> np.ndarray:
+    """x >' y for every x: column y of the table inverted, in O(size).
+    All -1 for a column no generator reaches; a column that is not a
+    permutation leaves -1 at the values it misses."""
+    col = table[:, y]
+    inverse = np.full(len(col), -1, dtype=table.dtype)
+    if col[0] >= 0:
+        inverse[col] = np.arange(len(col), dtype=table.dtype)
+    return inverse
 
 
 def full_op(q: FiniteQuandle, x: int, y: int, sign: int = 1) -> int:
-    """x > y, or x >' y when sign = -1, read from the operation table."""
-    fwd, bwd = q.tables
-    return int((fwd if sign > 0 else bwd)[x, y])
+    """x > y read from the operation table, or x >' y when sign = -1,
+    which inverts column y, in O(size) per call."""
+    if sign > 0:
+        return int(q.table[x, y])
+    return int(_inverse_column(q.table, y)[x])
 
 
-def dense_tables(q: FiniteQuandle) -> tuple[np.ndarray, np.ndarray]:
-    """Full operation tables M[x, y] = x > y and its inverse, as
-    read-only int32 arrays cached on the quandle.
+def dense_tables(q: FiniteQuandle) -> np.ndarray:
+    """The operation table M[x, y] = x > y, one read-only array cached
+    on the quandle: int16 while size < 2^15, int32 from there on.
 
     Built in O(size^2) along the generator spanning forest.  Columns of
-    elements no generator reaches hold -1; so do the inverse-table
-    entries of a column that is not a permutation.  ``verify_axioms``
-    proves the tables are those of a quandle.
+    elements no generator reaches hold -1.  There is no inverse table;
+    ``full_op(q, x, y, -1)`` inverts column y in O(size).
+    ``verify_axioms`` proves the table is that of a quandle.
     """
-    return q.tables
+    return q.table
+
+
+def _first_non_automorphism(cols: np.ndarray,
+                            a: np.ndarray) -> tuple[int, int, int, int] | None:
+    """First (x, y, (x>y)^a, (x^a)>(y^a)) where the permutation a fails
+    to be an automorphism of the table whose column y is cols[y], or
+    None.  Compares _BAND table entries at a time, a band of whole
+    columns, so no temporary grows with size^2."""
+    n = len(a)
+    rows = max(1, _BAND // n)
+    values = a.astype(cols.dtype)
+    for start in range(0, n, rows):
+        lhs = values.take(cols[start:start + rows])                     # (x>y)>z
+        rhs = cols.take(a[start:start + rows], axis=0).take(a, axis=1)  # (x>z)>(y>z)
+        if not np.array_equal(lhs, rhs):
+            i, x = map(int, np.argwhere(lhs != rhs)[0])
+            return x, start + i, int(lhs[i, x]), int(rhs[i, x])
+    return None
 
 
 def verify_axioms(q: FiniteQuandle) -> VerificationReport:
@@ -153,10 +199,12 @@ def verify_axioms(q: FiniteQuandle) -> VerificationReport:
     (x>y)>a = (x>a)>(y>a).  Every other column is g' R_y g for a column
     R_y built before it, so by induction every column is a bijective
     automorphism: right invertibility and self-distributivity for all
-    size^3 triples, in O(generators * size^2).
+    size^3 triples, in O(generators * size^2).  The automorphism check
+    runs over a band of columns at a time, so its memory stays bounded
+    beside the table's.
     """
     n = q.size
-    fwd, _ = dense_tables(q)
+    fwd = dense_tables(q)
     failures: list[str] = []
     idx = np.arange(n)
     reached = fwd[0] >= 0
@@ -167,8 +215,8 @@ def verify_axioms(q: FiniteQuandle) -> VerificationReport:
         x = int(np.argmax(bad))
         failures.append(f"idempotence: {x} > {x} = {int(diag[x])}")
 
-    act = np.asarray(q.action, dtype=np.int32).reshape(-1, n)
-    inv = np.asarray(q.inverse_action, dtype=np.int32).reshape(-1, n)
+    act = np.asarray(q.action, dtype=np.intp).reshape(-1, n)
+    inv = np.asarray(q.inverse_action, dtype=np.intp).reshape(-1, n)
     for g, name in enumerate(q.generator_names):
         undo = inv[g][act[g]]
         redo = act[g][inv[g]]
@@ -201,15 +249,14 @@ def verify_axioms(q: FiniteQuandle) -> VerificationReport:
             failures.append(f"witness: {q.element_name(y)} names element {x}, not {y}")
             break
 
+    cols = fwd.T
     for g, z in enumerate(q.generator_element):
-        a = act[g]
-        lhs = a[fwd]                        # (x>y)>z
-        rhs = fwd[np.ix_(a, a)]             # (x>z)>(y>z)
-        if not np.array_equal(lhs, rhs):
-            x, y = map(int, np.argwhere(lhs != rhs)[0])
+        found = _first_non_automorphism(cols, act[g])
+        if found is not None:
+            x, y, lhs, rhs = found
             failures.append(
-                f"self-distributivity: ({x}>{y})>{z} = {int(lhs[x, y])} but "
-                f"({x}>{z})>({y}>{z}) = {int(rhs[x, y])}"
+                f"self-distributivity: ({x}>{y})>{z} = {lhs} but "
+                f"({x}>{z})>({y}>{z}) = {rhs}"
             )
             break
 
@@ -234,8 +281,17 @@ class OrbitPartition:
 def orbits(q: FiniteQuandle) -> OrbitPartition:
     """Connected components under all generator actions.
 
-    Orbits are numbered by their smallest element, in order.
+    Orbits are numbered by their smallest element, in order.  Found
+    once per quandle and cached on it, so every caller shares one
+    partition.
     """
+    return q.partition
+
+
+def _orbit_partition(q: FiniteQuandle) -> OrbitPartition:
+    # the rows are looked up once: reached through the cached property,
+    # q has a materialised __dict__, and each q.action in the loop costs more
+    moves = list(zip(q.action, q.inverse_action))
     orbit_of = [-1] * q.size
     count = 0
     for start in range(q.size):
@@ -245,8 +301,8 @@ def orbits(q: FiniteQuandle) -> OrbitPartition:
         orbit_of[start] = count
         while stack:
             x = stack.pop()
-            for g in range(len(q.generator_names)):
-                for y in (q.action[g][x], q.inverse_action[g][x]):
+            for act, inv in moves:
+                for y in (act[x], inv[x]):
                     if orbit_of[y] == -1:
                         orbit_of[y] = count
                         stack.append(y)
@@ -334,39 +390,41 @@ def _invariants(q: FiniteQuandle) -> list[tuple[int, tuple[int, ...]]]:
     """
     part = orbits(q)
     sizes = part.sizes()
-    fwd, _ = q.tables
+    table = q.table
     first: dict[int, int] = {}
     for x, o in enumerate(part.orbit_of):
         first.setdefault(o, x)
-    types = {o: _cycle_type(fwd[:, x].tolist()) for o, x in first.items()}
+    types = {o: _cycle_type(table[:, x].tolist()) for o, x in first.items()}
     return [(sizes[o], types[o]) for o in part.orbit_of]
 
 
-def _extends(q1: FiniteQuandle, tables2: tuple[np.ndarray, np.ndarray],
+# column(e, sign): x > e for every x when sign = 1, x >' e when -1
+_Columns = Callable[[int, int], np.ndarray]
+
+
+def _extends(q1: FiniteQuandle, column: _Columns,
              images: Sequence[int], tree: _Tree) -> bool:
     """Extend generator images to all of q1 along its generator tree,
-    phi(y^g) = phi(y) > phi(g) in the target's tables; True when the
+    phi(y^g) = phi(y) > phi(g) in the target's table; True when the
     result is a bijective homomorphism on every generator action."""
-    fwd2, bwd2 = tables2
     roots, edges = tree
     phi = np.full(q1.size, -1, dtype=np.int64)
     for g, e in roots:
         phi[e] = images[g]
     for y, g, sign, z in edges:
-        phi[z] = (fwd2 if sign > 0 else bwd2)[phi[y], images[g]]
+        phi[z] = column(images[g], sign)[phi[y]]
     if (phi < 0).any() or len(np.unique(phi)) != q1.size:
         return False
     act1 = np.asarray(q1.action).reshape(-1, q1.size)
-    return all(np.array_equal(phi[act1[g]], fwd2[phi, images[g]])
+    return all(np.array_equal(phi[act1[g]], column(images[g], 1)[phi])
                for g in range(len(q1.generator_names)))
 
 
-def _relation_holds(tables2: tuple[np.ndarray, np.ndarray], rel: PrimaryRelation,
+def _relation_holds(column: _Columns, rel: PrimaryRelation,
                     images: Sequence[int | None]) -> bool:
-    fwd2, bwd2 = tables2
     val = images[rel.base]
     for gen, sign in rel.word:
-        val = (fwd2 if sign > 0 else bwd2)[val, images[gen]]
+        val = column(images[gen], sign)[val]  # type: ignore[arg-type]
     return val == images[rel.target]
 
 
@@ -425,12 +483,21 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
 
     images: list[int | None] = [None] * len(gens)
     orbit_map: dict[int, int] = {}
-    tables2 = q2.tables
+    table2 = q2.table
+    inverse_columns: dict[int, np.ndarray] = {}
     tree = _generator_tree(q1)
+
+    def column(e: int, sign: int) -> np.ndarray:
+        # each candidate image's column is inverted once per search
+        if sign > 0:
+            return table2[:, e]
+        if e not in inverse_columns:
+            inverse_columns[e] = _inverse_column(table2, e)
+        return inverse_columns[e]
 
     def dfs(depth: int) -> bool:
         if depth == len(order):
-            return _extends(q1, tables2, images, tree)  # type: ignore[arg-type]
+            return _extends(q1, column, images, tree)  # type: ignore[arg-type]
         g = order[depth]
         o1 = part1.orbit_of[q1.generator_element[g]]
         for e in candidates[g]:
@@ -444,7 +511,7 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
             added = o1 not in orbit_map
             if added:
                 orbit_map[o1] = o2
-            if all(_relation_holds(tables2, r, images) for r in checks_at[depth]):
+            if all(_relation_holds(column, r, images) for r in checks_at[depth]):
                 if dfs(depth + 1):
                     return True
             images[g] = None

@@ -43,7 +43,9 @@ def reduce(letters: Iterable[Letter]) -> Word:
 
 def invert(word: Iterable[Letter]) -> Word:
     """Inverse word: reversed letters, each sign flipped."""
-    return tuple((gen, -sign) for gen, sign in reversed(tuple(word)))
+    # tuple() of a list is sized exactly; of a generator it starts from
+    # a length guess, and the spare tuples pile up on CPython's free lists
+    return tuple([(gen, -sign) for gen, sign in reversed(tuple(word))])
 
 
 def concat(*words: Iterable[Letter]) -> Word:

@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from nquandles import quandle
 from nquandles.catalog import iter_checks
 from nquandles.enumerator import enumerate_quandle
 from nquandles.presentations import augment_n, builtin_family
@@ -100,17 +101,84 @@ def test_full_op_self_distributive_and_invertible():
 
 def test_dense_tables_agree_with_full_op():
     q = enum("T24", (3, 3))
-    fwd, bwd = dense_tables(q)
-    assert fwd.shape == bwd.shape == (8, 8)
+    fwd = dense_tables(q)
+    assert fwd.shape == (8, 8)
     # built once, shared read-only with every caller
-    assert dense_tables(q)[0] is fwd
-    assert fwd.dtype == bwd.dtype == np.int32
-    assert not fwd.flags.writeable and not bwd.flags.writeable
+    assert dense_tables(q) is fwd is q.table
+    assert fwd.dtype == np.int16
+    assert not fwd.flags.writeable
     for x in range(q.size):
         for y in range(q.size):
             assert fwd[x, y] == full_op(q, x, y)
-            assert bwd[x, y] == full_op(q, x, y, -1)
-            assert bwd[fwd[x, y], y] == x
+            assert full_op(q, fwd[x, y], y, -1) == x
+
+
+def two_tables(q):
+    """Oracle: the forward table and its inverse, int64, built column by
+    column along a breadth-first search over the actions, x > y^g =
+    ((x >' g) > y) > g; columns the generators do not reach hold -1, and
+    so does the inverse wherever a column misses a value."""
+    n = q.size
+    act = np.array(q.action, dtype=np.int64).reshape(-1, n)
+    inv = np.array(q.inverse_action, dtype=np.int64).reshape(-1, n)
+    cols = np.full((n, n), -1, dtype=np.int64)
+    queue = []
+    for g, e in enumerate(q.generator_element):
+        if cols[e, 0] < 0:
+            cols[e] = act[g]
+            queue.append(e)
+    for y in queue:
+        for g in range(len(q.generator_names)):
+            for z, outer, inner in ((act[g][y], act[g], inv[g]), (inv[g][y], inv[g], act[g])):
+                if cols[z, 0] < 0:
+                    cols[z] = outer[cols[y][inner]]
+                    queue.append(z)
+    inv_cols = np.full((n, n), -1, dtype=np.int64)
+    for y in queue:
+        inv_cols[y, cols[y]] = np.arange(n)
+    return cols.T, inv_cols.T
+
+
+@pytest.fixture(scope="module")
+def mk30():
+    """Mk k=30: 1070 elements, so the automorphism check takes several
+    bands."""
+    q = enum("Mk", k=30)
+    assert q.size == 1070 and quandle._BAND // q.size < q.size // 10
+    return q
+
+
+def test_table_and_inverse_columns_match_the_two_table_oracle(catalog_quandles, mk30):
+    for q in catalog_quandles:
+        fwd, bwd = two_tables(q)
+        assert np.array_equal(q.table, fwd)
+        for x in range(q.size):
+            for y in range(q.size):
+                assert full_op(q, x, y, -1) == bwd[x, y]
+    fwd, bwd = two_tables(mk30)
+    assert np.array_equal(mk30.table, fwd)
+    rng = random.Random(11)
+    for y in range(mk30.size):
+        x = rng.randrange(mk30.size)
+        assert full_op(mk30, x, y, -1) == bwd[x, y]
+        # the rest of column y, read the way full_op reads it
+        assert np.array_equal(quandle._inverse_column(mk30.table, y), bwd[:, y])
+
+
+def test_inverse_column_of_an_unreached_element_is_unset():
+    # element 1 is fixed by the only generator, which sits at 0
+    q = tiny([[0, 1]], [0], [1], [2])
+    assert q.table[:, 1].tolist() == [-1, -1]
+    assert full_op(q, 0, 1, -1) == full_op(q, 1, 1, -1) == -1
+
+
+def test_table_dtype_widens_from_two_to_the_fifteen():
+    assert quandle._table_dtype(1) == np.int16
+    assert quandle._table_dtype(2**15 - 1) == np.int16
+    assert np.iinfo(np.int16).max == 2**15 - 1
+    assert quandle._table_dtype(2**15) == np.int32
+    assert quandle._table_dtype(10**5) == np.int32
+    assert enum("Mk", k=1).table.dtype == np.int16
 
 
 def test_point_symmetry_order():
@@ -120,7 +188,7 @@ def test_point_symmetry_order():
                   for g, el in enumerate(q.generator_element)}
     identity = tuple(range(q.size))
     for x in range(q.size):
-        perm = q.tables[0][:, x]  # the symmetry at x: y -> y > x
+        perm = q.table[:, x]  # the symmetry at x: y -> y > x
         n = n_of_orbit[part.orbit_of[x]]
         composed = identity
         for _ in range(n):
@@ -264,6 +332,84 @@ def test_verify_axioms_rejects_tampered_actions(catalog_quandles, rename):
     assert rejected >= 300
 
 
+SELF_DISTRIBUTIVITY = re.compile(
+    r"self-distributivity: \((\d+)>(\d+)\)>(\d+) = (\d+) but "
+    r"\(\d+>\d+\)>\(\d+>\d+\) = (\d+)$")
+
+
+def assert_true_violation(q, failure):
+    """The self-distributivity failure names x, y, z with (x>y)>z and
+    (x>z)>(y>z) as they stand in the oracle's table, and they differ."""
+    x, y, z, lhs, rhs = map(int, SELF_DISTRIBUTIVITY.match(failure).groups())
+    m, _ = two_tables(q)
+    assert m[m[x, y], z] == lhs != rhs == m[m[x, z], m[y, z]]
+    return y
+
+
+@pytest.mark.parametrize("rename", [False, True])
+def test_verify_axioms_in_small_bands_rejects_tampered_actions(catalog_quandles, rename,
+                                                               monkeypatch):
+    # a band of 64 entries splits every catalog quandle past 64 elements
+    # into one-column bands
+    monkeypatch.setattr(quandle, "_BAND", 64)
+    rejected = 0
+    for q, g, x1, x2, bad in tamperings(catalog_quandles):
+        if rename:
+            bad = renamed(bad)
+        report = verify_axioms(bad)
+        if not cubic_oracle(bad):
+            rejected += 1
+            assert not report, (q.generator_names, g, x1, x2)
+        for failure in report.failures:
+            if failure.startswith("self-distributivity"):
+                assert_true_violation(bad, failure)
+    assert rejected >= 300
+
+
+def relabeled(q, order):
+    """q with element order[i] renamed i."""
+    label = [0] * q.size
+    for i, x in enumerate(order):
+        label[x] = i
+
+    def moved(rows):
+        out = []
+        for row in rows:
+            new = [0] * q.size
+            for x, y in enumerate(row):
+                new[label[x]] = label[y]
+            out.append(tuple(new))
+        return tuple(out)
+
+    witnesses = [None] * q.size
+    for x, w in enumerate(q.witnesses):
+        witnesses[label[x]] = w
+    return dataclasses.replace(
+        q, action=moved(q.action), inverse_action=moved(q.inverse_action),
+        generator_element=tuple(label[e] for e in q.generator_element),
+        witnesses=tuple(witnesses))
+
+
+@pytest.mark.parametrize("g, x1, x2", [(0, 106, 321), (1, 372, 797), (2, 2, 3), (2, 137, 140)])
+def test_verify_axioms_finds_a_violation_past_the_first_band(mk30, g, x1, x2):
+    # the first generator whose action is no automorphism is the one
+    # reported; the elements whose columns it keeps intact come first,
+    # so its first violation lies past the first band
+    bad = tampered(mk30, g, x1, x2)
+    m, _ = two_tables(bad)
+    for a in np.array(bad.action):
+        broken = (a[m] != m[np.ix_(a, a)]).any(axis=0)
+        if broken.any():
+            break
+    bad = renamed(relabeled(bad, np.argsort(broken, kind="stable")))
+    first_broken = int((~broken).sum())
+    assert first_broken >= quandle._BAND // bad.size
+    report = verify_axioms(bad)
+    assert not report and cubic_oracle(bad) is False
+    [failure] = [f for f in report.failures if f.startswith("self-distributivity")]
+    assert assert_true_violation(bad, failure) >= first_broken
+
+
 def test_exports_golden_digest(catalog_quandles):
     # pins element names and both exports byte for byte over the sweep;
     # the closed-braid families name their elements after the strands
@@ -316,7 +462,7 @@ def full_table_n_relations(q):
             return False
     if len(orbit_n) != part.orbit_count:
         return False
-    fwd, _ = q.tables
+    fwd = q.table
     n_of = np.array([orbit_n[o] for o in part.orbit_of])
     idx = np.arange(q.size)
     # power[x, y] = x acted on by y as many times as y's orbit's n
@@ -382,6 +528,17 @@ def test_orbits_partition():
     assert sorted(total) == list(range(q.size))
 
 
+def test_orbits_are_found_once_per_quandle(monkeypatch):
+    q = enum("Lk", ns=(2, 2, 3), k=4)
+    calls = []
+    find = quandle._orbit_partition
+    monkeypatch.setattr(quandle, "_orbit_partition", lambda q: calls.append(q) or find(q))
+    assert verify_all(q)
+    assert calls == [q]
+    assert orbits(q) is orbits(q) is q.partition
+    assert calls == [q]
+
+
 def test_orbits_single_component_knot():
     q = enum("trefoil", (5,))
     assert orbits(q).orbit_count == 1
@@ -403,7 +560,7 @@ def test_is_isomorphic_frees_the_tables_without_garbage_collection():
     gc.disable()
     try:
         assert is_isomorphic(a, b)
-        tables = [weakref.ref(t) for t in (*a.tables, *b.tables)]
+        tables = [weakref.ref(a.table), weakref.ref(b.table)]
         del a, b
         assert all(ref() is None for ref in tables)
     finally:
