@@ -44,7 +44,9 @@ from .enumerator import (
     EnumerationLimits,
     EnumerationOutcome,
     EnumerationStats,
+    Relators,
     TraceGraph,
+    compile_relators,
     enumerate_quandle,
     run_schedule,
 )

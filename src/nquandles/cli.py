@@ -68,15 +68,17 @@ def _braid_word(text: str) -> tuple[int, ...]:
 
 
 def _int_range(text: str) -> range:
-    """"a:b" as an inclusive range; a bare integer is a single value."""
+    """"a:b" as an inclusive range; a bare integer is a single value.
+    b = a - 1 is the empty range, and a smaller b a reversed one, which
+    is refused rather than read as empty."""
     lo, sep, hi = text.partition(":")
     try:
-        if not sep:
-            k = int(text)
-            return range(k, k + 1)
-        return range(int(lo), int(hi) + 1)
+        first, last = int(lo), int(hi if sep else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected e.g. -6:6")
+    if last < first - 1:
+        raise argparse.ArgumentTypeError(f"reversed range {text!r}: {first} > {last}")
+    return range(first, last + 1)
 
 
 _RANGE_OPTIONS = ("--k-range", "--n-range")
@@ -94,14 +96,34 @@ def _attach_range_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _read_text(path: str) -> str:
+    """The file's text; one that is not UTF-8 is an input that cannot be
+    read, reported with the offset of its first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
+
+
+def _check_k(k: int, max_steps: int) -> None:
+    """Refuse a family parameter before its words are built: every
+    family's relation words grow with |k|, and each universal relation
+    is scanned in full, so past the step cap none could be."""
+    if abs(k) > max_steps:
+        raise PresentationError(
+            f"k {k} exceeds the step cap {max_steps}: its relation words could not be scanned")
+
+
 def _load_presentation(args: argparse.Namespace) -> Presentation:
     if args.family is not None:
+        if args.k is not None:
+            _check_k(args.k, args.max_steps)
         return builtin_family(args.family, k=args.k)
     if args.k is not None:
         raise PresentationError("--k only applies to --family")
     if args.file is not None:
-        return parse_presentation(Path(args.file).read_text())
-    return wirtinger(parse_diagram(Path(args.diagram).read_text()))
+        return parse_presentation(_read_text(args.file))
+    return wirtinger(parse_diagram(_read_text(args.diagram)))
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -181,6 +203,8 @@ def cmd_verify_catalog(args: argparse.Namespace) -> int:
         for row_id in wanted:
             if row_id not in known:
                 raise CatalogError(f"no catalog row {row_id!r}")
+    for k in (args.k_range.start, args.k_range.stop - 1):
+        _check_k(k, DEFAULT_MAX_STEPS)
     checks = [c for c in iter_checks(k_values=args.k_range, n_values=args.n_range)
               if wanted is None or c.row_id in wanted]
     if not checks:
@@ -210,11 +234,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
             print("error: --N only applies to presentation output", file=sys.stderr)
             return 1
         diagram = (closed_braid_diagram(args.braid, args.strands) if args.braid is not None
-                   else parse_diagram(Path(args.diagram).read_text()))
+                   else parse_diagram(_read_text(args.diagram)))
         _write_or_print(print_diagram(diagram), args.output)
         return 0
     p = (braid_presentation(args.braid, args.strands) if args.braid is not None
-         else wirtinger(parse_diagram(Path(args.diagram).read_text())))
+         else wirtinger(parse_diagram(_read_text(args.diagram))))
     if args.N is not None:
         p = augment_n(p, args.N)
     _write_or_print(print_presentation(p), args.output)

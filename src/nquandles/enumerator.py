@@ -23,23 +23,27 @@ coset enumeration:
     0..n-1 and the letter rows become integer action tables, which must
     pass every postcondition (each generator a bijection with its
     inverse edges, every primary and universal relation closed) before
-    they are handed to a ``FiniteQuandle``.
+    they are handed to a ``FiniteQuandle``; the bijection and universal
+    relation checks run as array ``take``s over one (2g, n) table, all
+    elements at once.
 
 The procedure halts exactly when the N-quandle is finite; vertex and
 step caps make the infinite case observable as an Exceeded outcome,
 and the counters of ``EnumerationStats`` say how far either kind of
 run got.  As in a Todd-Coxeter coset table, the edges are kept in one
 flat row per letter (a generator or its inverse) indexed by vertex
-label, and a relation is compiled once to letter codes and scanned from
-both ends, as in the HLT strategy of coset enumeration, so a vertex is
-made only for a letter that neither scan could read.  Each created
-vertex keeps only its definition, the edge that created it: the parent
-label and the letter code.  Following definitions back to a generator
-vertex spells the vertex's witness a^w; merges never rewrite
-definitions, the smaller label simply survives, and only the
-survivors' witnesses are spelled out when the graph is sealed, one
-letter per label on top of its parent's word, all words sharing one
-letter object per letter code.  All worklists are ordered, so runs are
+label, and every relation is compiled once per run to letter codes
+(``compile_relators``), shared by the scans and the sealing audit, and
+scanned from both ends, as in the HLT strategy of coset enumeration, so
+a vertex is made only for a letter that neither scan could read.  Each
+created vertex keeps only its definition, the edge that created it: the
+parent label and the letter code.  Following definitions back to a
+generator vertex spells the vertex's witness a^w; merges never rewrite
+definitions, the smaller label simply survives.  The sealed quandle
+keeps the definitions and the survivors' labels, not the graph, and
+spells the survivors' witnesses the first time one is read, one letter
+per label on top of its parent's word, all words sharing one letter
+object per letter code.  All worklists are ordered, so runs are
 bit-for-bit reproducible.
 """
 
@@ -47,8 +51,11 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from .presentations import Presentation, PresentationError, secondary_relations
 from .quandle import FiniteQuandle
@@ -117,6 +124,110 @@ def _codes(word: Word) -> list[int]:
     return [2 * gen + (sign < 0) for gen, sign in word]
 
 
+class Relators(NamedTuple):
+    """A presentation's relations as letter codes, compiled once per run.
+
+    primary holds (base, codes, target) per primary relation, universal
+    the codes of each universal relation in sweep order.  overrun is
+    None, or (code, n) for the first power relation code^n longer than
+    the step cap: universal then stops just before it, since its first
+    scan, at the sweep's first vertex, is where the run stops.
+    """
+
+    primary: list[tuple[int, list[int], int]]
+    universal: list[list[int]]
+    overrun: tuple[int, int] | None
+
+
+def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
+    """The relators of a presentation with n-values, for one run under
+    ``max_steps``.  A power relation longer than the step cap is never
+    spelled: it could not be scanned in full, and the run stops at it."""
+    primary = [(rel.base, _codes(rel.word), rel.target) for rel in presentation.relations]
+    powers = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
+    for gen, n in enumerate(powers):
+        if n > max_steps:
+            return Relators(primary, [[2 * j] * powers[j] for j in range(gen)], (2 * gen, n))
+    return Relators(primary, [_codes(u.word) for u in secondary_relations(presentation)], None)
+
+
+def spell_witnesses(ngens: int, def_parent: Sequence[int], def_code: Sequence[int],
+                    labels: Sequence[int]) -> list[Expression]:
+    """The witness a^w of each label, spelled along its definitions.
+
+    A label's word is its parent's word extended by its defining
+    letter, one letter per label: the parent's word is freely reduced,
+    so the letter either cancels the parent's last letter or is
+    appended.  Words of shared ancestors are built once, and every word
+    holds the same 2*ngens letter objects, one per code.
+    """
+    letters = [(c >> 1, -1 if c & 1 else 1) for c in range(2 * ngens)]
+    memo = {j: Expression(j, ()) for j in range(ngens)}
+    out = []
+    for v in labels:
+        chain = []
+        while v not in memo:
+            chain.append(v)
+            v = def_parent[v]
+        expr = memo[v]
+        base, word = expr.base, expr.word
+        for u in reversed(chain):
+            code = def_code[u]
+            if word and word[-1] is letters[code ^ 1]:
+                word = word[:-1]
+            else:
+                word = word + (letters[code],)
+            expr = memo[u] = Expression(base, word)
+        out.append(expr)
+    return out
+
+
+class Witnesses(Sequence):
+    """The witnesses of a sealed quandle's elements, spelled on first read.
+
+    Holds the definitions and the live labels only, never the rows or
+    the graph, and spells every word with ``spell_witnesses`` the first
+    time one is read.  Compares, hashes and prints as the tuple of its
+    words.
+    """
+
+    __slots__ = ("_ngens", "_def_parent", "_def_code", "_labels", "_words")
+
+    def __init__(self, ngens: int, def_parent: Sequence[int], def_code: Sequence[int],
+                 labels: Sequence[int]):
+        self._ngens = ngens
+        self._def_parent = def_parent
+        self._def_code = def_code
+        self._labels = labels
+        self._words: tuple[Expression, ...] | None = None
+
+    def _spelled(self) -> tuple[Expression, ...]:
+        if self._words is None:
+            self._words = tuple(spell_witnesses(
+                self._ngens, self._def_parent, self._def_code, self._labels))
+        return self._words
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, i):
+        return self._spelled()[i]
+
+    def __iter__(self):
+        return iter(self._spelled())
+
+    def __eq__(self, other):
+        if isinstance(other, Witnesses):
+            other = other._spelled()
+        return self._spelled() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._spelled())
+
+    def __repr__(self) -> str:
+        return repr(self._spelled())
+
+
 class TraceGraph:
     """Partial Cayley graph under construction.
 
@@ -135,7 +246,8 @@ class TraceGraph:
     with def_parent[v] < v and def_code[v] a letter code as in the rows;
     generator vertex j has def_parent -1 and def_code 2*j.  The
     definitions are read only when witnesses are spelled, so they are
-    kept as machine-integer arrays, a few bytes per label.
+    kept as machine-integer arrays, a few bytes per label; see
+    ``spell_witnesses``.
     """
 
     def __init__(self, presentation: Presentation,
@@ -184,36 +296,6 @@ class TraceGraph:
         for row in self.rows:
             row += fill
         return base
-
-    def witnesses(self, labels: list[int]) -> list[Expression]:
-        """The witness a^w of each label, spelled along its definitions.
-
-        A label's word is its parent's word extended by its defining
-        letter, one letter per label: the parent's word is freely
-        reduced, so the letter either cancels the parent's last letter
-        or is appended.  Words of shared ancestors are built once, and
-        every word holds the same 2*ngens letter objects, one per code.
-        """
-        letters = [(c >> 1, -1 if c & 1 else 1) for c in range(2 * self.ngens)]
-        def_parent, def_code = self.def_parent, self.def_code
-        memo = {j: Expression(j, ()) for j in range(self.ngens)}
-        out = []
-        for v in labels:
-            chain = []
-            while v not in memo:
-                chain.append(v)
-                v = def_parent[v]
-            expr = memo[v]
-            base, word = expr.base, expr.word
-            for u in reversed(chain):
-                code = def_code[u]
-                if word and word[-1] is letters[code ^ 1]:
-                    word = word[:-1]
-                else:
-                    word = word + (letters[code],)
-                expr = memo[u] = Expression(base, word)
-            out.append(expr)
-        return out
 
     @property
     def live_count(self) -> int:
@@ -299,9 +381,24 @@ class TraceGraph:
         self.created = limits.max_vertices + 1
         raise _CapExceeded("vertices", self.stats())
 
-    def trace(self, start: int, word: Word, end: int) -> None:
-        """Scan ``word`` from ``start`` to ``end`` (step 3)."""
-        self.scan(self.find(start), _codes(word), self.find(end))
+    def overrun(self, v: int, code: int, n: int) -> None:
+        """Stop the run where ``scan`` would stop it on code^n from v
+        back to v, for n past the step cap, without spelling n letters.
+
+        Each letter has at most one edge into and out of a vertex, so
+        the forward scan either goes round v's cycle and reads all n
+        letters, or ends at a missing edge, and then so does the
+        backward scan; the letters read decide the stop."""
+        reads = 0
+        for row in (self.rows[code], self.rows[code ^ 1]):
+            t = row[v]
+            while t >= 0:
+                reads += 1
+                if t == v:
+                    self._stop(n, 0)
+                t = row[t]
+        reads = min(reads, n)
+        self._stop(reads, n - reads)
 
     def collapse(self):
         """Drain scheduled identifications to a fixpoint.
@@ -346,19 +443,20 @@ class TraceGraph:
                     inverse[t] = a
 
 
-def run_schedule(graph: TraceGraph, presentation: Presentation) -> TraceGraph:
+def run_schedule(graph: TraceGraph, relators: Relators) -> TraceGraph:
     """Step 5: sweep live vertices in label order, scanning every
     universal relation at each and collapsing after each scan that
     schedules an identification.
 
     Expects the primary relations already scanned (steps 1 to 4) and
-    collapsed.  A cursor visits each label once, including the labels
+    collapsed, and ``relators`` compiled for the graph's presentation
+    and step cap.  A cursor visits each label once, including the labels
     created during the sweep; a vertex merged away mid-sweep continues
     as its representative.  A survivor behind the cursor is not scanned
     again: a relation that closes at a vertex still closes at its class
     after any later identification.
     """
-    universals = [_codes(u.word) for u in secondary_relations(presentation)]
+    universals, overrun = relators.universal, relators.overrun
     parent, scan, pending = graph.parent, graph.scan, graph.pending
     cursor = 0
     while cursor < graph.created:
@@ -370,10 +468,12 @@ def run_schedule(graph: TraceGraph, presentation: Presentation) -> TraceGraph:
             if pending:
                 graph.collapse()
                 v = graph.find(v)
+        if overrun is not None:
+            graph.overrun(v, *overrun)
     return graph
 
 
-def _seal(graph: TraceGraph, presentation: Presentation) -> FiniteQuandle:
+def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     """Step 6: number the live labels in label order, read each letter
     row once into an action table over them, and check the
     postconditions on those tables: every edge defined, each generator's
@@ -384,7 +484,11 @@ def _seal(graph: TraceGraph, presentation: Presentation) -> FiniteQuandle:
     After the last collapse the rows of representatives hold only
     representatives, so each entry is numbered directly; an entry that
     is a merged label is a broken postcondition, not something to
-    remap."""
+    remap.  The bijection and universal relation checks read one (2g, n)
+    array of the tables, each letter of a relation one ``take`` that
+    moves every element at once.  The quandle's witnesses keep the
+    definitions and the live labels, and are spelled when first read."""
+    presentation = graph.presentation
     parent = graph.parent
     live = [v for v in range(graph.created) if parent[v] == v]
     index = [-1] * graph.created
@@ -402,36 +506,36 @@ def _seal(graph: TraceGraph, presentation: Presentation) -> FiniteQuandle:
             raise EnumerationInternalError(
                 f"generator {code >> 1} at vertex {live[i]} points at merged label {ends[i]}")
         tables.append(tuple(table))
-    action, inverse_action = tuple(tables[0::2]), tuple(tables[1::2])
-    for gen, (act, inv) in enumerate(zip(action, inverse_action)):
-        if any(inv[y] != x for x, y in enumerate(act)):
-            raise EnumerationInternalError(
-                f"generator {gen} is not a bijection with its inverse edges")
+    moves = np.array(tables)
+    identity = np.arange(len(live))
+    undone = np.take_along_axis(moves[1::2], moves[0::2], axis=1) != identity
+    if undone.any():
+        raise EnumerationInternalError(
+            f"generator {int(undone.any(axis=1).argmax())} is not a bijection "
+            "with its inverse edges")
     generator_element = tuple([index[graph.find(j)] for j in range(graph.ngens)])
-    for rel in presentation.relations:
-        x = generator_element[rel.base]
-        for c in _codes(rel.word):
+    for base, codes, target in relators.primary:
+        x = generator_element[base]
+        for c in codes:
             x = tables[c][x]
-        if x != generator_element[rel.target]:
+        if x != generator_element[target]:
             raise EnumerationInternalError("primary relation does not close")
-    identity = list(range(len(live)))
-    for u in secondary_relations(presentation):
+    for codes in relators.universal:
         perm = identity
-        for c in _codes(u.word):
-            table = tables[c]
-            perm = [table[x] for x in perm]
-        if perm != identity:
+        for c in codes:
+            perm = moves[c].take(perm)
+        if not np.array_equal(perm, identity):
             raise EnumerationInternalError(
                 "universal relation does not close at some vertex")
     return FiniteQuandle(
         size=len(live),
         generator_names=presentation.generator_names,
-        action=action,
-        inverse_action=inverse_action,
+        action=tuple(tables[0::2]),
+        inverse_action=tuple(tables[1::2]),
         generator_element=generator_element,
         component_of_generator=presentation.component_of,
         n_values=presentation.n_values,
-        witnesses=tuple(graph.witnesses(live)),
+        witnesses=Witnesses(graph.ngens, graph.def_parent, graph.def_code, live),
         relations=presentation.relations,
     )
 
@@ -446,13 +550,14 @@ def enumerate_quandle(presentation: Presentation,
     if presentation.n_values is None:
         raise PresentationError("enumeration needs n-values; call augment_n")
     limits = limits or EnumerationLimits()
+    relators = compile_relators(presentation, limits.max_steps)
     try:
         graph = TraceGraph(presentation, limits)
-        for rel in presentation.relations:
-            graph.trace(rel.base, rel.word, end=rel.target)
+        for base, codes, target in relators.primary:
+            graph.scan(graph.find(base), codes, graph.find(target))
             graph.collapse()
-        run_schedule(graph, presentation)
+        run_schedule(graph, relators)
     except _CapExceeded as exc:
         return EnumerationOutcome(None, exc.kind, exc.stats.created, exc.stats)
-    quandle = _seal(graph, presentation)
+    quandle = _seal(graph, relators)
     return EnumerationOutcome(quandle, None, quandle.size, graph.stats())

@@ -2,7 +2,10 @@
 
 A sealed quandle stores, for each generator, the permutation x -> x^g
 of the element set {0, ..., size-1} and its inverse.  Every element
-carries a witness expression a^w naming it.  The operation table
+carries a witness expression a^w naming it; the witnesses are any
+read-only sequence, and an enumerated quandle's spells its words only
+when one is first read (exports and names read them, enumeration and
+the size checks do not).  The operation table
 M[x, y] = x > y is built once per quandle along generator edges: the
 column of a generator element is that generator's action, and every
 other column follows from a column already built by the conjugation
@@ -43,9 +46,12 @@ class FiniteQuandle:
 
     action[g][x] is x^g, inverse_action[g][x] is x^(g').  Elements are
     0-based; generator_element maps a generator index to the element
-    representing it.  relations carries the defining primary relations
-    when the quandle came out of an enumeration (used to prune
-    isomorphism searches); hand-built tables may leave it empty.
+    representing it.  witnesses[x] names element x; it may be a tuple
+    or a sequence that spells on first read and compares, hashes and
+    prints as the tuple of its words.  relations carries the defining
+    primary relations when the quandle came out of an enumeration (used
+    to prune isomorphism searches); hand-built tables may leave it
+    empty.
     """
 
     size: int
@@ -55,7 +61,7 @@ class FiniteQuandle:
     generator_element: tuple[int, ...]
     component_of_generator: tuple[int, ...]
     n_values: tuple[int, ...]
-    witnesses: tuple[Expression, ...]
+    witnesses: Sequence[Expression]
     relations: tuple[PrimaryRelation, ...] = ()
 
     def element_name(self, x: int) -> str:

@@ -206,11 +206,74 @@ def test_verify_catalog_malformed_range(capsys, argv, message):
     assert capsys.readouterr().err.splitlines()[-1].endswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--k-range", "3:-3"], "argument --k-range: reversed range '3:-3': 3 > -3"),
+    (["--n-range", "5:2"], "argument --n-range: reversed range '5:2': 5 > 2"),
+])
+@pytest.mark.parametrize("rows", [[], ["--rows", "Mk"]], ids=["all-rows", "Mk"])
+def test_verify_catalog_reversed_range_is_a_usage_error(capsys, rows, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-catalog", *rows, *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize("k_range", ["99999999999999999999", "-99999999999999999999:3"])
+def test_verify_catalog_refuses_a_k_past_the_step_cap(capsys, k_range):
+    code, out, err = run(capsys, "verify-catalog", "--rows", "Mk", f"--k-range={k_range}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: k {k_range.split(':')[0]} exceeds the step cap 100000000")
+
+
 def test_verify_catalog_empty_selection(capsys):
     code, out, _ = run(capsys, "verify-catalog", "--rows", "Mk",
                        "--k-range", "1:0")
     assert code == 1
     assert "no checks selected" in out
+
+
+# --- oversized parameters and undecodable files --------------------------------------
+
+@pytest.mark.parametrize("family, extra", [("Mk", []), ("T2k", ["--N", "3"])])
+def test_enumerate_refuses_a_k_past_the_step_cap(capsys, family, extra):
+    code, out, err = run(capsys, "enumerate", "--family", family,
+                         "--k", "99999999999999999999", *extra)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: k 99999999999999999999 exceeds the step cap 100000000: "
+                   "its relation words could not be scanned\n")
+    code, _, err = run(capsys, "enumerate", "--family", family, "--k", "-31",
+                       "--max-steps", "30", *extra)
+    assert (code, err.split(":")[:2]) == (1, ["error", " k -31 exceeds the step cap 30"])
+
+
+def test_enumerate_stops_on_a_power_past_the_step_cap(tmp_path, capsys):
+    # the power relation is never spelled: the run stops at its first
+    # scan, as it would after scanning all 10^20 letters
+    code, out, err = run(capsys, "enumerate", "--family", "trefoil",
+                         "--N", "99999999999999999999")
+    assert (code, err) == (4, "")
+    assert out == ("exceeded steps cap (100000000); 4 vertices created before "
+                   "the stop, 4 live, 100000001 steps\n")
+    pres = tmp_path / "big.txt"
+    pres.write_text("gens a\nN 99999999999999999999\n")
+    code, out, err = run(capsys, "enumerate", "--file", str(pres), "--max-steps", "1000")
+    assert (code, err) == (4, "")
+    assert out == ("exceeded steps cap (1000); 1 vertices created before "
+                   "the stop, 1 live, 1001 steps\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--file"], ["enumerate", "--diagram"], ["convert", "--diagram"],
+])
+def test_a_file_that_is_not_utf8_is_bad_input(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"gens a\n\xff\xfe")
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text at byte offset 7\n"
 
 
 # --- convert ----------------------------------------------------------------------

@@ -1,22 +1,30 @@
 """Scanning, collapsing, caps, and determinism of the enumerator."""
 
+import dataclasses
+import gc
 import hashlib
+import random
+import weakref
 from functools import lru_cache
 
 import pytest
 
+from nquandles import enumerator
 from nquandles.catalog import iter_checks
 from nquandles.enumerator import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VERTICES,
     EnumerationInternalError,
     EnumerationLimits,
+    Relators,
     TraceGraph,
     _CapExceeded,
     _codes,
     _seal,
+    compile_relators,
     enumerate_quandle,
     run_schedule,
+    spell_witnesses,
 )
 from nquandles.presentations import (
     PresentationError,
@@ -24,6 +32,7 @@ from nquandles.presentations import (
     builtin_family,
     parse_presentation,
     parse_word,
+    secondary_relations,
 )
 from nquandles.quandle import export_dot, export_json
 from nquandles.words import Expression, concat
@@ -38,6 +47,21 @@ def family(name, ns=None, k=None):
 def mk(k):
     """Mk under the default limits, run once per k for this module."""
     return enumerate_quandle(family("Mk", k=k), EnumerationLimits())
+
+
+def relators(g):
+    """The relators of g's presentation, compiled for its step cap."""
+    return compile_relators(g.presentation, g.limits.max_steps)
+
+
+def witnesses(g, labels):
+    """The witnesses of ``labels`` spelled along g's definitions."""
+    return spell_witnesses(g.ngens, g.def_parent, g.def_code, labels)
+
+
+def trace(g, start, word, end):
+    """Scan ``word`` from start's class to end's (step 3)."""
+    g.scan(g.find(start), _codes(word), g.find(end))
 
 
 def follow(g, v, word):
@@ -209,8 +233,45 @@ def test_cap_inside_a_gap(limits, counters):
     p = family("T24", (3, 3))
     g = TraceGraph(p, EnumerationLimits(**limits))
     with pytest.raises(_CapExceeded) as exc:
-        g.trace(0, parse_word("b a b a b", p.generator_names), end=0)
+        trace(g, 0, parse_word("b a b a b", p.generator_names), end=0)
     assert exc.value.stats == counters
+
+
+# A power relation past the step cap is never spelled: the run stops at
+# its first scan, on the sweep's first vertex, with the counters that
+# scanning it in full would give.  The trefoil's vertex 0 lies on its own
+# a-loop, so the scan goes round it; in T24, vertex 0 has no b-cycle, so
+# both scans end at a missing edge, before the step or the vertex cap.
+@pytest.mark.parametrize("p, limits", [
+    (family("trefoil", (6,)), {"max_steps": 5}),
+    (family("T24", (3, 60)), {"max_steps": 40}),
+    (family("T24", (3, 60)), {"max_steps": 50, "max_vertices": 12}),
+], ids=["cycle", "path-step-cap", "path-vertex-cap"])
+def test_a_power_past_the_step_cap_stops_where_its_scan_would(p, limits):
+    limits = EnumerationLimits(**limits)
+    out = enumerate_quandle(p, limits)
+    assert compile_relators(p, limits.max_steps).overrun is not None
+    # oracle: the same run with every power spelled out and scanned
+    spelled = Relators([(r.base, _codes(r.word), r.target) for r in p.relations],
+                       [_codes(u.word) for u in secondary_relations(p)], None)
+    g = TraceGraph(p, limits)
+    with pytest.raises(_CapExceeded) as exc:
+        for base, codes, target in spelled.primary:
+            g.scan(g.find(base), codes, g.find(target))
+            g.collapse()
+        run_schedule(g, spelled)
+    assert (out.cap_kind, out.stats) == (exc.value.kind, exc.value.stats)
+
+
+def test_a_huge_power_is_never_spelled():
+    # 10^20 letters could not be allocated; the run stops on the first
+    # scan of a^(10^20), round vertex 0's a-loop
+    out = enumerate_quandle(family("trefoil", (10**20,)))
+    assert out.cap_kind == "steps"
+    assert out.stats == (4, 0, DEFAULT_MAX_STEPS + 1, 4)
+    relators = compile_relators(family("T24", (3, 10**20)), DEFAULT_MAX_STEPS)
+    assert relators.universal == [[0, 0, 0]]
+    assert relators.overrun == (2, 10**20)
 
 
 def test_default_limits():
@@ -229,7 +290,7 @@ def test_trace_and_collapse_by_hand():
     word = parse_word("b a b", p.generator_names)
     a, b = 0, 1
 
-    g.trace(a, word, end=a)
+    trace(g, a, word, end=a)
     # neither end has an edge to read, so the gap is all three letters:
     # fresh vertices a^b and a^ba, and the last letter joins a^ba to a
     assert g.created == 4
@@ -244,7 +305,7 @@ def test_trace_and_collapse_by_hand():
     # letter forwards and changes nothing
     assert follow(g, a, word) == a
     steps = g.steps
-    g.trace(a, word, end=a)
+    trace(g, a, word, end=a)
     assert (g.created, g.unions, len(g.pending)) == (4, 0, 0)
     assert g.steps == steps + 3
 
@@ -254,12 +315,12 @@ def test_one_letter_gap_is_a_deduced_edge():
     g = TraceGraph(p, EnumerationLimits())
     names = p.generator_names
     a, b = 0, 1
-    g.trace(a, parse_word("b a", names), end=b)  # makes v = a^b, v --a--> b
+    trace(g, a, parse_word("b a", names), end=b)  # makes v = a^b, v --a--> b
     v = 2
     assert g.created == 3
     # from v, b leads nowhere yet, and backwards from a neither does b^-1:
     # the gap is the one letter b, entered in both rows
-    g.trace(v, parse_word("b", names), end=a)
+    trace(g, v, parse_word("b", names), end=a)
     assert g.rows[2 * b][v] == a
     assert g.rows[2 * b + 1][a] == v
     assert g.created == 3
@@ -272,10 +333,10 @@ def test_scans_that_meet_schedule_one_identification():
     g = TraceGraph(p, EnumerationLimits())
     names = p.generator_names
     a, b = 0, 1
-    g.trace(a, parse_word("b a", names), end=b)  # makes v = a^b, v --a--> b
+    trace(g, a, parse_word("b a", names), end=b)  # makes v = a^b, v --a--> b
     v = 2
     # v^a is read to b, which is not the end a: b and a must be identified
-    g.trace(v, parse_word("a", names), end=a)
+    trace(g, v, parse_word("a", names), end=a)
     assert g.created == 3
     assert list(g.pending) == [(b, a)]
     g.collapse()
@@ -289,7 +350,7 @@ def test_collapse_moves_a_loop_onto_an_inverse_edge():
     p = family("T24", (3, 3))
     g = TraceGraph(p, EnumerationLimits())
     a, b = 0, 1
-    g.trace(a, parse_word("b' a", p.generator_names), end=b)  # a --b'--> v --a--> b
+    trace(g, a, parse_word("b' a", p.generator_names), end=b)  # a --b'--> v --a--> b
     v = 2
     assert g.rows[2 * b][a] == -1 and g.rows[2 * b + 1][a] == v
     # merging b into a brings b's loop b --b--> b to a, which has no
@@ -310,7 +371,7 @@ def test_idempotence_loops_preinstalled():
         assert g.rows[2 * v + 1][v] == v
         # a generator vertex is defined by no edge, only by its letter
         assert (g.def_parent[v], g.def_code[v]) == (-1, 2 * v)
-    assert g.witnesses([0, 1]) == [Expression(0, ()), Expression(1, ())]
+    assert witnesses(g, [0, 1]) == [Expression(0, ()), Expression(1, ())]
 
 
 def test_step_is_none_until_forced():
@@ -320,7 +381,7 @@ def test_step_is_none_until_forced():
     assert g.rows[2 * b][a] == -1
     assert follow(g, a, ((b, 1),)) is None
     # a^[b b] = a: a two-letter gap, so one new vertex v between
-    g.trace(a, ((b, 1), (b, 1)), end=a)
+    trace(g, a, ((b, 1), (b, 1)), end=a)
     v = 2
     assert g.created == 3
     assert g.rows[2 * b][a] == v
@@ -328,21 +389,21 @@ def test_step_is_none_until_forced():
     assert follow(g, a, ((b, 1),)) == v
     # the new vertex is defined by the edge a --b--> v, so named a^b
     assert (g.def_parent[v], g.def_code[v]) == (a, 2 * b)
-    assert g.witnesses([v]) == [Expression(a, ((b, 1),))]
+    assert witnesses(g, [v]) == [Expression(a, ((b, 1),))]
     # an inverse letter is defined by the odd code and spelled back as one
-    g.trace(b, ((a, -1), (a, -1)), end=b)
+    trace(g, b, ((a, -1), (a, -1)), end=b)
     u = 3
     assert (g.def_parent[u], g.def_code[u]) == (b, 2 * a + 1)
-    assert g.witnesses([u]) == [Expression(b, ((a, -1),))]
+    assert witnesses(g, [u]) == [Expression(b, ((a, -1),))]
 
 
 def test_live_accounting_after_schedule():
     p = family("T26", (2, 3))
     g = TraceGraph(p, EnumerationLimits())
     for rel in p.relations:
-        g.trace(rel.base, rel.word, end=rel.target)
+        trace(g, rel.base, rel.word, end=rel.target)
     g.collapse()
-    run_schedule(g, p)
+    run_schedule(g, relators(g))
     live = [v for v in range(g.created) if g.parent[v] == v]
     assert g.live_count == len(live) == 10
     assert all(g.find(v) == v for v in live)
@@ -352,7 +413,7 @@ def test_live_accounting_after_schedule():
     assert len(g.def_parent) == len(g.def_code) == g.created
     assert all(0 <= c < 2 * len(p.generator_names) for c in g.def_code)
     assert all(g.def_parent[v] < v for v in range(len(p.generator_names), g.created))
-    for v, w in zip(live, g.witnesses(live)):
+    for v, w in zip(live, witnesses(g, live)):
         assert follow(g, w.base, w.word) == v
 
 
@@ -363,9 +424,9 @@ def closed(p):
     and its live labels in label order."""
     g = TraceGraph(p, EnumerationLimits())
     for rel in p.relations:
-        g.trace(rel.base, rel.word, end=rel.target)
+        trace(g, rel.base, rel.word, end=rel.target)
         g.collapse()
-    run_schedule(g, p)
+    run_schedule(g, relators(g))
     return g, [v for v in range(g.created) if g.find(v) == v]
 
 
@@ -401,18 +462,18 @@ def sealed_graphs():
 def test_witnesses_equal_the_concat_spelling(sealed_graphs):
     assert len(sealed_graphs) == 94
     for p, g, live in sealed_graphs:
-        assert _seal(g, p).witnesses == tuple(concat_witnesses(g, live))
+        assert _seal(g, relators(g)).witnesses == tuple(concat_witnesses(g, live))
 
 
 def test_witness_words_are_freely_reduced(sealed_graphs):
     for p, g, live in sealed_graphs:
-        for w in g.witnesses(live):
+        for w in witnesses(g, live):
             assert all(x != (gen, -sign) for x, (gen, sign) in zip(w.word, w.word[1:])), w
 
 
 def test_witnesses_share_one_letter_object_per_letter(sealed_graphs):
     for p, g, live in sealed_graphs:
-        q = _seal(g, p)
+        q = _seal(g, relators(g))
         letters = {id(x) for w in q.witnesses for x in w.word}
         assert len(letters) <= 2 * len(p.generator_names)
 
@@ -426,8 +487,61 @@ def test_a_letter_that_undoes_its_parents_last_letter_cancels():
     g.def_parent.extend([0, base, base + 1])
     g.def_code.extend([2, 3, 0])
     labels = [base, base + 1, base + 2]
-    assert g.witnesses(labels) == concat_witnesses(g, labels) == [
+    assert witnesses(g, labels) == concat_witnesses(g, labels) == [
         Expression(0, ((1, 1),)), Expression(0, ()), Expression(0, ((0, 1),))]
+
+
+def test_a_sealed_quandle_spells_no_witness_until_one_is_read(monkeypatch):
+    calls = []
+
+    def spell(*args):
+        calls.append(args[-1])
+        return spell_witnesses(*args)
+
+    monkeypatch.setattr(enumerator, "spell_witnesses", spell)
+    q = enumerate_quandle(family("Mk", k=6)).quandle
+    assert len(q.witnesses) == q.size == 206
+    assert calls == []
+    assert q.element_name(0) == "a"
+    assert len(calls) == 1 and len(calls[0]) == 206
+    export_dot(q)
+    export_json(q)
+    assert len(calls) == 1
+
+
+def test_the_trace_graph_is_freed_when_the_run_returns(monkeypatch):
+    refs = []
+
+    class Watched(TraceGraph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(enumerator, "TraceGraph", Watched)
+    gc.disable()
+    try:
+        q = enumerate_quandle(family("Mk", k=6)).quandle
+        assert len(refs) == 1
+        # freed by reference counting alone: nothing the quandle keeps,
+        # its witnesses included, reaches the graph
+        assert refs[0]() is None
+        assert q.element_name(5) == "a^ca"
+    finally:
+        gc.enable()
+
+
+def test_witnesses_compare_hash_and_print_as_their_tuple():
+    p = family("Mk", k=6)
+    lazy, other = enumerate_quandle(p).quandle, enumerate_quandle(p).quandle
+    eager = dataclasses.replace(other, witnesses=tuple(other.witnesses))
+    assert type(lazy.witnesses) is not tuple and type(eager.witnesses) is tuple
+    assert repr(lazy) == repr(eager)
+    assert "witnesses=(Expression(base=0, word=())," in repr(lazy)
+    assert lazy == eager and eager == lazy and lazy == other
+    assert hash(lazy) == hash(eager) == hash(other)
+    assert lazy.witnesses == eager.witnesses and eager.witnesses == lazy.witnesses
+    assert lazy.witnesses != list(eager.witnesses)
+    assert lazy != dataclasses.replace(eager, witnesses=eager.witnesses[::-1])
 
 
 def test_outcome_reports_final_size():
@@ -457,7 +571,7 @@ def swap_edges(g, code, x, y):
 
 def test_seal_accepts_the_finished_graph():
     p, g, live = finished_t24()
-    q = _seal(g, p)
+    q = _seal(g, relators(g))
     assert q.size == 8
     assert q == enumerate_quandle(p).quandle
 
@@ -468,7 +582,7 @@ def test_seal_rejects_an_undefined_edge(code):
     g.rows[code][live[2]] = -1
     with pytest.raises(EnumerationInternalError,
                        match=f"generator {code >> 1} undefined at vertex {live[2]}"):
-        _seal(g, p)
+        _seal(g, relators(g))
 
 
 def test_seal_rejects_an_edge_to_a_merged_label():
@@ -477,28 +591,28 @@ def test_seal_rejects_an_edge_to_a_merged_label():
     g.rows[0][live[2]] = merged
     with pytest.raises(EnumerationInternalError,
                        match=f"generator 0 at vertex {live[2]} points at merged label {merged}"):
-        _seal(g, p)
+        _seal(g, relators(g))
 
 
 def test_seal_rejects_a_non_bijection():
     p, g, live = finished_t24()
     g.rows[0][live[1]] = g.rows[0][live[2]]  # two vertices, one image
     with pytest.raises(EnumerationInternalError, match="generator 0 is not a bijection"):
-        _seal(g, p)
+        _seal(g, relators(g))
 
 
 def test_seal_rejects_inverse_edges_that_disagree():
     p, g, live = finished_t24()
     g.rows[3][live[4]], g.rows[3][live[5]] = g.rows[3][live[5]], g.rows[3][live[4]]
     with pytest.raises(EnumerationInternalError, match="generator 1 is not a bijection"):
-        _seal(g, p)
+        _seal(g, relators(g))
 
 
 def test_seal_rejects_an_open_primary_relation():
     p, g, live = finished_t24()
     swap_edges(g, 0, live[0], live[1])
     with pytest.raises(EnumerationInternalError, match="primary relation"):
-        _seal(g, p)
+        _seal(g, relators(g))
 
 
 def test_seal_rejects_an_open_universal_relation():
@@ -507,4 +621,76 @@ def test_seal_rejects_an_open_universal_relation():
     p, g, live = finished_t24()
     swap_edges(g, 0, live[0], live[3])
     with pytest.raises(EnumerationInternalError, match="universal relation"):
-        _seal(g, p)
+        _seal(g, relators(g))
+
+
+def loop_audit(g, p):
+    """Reference for the sealing audit: the bijection, primary and
+    universal relation checks one element at a time in Python lists, as
+    they ran before the array audit; the first failure, or None."""
+    live = [v for v in range(g.created) if g.parent[v] == v]
+    index = {v: i for i, v in enumerate(live)}
+    tables = [[index[row[v]] for v in live] for row in g.rows]
+    for gen in range(g.ngens):
+        act, inv = tables[2 * gen], tables[2 * gen + 1]
+        if any(inv[y] != x for x, y in enumerate(act)):
+            return f"generator {gen} is not a bijection"
+    element = [index[g.find(j)] for j in range(g.ngens)]
+    for rel in p.relations:
+        x = element[rel.base]
+        for c in _codes(rel.word):
+            x = tables[c][x]
+        if x != element[rel.target]:
+            return "primary relation does not close"
+    identity = list(range(len(live)))
+    for u in secondary_relations(p):
+        perm = identity
+        for c in _codes(u.word):
+            perm = [tables[c][x] for x in perm]
+        if perm != identity:
+            return "universal relation does not close"
+    return None
+
+
+def test_the_array_audit_agrees_with_the_loop_audit():
+    # every fourth default-sweep graph and Mk k=6, each tampered many
+    # ways: a letter's edges swapped between two elements (a bijection
+    # still, but relations may open) or one element's edge redirected
+    # onto another's far end (no longer a bijection)
+    rng = random.Random(9)
+    verdicts = {}
+    for p in [c.presentation for c in iter_checks()][::4] + [family("Mk", k=6)]:
+        g, live = closed(p)
+        rows = [list(row) for row in g.rows]
+        for _ in range(12):
+            g.rows = [list(row) for row in rows]
+            code = rng.randrange(len(rows))
+            x, y = rng.choice(live), rng.choice(live)
+            if rng.random() < 0.8:
+                swap_edges(g, code, x, y)
+            else:
+                g.rows[code][x] = g.rows[code][y]
+            want = loop_audit(g, p)
+            try:
+                _seal(g, relators(g))
+                got = None
+            except EnumerationInternalError as exc:
+                got = str(exc)
+            assert (got or "").startswith(want or ""), (p, code, x, y, got, want)
+            assert (got is None) == (want is None)
+            verdicts[want] = verdicts.get(want, 0) + 1
+    # each kind of verdict was reached
+    assert None in verdicts and "primary relation does not close" in verdicts
+    assert "universal relation does not close" in verdicts
+    assert any(v and "bijection" in v for v in verdicts)
+
+
+def test_seal_rejects_an_open_universal_relation_on_mk30():
+    # a's edges swapped between two elements far from the generators,
+    # off every primary relation's path, on 1070 elements
+    p = family("Mk", k=30)
+    g, live = closed(p)
+    assert len(live) == 1070
+    swap_edges(g, 0, live[500], live[900])
+    with pytest.raises(EnumerationInternalError, match="universal relation"):
+        _seal(g, relators(g))
