@@ -3,7 +3,8 @@
 The data file ``data/cardinalities.txt`` keeps one row per link family
 and N shape: either a list of exact values keyed by N tuple, or a
 closed form in the parameters k, n, p, q.  Rows marked in-scope name
-the builtin family that realizes them, so the whole catalog can be
+the ``builtin_family`` that realizes them, with its k after a colon
+when the row fixes it ("T2k:3"), so the whole catalog can be
 re-enumerated and compared against its own expected values (see
 ``iter_checks`` and the verify-catalog CLI command).
 """
@@ -121,7 +122,7 @@ def catalog() -> list[CatalogEntry]:
     return _CATALOG
 
 
-def _row(row_id: str) -> CatalogEntry:
+def find_row(row_id: str) -> CatalogEntry:
     for entry in catalog():
         if entry.row_id == row_id:
             return entry
@@ -161,7 +162,12 @@ def expected_cardinality(row_id: str, n_values: Sequence[int],
         if "k" not in params:
             raise CatalogError(f"{row_id} needs k")
         row_id = f"{row_id}-{'odd' if params['k'] % 2 else 'even'}"
-    entry = _row(row_id)
+    return _value(find_row(row_id), ns, params)
+
+
+def _value(entry: CatalogEntry, ns: tuple[int, ...], params: Mapping[str, int]) -> int:
+    """The row's value at N tuple ``ns``: its exact entry, or its
+    closed form under ``params`` and the parameters ``ns`` binds."""
     exact = entry.exact_values
     if exact is not None:
         if ns not in exact:
@@ -181,41 +187,32 @@ class CatalogCheck:
     expected: int
 
 
-def _family_presentation(family: str, k: int | None = None) -> Presentation:
-    """Resolve a catalog family column like "T24" or "T2k:3"."""
-    name, _, arg = family.partition(":")
-    if arg:
-        k = int(arg)
-    if name in ("T2k", "Lk", "Mk"):
-        return builtin_family(name, k=k)
-    return builtin_family(name)
-
-
 def iter_checks(k_values: Sequence[int] = tuple(range(-6, 7)),
                 n_values: Sequence[int] = (2, 3, 4, 5)) -> Iterator[CatalogCheck]:
-    """Executable checks for every in-scope row.
-
-    Closed-form rows sweep k over ``k_values`` (filtered to the parity
-    of an -odd or -even row, which also excludes zero) and the n of
-    their N shape over ``n_values``, and expect the row's own formula;
-    exact rows yield one check per recorded N tuple.
+    """Executable checks for every in-scope row: its ``builtin_family``
+    enumerated at each N, expecting the row's own value.  Exact rows
+    yield one check per recorded N tuple; closed-form rows sweep k over
+    ``k_values`` (filtered to the parity of an -odd or -even row, which
+    also excludes zero) and the n of their N shape over ``n_values``.
     """
     for entry in catalog():
         if not entry.in_repo_scope:
             continue
         exact = entry.exact_values
         if exact is not None:
-            for ns, expected in sorted(exact.items()):
-                p = augment_n(_family_presentation(entry.family), ns)
-                yield CatalogCheck(entry.row_id, f"N={ns}", p, expected)
+            name, _, k = entry.family.partition(":")
+            p = builtin_family(name, k=int(k) if k else None)
+            for ns in sorted(exact):
+                yield CatalogCheck(entry.row_id, f"N={ns}", augment_n(p, ns),
+                                   _value(entry, ns, {}))
             continue
         parity = entry.row_id.rpartition("-")[2]
         (shape,) = _shapes(entry.n_shape)
         for k in k_values:
             if parity in ("odd", "even") and (k == 0 or k % 2 != (parity == "odd")):
                 continue
-            p = _family_presentation(entry.family, k)
+            p = builtin_family(entry.family, k=k)
             for n in (n_values if "n" in shape else (None,)):
                 ns = tuple(n if s == "n" else s for s in shape)
-                expected = _eval_formula(entry.expected, {"k": k, **_bind_shape(entry, ns)})
-                yield CatalogCheck(entry.row_id, f"k={k} N={ns}", augment_n(p, ns), expected)
+                yield CatalogCheck(entry.row_id, f"k={k} N={ns}", augment_n(p, ns),
+                                   _value(entry, ns, {"k": k}))

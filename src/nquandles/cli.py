@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .catalog import CatalogCheck, CatalogError, catalog, iter_checks
+from .catalog import CatalogCheck, CatalogError, find_row, iter_checks
 from .enumerator import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VERTICES,
@@ -79,6 +79,18 @@ def _int_range(text: str) -> range:
     if last < first - 1:
         raise argparse.ArgumentTypeError(f"reversed range {text!r}: {first} > {last}")
     return range(first, last + 1)
+
+
+def _cap(text: str) -> int:
+    """A step or vertex cap: an integer from 0 to sys.maxsize, so that
+    every count it bounds stays a machine-sized integer."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad cap {text!r}, expected an integer")
+    if not 0 <= cap <= sys.maxsize:
+        raise argparse.ArgumentTypeError(f"cap {cap} is outside 0:{sys.maxsize}")
+    return cap
 
 
 _RANGE_OPTIONS = ("--k-range", "--n-range")
@@ -158,7 +170,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     q = outcome.quandle
     part = orbits(q)
-    shown = ", ".join(str(s) for s in sorted(part.sizes(), reverse=True))
+    sizes = part.sizes()
+    shown = ", ".join(str(s) for s in sorted(sizes, reverse=True))
     print(f"elements: {q.size}")
     print(f"N: {','.join(str(n) for n in q.n_values)}")
     print(f"orbits: {part.orbit_count} (sizes: {shown})")
@@ -166,7 +179,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         gens = [name for j, name in enumerate(q.generator_names)
                 if part.orbit_of[q.generator_element[j]] == oid]
         names = " ".join(gens) if gens else "-"
-        print(f"  orbit {oid}: size {len(part.members(oid))}, generators {names}")
+        print(f"  orbit {oid}: size {sizes[oid]}, generators {names}")
 
     if args.verify != "none":
         report = verify_axioms(q) if args.verify == "axioms" else verify_all(q)
@@ -196,13 +209,11 @@ def _run_check(check: CatalogCheck) -> tuple[bool, str]:
 
 def cmd_verify_catalog(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    known = {entry.row_id for entry in catalog()}
     wanted = None
     if args.rows is not None:
         wanted = [r.strip() for r in args.rows.split(",") if r.strip()]
         for row_id in wanted:
-            if row_id not in known:
-                raise CatalogError(f"no catalog row {row_id!r}")
+            find_row(row_id)
     for k in (args.k_range.start, args.k_range.stop - 1):
         _check_k(k, DEFAULT_MAX_STEPS)
     checks = [c for c in iter_checks(k_values=args.k_range, n_values=args.n_range)
@@ -264,8 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="parameter for T2k, Lk, Mk")
     enum.add_argument("--N", type=_n_tuple, default=None, metavar="N1,N2,...",
                       help="orders, one per link component")
-    enum.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    enum.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    enum.add_argument("--max-vertices", type=_cap, default=DEFAULT_MAX_VERTICES)
+    enum.add_argument("--max-steps", type=_cap, default=DEFAULT_MAX_STEPS)
     enum.add_argument("--verify", choices=("none", "axioms", "full"),
                       default="axioms",
                       help="post-enumeration checks (default: axioms)")

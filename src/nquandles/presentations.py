@@ -132,12 +132,6 @@ class Presentation:
             raise PresentationError("presentation has no n-values")
         return self.n_values[self.component_of[gen] - 1]
 
-    def generator_index(self, name: str) -> int:
-        try:
-            return self.generator_names.index(name)
-        except ValueError:
-            raise PresentationError(f"unknown generator {name!r}") from None
-
 
 def augment_n(p: Presentation, n_values: Sequence[int]) -> Presentation:
     """Attach (or replace) the N tuple; length must match components."""

@@ -459,33 +459,25 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
         for g in gens
     }
 
-    # Order generators greedily so relations become checkable early.
+    # Order generators greedily, each next one making the most pending
+    # relations checkable (ties: fewest candidates, then lowest index),
+    # and check each relation at the depth that assigns the last
+    # generator it names.
+    pending = [(r, {r.base, r.target} | {gen for gen, _ in r.word})
+               for r in q1.relations]
     order: list[int] = []
-    remaining = set(gens)
-    rels = list(q1.relations)
-    while remaining:
+    checks_at: list[list[PrimaryRelation]] = []
+    assigned: set[int] = set()
+    while len(order) < len(gens):
         def coverage(g: int) -> tuple[int, int]:
-            assigned = set(order) | {g}
-            covered = sum(
-                1
-                for r in rels
-                if {r.base, r.target} | {gen for gen, _ in r.word} <= assigned
-            )
-            return (covered, -len(candidates[g]))
-        best = max(sorted(remaining), key=coverage)
+            with_g = assigned | {g}
+            return (sum(support <= with_g for _, support in pending),
+                    -len(candidates[g]))
+        best = max((g for g in gens if g not in assigned), key=coverage)
         order.append(best)
-        remaining.discard(best)
-
-    checks_at: list[list[PrimaryRelation]] = [[] for _ in order]
-    seen: set[int] = set()
-    scheduled: set[int] = set()
-    for depth, g in enumerate(order):
-        seen.add(g)
-        for i, r in enumerate(rels):
-            support = {r.base, r.target} | {gen for gen, _ in r.word}
-            if i not in scheduled and support <= seen:
-                checks_at[depth].append(r)
-                scheduled.add(i)
+        assigned.add(best)
+        checks_at.append([r for r, support in pending if support <= assigned])
+        pending = [(r, support) for r, support in pending if not support <= assigned]
 
     images: list[int | None] = [None] * len(gens)
     orbit_map: dict[int, int] = {}

@@ -124,6 +124,8 @@ def test_iter_checks_expected_values_hold():
     ("Lk-odd", "n*abs(k)+3", ["--k-range", "1:1", "--n-range", "2:2"],
      "FAIL Lk-odd k=1 N=(2, 2): want 5 got 4"),
     ("T2k-even", "abs(k)+1", ["--k-range", "2:2"], "FAIL T2k-even k=2 N=(2, 2): want 3 got 2"),
+    # an N past the default step cap stops at its power's first scan
+    ("T23", "(1000000000)=4", [], "FAIL T23 N=(1000000000,): want 4 got exceeded steps cap"),
 ])
 def test_verify_catalog_checks_the_file_formulas(monkeypatch, capsys, row_id, tampered,
                                                  argv, line):
@@ -134,3 +136,18 @@ def test_verify_catalog_checks_the_file_formulas(monkeypatch, capsys, row_id, ta
     out = capsys.readouterr().out
     assert code == 3
     assert out.splitlines()[0] == line
+
+
+@pytest.mark.parametrize("tampered, message", [
+    ("18*abs(2*m-1)+8", "formula parameter 'm' not supplied"),
+    ("18*abs(2*k-1)//2", "unsupported formula syntax in '18*abs(2*k-1)//2'"),
+])
+def test_a_formula_the_evaluator_cannot_read_is_refused(monkeypatch, capsys, tampered,
+                                                        message):
+    rows = [replace(e, expected=tampered) if e.row_id == "Mk" else e for e in catalog()]
+    monkeypatch.setattr(catalog_module, "_CATALOG", rows)
+    with pytest.raises(CatalogError) as err:
+        expected_cardinality("Mk", (2, 3), k=1)
+    assert err.value.args == (message,)
+    assert main(["verify-catalog", "--rows", "Mk", "--k-range", "1:1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

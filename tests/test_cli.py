@@ -1,5 +1,6 @@
 """End-to-end checks of the command line surface."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -141,6 +142,31 @@ def test_enumerate_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "trefoil", "--N", "99999999999999999999",
+      "--max-steps", "999999999999999999999"],
+     f"argument --max-steps: cap 999999999999999999999 is outside 0:{sys.maxsize}"),
+    (["--family", "Mk", "--k", "99999999999999999999",
+      "--max-steps", "999999999999999999999"],
+     f"argument --max-steps: cap 999999999999999999999 is outside 0:{sys.maxsize}"),
+    (["--family", "trefoil", "--N", "3", "--max-steps", "-5"],
+     f"argument --max-steps: cap -5 is outside 0:{sys.maxsize}"),
+    (["--family", "trefoil", "--N", "3", "--max-vertices", "-1"],
+     f"argument --max-vertices: cap -1 is outside 0:{sys.maxsize}"),
+    (["--family", "trefoil", "--N", "3", "--max-vertices", "1e6"],
+     "argument --max-vertices: bad cap '1e6', expected an integer"),
+])
+def test_a_cap_outside_the_machine_range_is_a_usage_error(capsys, argv, message):
+    # refused before any word is built: a cap past sys.maxsize would let
+    # an oversized N or k through to be spelled
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", *argv])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"nquandles enumerate: error: {message}"
+
+
 def test_enumerate_source_required():
     with pytest.raises(SystemExit) as err:
         main(["enumerate"])
@@ -161,7 +187,35 @@ def test_stdout_determinism(capsys):
     assert first == second
 
 
+def test_enumerate_lists_the_failures_of_full_verification(tmp_path, capsys):
+    # a^b = b makes a = b, so both components' generators share one
+    # element: one orbit holding two n, and one orbit for two components
+    pres = tmp_path / "merged.txt"
+    pres.write_text("gens a b; comp a:1 b:2; N 2 3\nrel a^[b]=b\n")
+    code, out, err = run(capsys, "enumerate", "--file", str(pres), "--verify", "full",
+                         "--json", str(tmp_path / "never.json"))
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-3:] == [
+        "verify full: FAILED",
+        "  orbit 0 holds generators with different n (2, 3)",
+        "  orbit count 1 != link component count 2",
+    ]
+    assert not (tmp_path / "never.json").exists()
+
+
 # --- verify-catalog --------------------------------------------------------------
+
+# sha256 of the default sweep's stdout: any change to a check's label,
+# order, value or result shows here.
+DEFAULT_SWEEP_DIGEST = "349163377a7c823d70b83484d96856663c0152a1ab955b896f55397a9af5d82e"
+
+
+def test_verify_catalog_default_sweep_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify-catalog")
+    assert code == 0
+    assert out.splitlines()[-1] == "checks: 92 total, 92 ok, 0 failed"
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_SWEEP_DIGEST
+
 
 def test_verify_catalog_rows(capsys):
     code, out, _ = run(capsys, "verify-catalog", "--rows", "T24")

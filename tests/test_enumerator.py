@@ -346,6 +346,20 @@ def test_scans_that_meet_schedule_one_identification():
     assert g.live_count == 1
 
 
+def test_step_cap_inside_collapse():
+    # the two scans take three steps and schedule (b, a); the cap lets
+    # collapse drain that pair, but not the pair (v, a) it schedules
+    p = family("T24", (3, 3))
+    g = TraceGraph(p, EnumerationLimits(max_steps=4))
+    names = p.generator_names
+    trace(g, 0, parse_word("b a", names), end=1)
+    trace(g, 2, parse_word("a", names), end=0)
+    assert (g.steps, list(g.pending)) == (3, [(1, 0)])
+    with pytest.raises(_CapExceeded) as exc:
+        g.collapse()
+    assert (exc.value.kind, exc.value.stats) == ("steps", (3, 1, 5, 2))
+
+
 def test_collapse_moves_a_loop_onto_an_inverse_edge():
     p = family("T24", (3, 3))
     g = TraceGraph(p, EnumerationLimits())

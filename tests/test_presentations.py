@@ -5,6 +5,7 @@ import re
 import pytest
 
 from nquandles.presentations import (
+    Crossing,
     Diagram,
     DiagramError,
     ParseError,
@@ -122,6 +123,12 @@ def test_parse_error_zero_component_names_its_token():
     ("gens a b\n\n  N 2 3\n", "expected 1 n-values, got 2", (3, 3)),
     ("gens a b; N 2; N 3\n", "duplicate N statement", (1, 16)),
     ("gens a b;  rel a^[b q]=a\n", "unknown generator 'q' in word", (1, 12)),
+    ("gens a\n  gens\n", "gens needs at least one name", (2, 3)),
+    ("gens a 1b\n", "bad generator name '1b'", (1, 1)),
+    ("gens a b\ncomp a:1  b\n", "expected name:index, got 'b'", (2, 11)),
+    ("gens a; N two\n", "N needs positive integers", (1, 9)),
+    ("gens a b\nN 2\nrel a^[b]=a\n rel c^[a]=b\n",
+     "rel references unknown generator 'c'", (4, 2)),
 ])
 def test_parse_error_points_at_the_faulty_statement(text, message, position):
     with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -172,9 +179,6 @@ def test_n_of_generator():
     p = builtin_family("T24C")  # components (1, 2, 3), N = (2, 3, 2)
     assert [p.n_of_generator(g) for g in range(3)] == [2, 3, 2]
     assert p.component_count == 3
-    assert p.generator_index("c") == 2
-    with pytest.raises(PresentationError):
-        p.generator_index("q")
 
 
 # --- secondary relations ----------------------------------------------------
@@ -379,6 +383,22 @@ def test_wirtinger_rejects_duplicate_under_out():
     )
     with pytest.raises(DiagramError):
         wirtinger(bad)
+
+
+def test_wirtinger_refuses_a_hand_built_diagram_parse_diagram_would_reject():
+    # parse_diagram checks every arc, so only a Diagram built in code
+    # reaches these refusals
+    unknown = Diagram(crossings=(Crossing("z", "x0", "x1", 1),),
+                      arc_component={"x0": 1, "x1": 1})
+    with pytest.raises(DiagramError) as err:
+        wirtinger(unknown)
+    assert err.value.args == ("crossing 0: arc 'z' not in arc_components",)
+    split = Diagram(crossings=(Crossing("x0", "x0", "x1", 1),),
+                    arc_component={"x0": 1, "x1": 2})
+    with pytest.raises(DiagramError) as err:
+        wirtinger(split)
+    assert err.value.args == (
+        "crossing 0: under-arcs 'x0' and 'x1' lie on different components",)
 
 
 # --- builtin families ---------------------------------------------------------

@@ -228,6 +228,16 @@ def test_verify_axioms_catches_inverse_break():
     assert not report
 
 
+def test_verify_axioms_catches_generators_that_share_an_element_but_not_an_action():
+    # a and b both sit at element 0; column 0 is built from a's action
+    # (the identity), so b's swap is not the column of its element
+    q = tiny([(0, 1), (1, 0)], [0, 0], [1, 1], [2])
+    assert verify_axioms(q).failures == [
+        "generator column: x > 0 differs from the action of b",
+        "witness: a names element 0, not 1",
+    ]
+
+
 @pytest.fixture(scope="module")
 def catalog_quandles():
     """The quandles of the default verify-catalog sweep, in its order."""
