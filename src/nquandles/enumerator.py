@@ -155,11 +155,15 @@ def spell_witnesses(ngens: int, def_parent: Sequence[int], def_code: Sequence[in
                     labels: Sequence[int]) -> list[Expression]:
     """The witness a^w of each label, spelled along its definitions.
 
-    A label's word is its parent's word extended by its defining
-    letter, one letter per label: the parent's word is freely reduced,
-    so the letter either cancels the parent's last letter or is
-    appended.  Words of shared ancestors are built once, and every word
-    holds the same 2*ngens letter objects, one per code.
+    A label's word is its parent's word with its defining letter
+    appended, one letter per label, and stays freely reduced: no
+    definition undoes its parent's.  ``scan`` defines the first vertex
+    of a gap along a letter its forward end has no edge for, while a
+    live vertex keeps the edge back along the inverse of its own
+    defining letter; each later vertex of the gap follows the next
+    letter of a freely reduced relator.  Words of shared ancestors are
+    built once, and every word holds the same 2*ngens letter objects,
+    one per code.
     """
     letters = [(c >> 1, -1 if c & 1 else 1) for c in range(2 * ngens)]
     memo = {j: Expression(j, ()) for j in range(ngens)}
@@ -172,11 +176,7 @@ def spell_witnesses(ngens: int, def_parent: Sequence[int], def_code: Sequence[in
         expr = memo[v]
         base, word = expr.base, expr.word
         for u in reversed(chain):
-            code = def_code[u]
-            if word and word[-1] is letters[code ^ 1]:
-                word = word[:-1]
-            else:
-                word = word + (letters[code],)
+            word = word + (letters[def_code[u]],)
             expr = memo[u] = Expression(base, word)
         out.append(expr)
     return out

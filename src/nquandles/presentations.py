@@ -123,10 +123,6 @@ class Presentation:
                 if not (0 <= gen < g) or sign not in (1, -1):
                     raise PresentationError("bad letter in relation word")
 
-    @property
-    def component_count(self) -> int:
-        return max(self.component_of)
-
     def n_of_generator(self, gen: int) -> int:
         if self.n_values is None:
             raise PresentationError("presentation has no n-values")
@@ -320,10 +316,13 @@ def parse_diagram(text: str) -> Diagram:
     """Read the JSON-lines diagram format.
 
     One JSON object per non-blank line.  Exactly one line carries
-    {"arc_components": {...}}; every other line is a crossing with keys
-    over, under_in, under_out, sign (sign is "+", "-", 1, or -1).
+    {"arc_components": {...}}, whose components are JSON integers
+    numbered 1..m with no gap; every other line is a crossing with
+    string arc names over, under_in, under_out and a sign ("+", "-", 1
+    or -1).  Each refusal names the line at fault.
     """
     crossings: list[Crossing] = []
+    crossing_lines: list[int] = []
     arc_component: dict[str, int] | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -339,33 +338,42 @@ def parse_diagram(text: str) -> Diagram:
             if arc_component is not None:
                 raise DiagramError(f"line {line_no}: duplicate arc_components")
             raw = obj["arc_components"]
-            if not isinstance(raw, dict):
-                raise DiagramError(f"line {line_no}: arc_components must be a map")
-            arc_component = {}
+            if not isinstance(raw, dict) or not raw:
+                raise DiagramError(f"line {line_no}: arc_components must be a non-empty map")
             for arc, comp in raw.items():
-                try:
-                    arc_component[str(arc)] = int(comp)
-                except (TypeError, ValueError, OverflowError):
+                # a bool is an int to Python, but not a component
+                if type(comp) is not int or comp < 1:
                     raise DiagramError(
                         f"line {line_no}: component of arc {arc!r} must be an "
-                        f"integer, not {comp!r}") from None
+                        f"integer >= 1, not {comp!r}")
+            comps = set(raw.values())
+            missing = sorted(set(range(1, max(comps) + 1)) - comps)
+            if missing:
+                raise DiagramError(f"line {line_no}: components {missing} have no arc")
+            arc_component = raw
             continue
         try:
             over, under_in, under_out, sign_raw = (
                 obj[key] for key in ("over", "under_in", "under_out", "sign"))
         except KeyError as exc:
             raise DiagramError(f"line {line_no}: missing field {exc}") from None
-        # a list or map is unhashable, so test the type before the lookup
-        sign = _SIGNS.get(sign_raw) if isinstance(sign_raw, (str, int)) else None
+        for key in ("over", "under_in", "under_out"):
+            if not isinstance(obj[key], str):
+                raise DiagramError(
+                    f"line {line_no}: {key} must be an arc name string, not {obj[key]!r}")
+        # a bool equals 0 or 1 and a list or map is unhashable, so test
+        # the exact type before the lookup
+        sign = _SIGNS.get(sign_raw) if type(sign_raw) in (str, int) else None
         if sign is None:
             raise DiagramError(f"line {line_no}: bad sign {sign_raw!r}")
-        crossings.append(Crossing(str(over), str(under_in), str(under_out), sign))
+        crossings.append(Crossing(over, under_in, under_out, sign))
+        crossing_lines.append(line_no)
     if arc_component is None:
         raise DiagramError("no arc_components line")
-    for c in crossings:
+    for line_no, c in zip(crossing_lines, crossings):
         for arc in (c.over, c.under_in, c.under_out):
             if arc not in arc_component:
-                raise DiagramError(f"crossing references unknown arc {arc!r}")
+                raise DiagramError(f"line {line_no}: crossing references unknown arc {arc!r}")
     return Diagram(tuple(crossings), arc_component)
 
 

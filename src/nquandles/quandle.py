@@ -17,10 +17,11 @@ with A[g] the action of g and A'[g] its inverse.  The table is one
 read-only array, int16 while the size is below 2^15 and int32 above,
 so a quandle of n elements holds 2n^2 bytes of it.  No inverse table
 is kept: x >' y inverts column y, in O(n), where it is needed.  The
-full operation, point symmetries and isomorphism testing read that
-table.  Axiom verification needs only the generators: once each R_a of
-a generator a is an automorphism of M, the rule above carries that to
-every column.  So do the power relations, since every column is
+full operation reads that table; isomorphism testing reads only the
+second quandle's.  Axiom verification needs only the generators: once
+each R_a of a generator a is an automorphism of M, the rule above
+carries that to every column.  So do the power relations and the
+cycle types that prune isomorphism searches, since every column is
 conjugate to a generator's action.
 """
 
@@ -391,17 +392,17 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
 def _invariants(q: FiniteQuandle) -> list[tuple[int, tuple[int, ...]]]:
     """(orbit size, cycle type of the point symmetry) per element.
 
-    Point symmetries in one orbit are conjugate, R_(y^g) = g' R_y g, so
-    one column per orbit gives the cycle type of all its members.
+    A generator element's point symmetry is its generator's action
+    (``verify_axioms`` checks each generator column), and point
+    symmetries in one orbit are conjugate, R_(y^g) = g' R_y g, so the
+    action of any generator in an orbit gives the cycle type of all its
+    members.  No table is read.
     """
     part = orbits(q)
     sizes = part.sizes()
-    table = q.table
-    first: dict[int, int] = {}
-    for x, o in enumerate(part.orbit_of):
-        first.setdefault(o, x)
-    types = {o: _cycle_type(table[:, x].tolist()) for o, x in first.items()}
-    return [(sizes[o], types[o]) for o in part.orbit_of]
+    types = {part.orbit_of[e]: _cycle_type(act)
+             for act, e in zip(q.action, q.generator_element)}
+    return [(sizes[o], types.get(o, ())) for o in part.orbit_of]
 
 
 # column(e, sign): x > e for every x when sign = 1, x >' e when -1
@@ -438,15 +439,12 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     """Backtracking search for an isomorphism q1 -> q2.
 
     Generator images determine the whole map, so the search branches
-    only over images of q1's generators, pruned by orbit size, point
-    symmetry cycle type, orbit-to-orbit consistency, and (when q1
-    carries its defining relations) by checking each relation as soon
-    as all its generators are assigned.
+    only over images of q1's generators, pruned by orbit size and point
+    symmetry cycle type (both read from generator actions) and, when q1
+    carries its defining relations, by checking each relation as soon as
+    all its generators are assigned.  Only q2's table is read.
     """
     if q1.size != q2.size:
-        return False
-    part1, part2 = orbits(q1), orbits(q2)
-    if sorted(part1.sizes()) != sorted(part2.sizes()):
         return False
     inv1 = _invariants(q1)
     inv2 = _invariants(q2)
@@ -480,7 +478,6 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
         pending = [(r, support) for r, support in pending if not support <= assigned]
 
     images: list[int | None] = [None] * len(gens)
-    orbit_map: dict[int, int] = {}
     table2 = q2.table
     inverse_columns: dict[int, np.ndarray] = {}
     tree = _generator_tree(q1)
@@ -497,24 +494,11 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
         if depth == len(order):
             return _extends(q1, column, images, tree)  # type: ignore[arg-type]
         g = order[depth]
-        o1 = part1.orbit_of[q1.generator_element[g]]
         for e in candidates[g]:
-            o2 = part2.orbit_of[e]
-            if o1 in orbit_map:
-                if orbit_map[o1] != o2:
-                    continue
-            elif o2 in orbit_map.values():
-                continue
             images[g] = e
-            added = o1 not in orbit_map
-            if added:
-                orbit_map[o1] = o2
             if all(_relation_holds(column, r, images) for r in checks_at[depth]):
                 if dfs(depth + 1):
                     return True
-            images[g] = None
-            if added:
-                del orbit_map[o1]
         return False
 
     # dfs reaches itself through its closure cell; breaking that cycle

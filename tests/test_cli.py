@@ -114,6 +114,19 @@ def test_enumerate_bad_value_position(tmp_path, capsys, text, where):
     ('{"arc_components": {"x0": "a"}}\n', "line 1"),
     ('{"arc_components": {"x0": 1}}\n'
      '{"over": "x0", "under_in": "x0", "under_out": "x0", "sign": [1]}\n', "line 2"),
+    ('{"arc_components": {"x0": 1}}\n'
+     '{"over": "x0", "under_in": "x0", "under_out": "x0", "sign": true}\n', "line 2"),
+    ('{"arc_components": {"x0": 1.7}}\n', "line 1"),
+    ('{"arc_components": {"x0": "2"}}\n', "line 1"),
+    ('{"arc_components": {"x0": -1}}\n', "line 1"),
+    ('{"arc_components": {"x0": 1, "x1": 3}}\n', "line 1"),
+    ('{"arc_components": {}}\n', "line 1"),
+    ('{"arc_components": {"x0": 1}}\n'
+     '{"over": 0, "under_in": "x0", "under_out": "x0", "sign": "+"}\n', "line 2"),
+    ('{"arc_components": {"x0": 1}}\n'
+     '{"over": ["x0"], "under_in": "x0", "under_out": "x0", "sign": "+"}\n', "line 2"),
+    ('{"over": "x9", "under_in": "x0", "under_out": "x0", "sign": "+"}\n'
+     '{"arc_components": {"x0": 1}}\n', "line 1"),
 ])
 def test_enumerate_bad_diagram_field(tmp_path, capsys, text, where):
     path = tmp_path / "d.jsonl"

@@ -492,19 +492,6 @@ def test_witnesses_share_one_letter_object_per_letter(sealed_graphs):
         assert len(letters) <= 2 * len(p.generator_names)
 
 
-def test_a_letter_that_undoes_its_parents_last_letter_cancels():
-    # a definition forest the sweep does not make: label 2 = a^b, then
-    # label 3 defined from it along b' must be spelled a, not a^(b b'),
-    # and label 4 from label 3 along a as a^a
-    g = TraceGraph(family("T24", (3, 3)), EnumerationLimits())
-    base = g._allocate(3)
-    g.def_parent.extend([0, base, base + 1])
-    g.def_code.extend([2, 3, 0])
-    labels = [base, base + 1, base + 2]
-    assert witnesses(g, labels) == concat_witnesses(g, labels) == [
-        Expression(0, ((1, 1),)), Expression(0, ()), Expression(0, ((0, 1),))]
-
-
 def test_a_sealed_quandle_spells_no_witness_until_one_is_read(monkeypatch):
     calls = []
 

@@ -178,7 +178,7 @@ def test_augment_n():
 def test_n_of_generator():
     p = builtin_family("T24C")  # components (1, 2, 3), N = (2, 3, 2)
     assert [p.n_of_generator(g) for g in range(3)] == [2, 3, 2]
-    assert p.component_count == 3
+    assert max(p.component_of) == 3
 
 
 # --- secondary relations ----------------------------------------------------
@@ -361,12 +361,31 @@ def test_parse_diagram_errors():
 
 
 def test_parse_diagram_rejects_bad_field_values():
-    # a non-integer component and an unhashable sign, each at its line
-    with pytest.raises(DiagramError, match=r"^line 1: component of arc 'x0'"):
-        parse_diagram('{"arc_components": {"x0": "a"}}\n')
-    with pytest.raises(DiagramError, match=r"^line 2: bad sign \[1\]"):
-        parse_diagram('{"arc_components": {"x0": 1}}\n'
-                      '{"over": "x0", "under_in": "x0", "under_out": "x0", "sign": [1]}\n')
+    # each refusal names its line: the arc_components line for a bad
+    # component or a numbering gap, the crossing's line otherwise
+    arcs = '{"arc_components": {"x0": 1}}\n'
+
+    def crossing(over='"x0"', sign='"+"'):
+        return (f'{{"over": {over}, "under_in": "x0", "under_out": "x0", '
+                f'"sign": {sign}}}\n')
+
+    cases = [
+        ('{"arc_components": {"x0": "a"}}\n', r"line 1: component of arc 'x0'"),
+        ('{"arc_components": {"x0": 1.7}}\n', r"line 1: component of arc 'x0' .* not 1\.7"),
+        ('{"arc_components": {"x0": "2"}}\n', r"line 1: component of arc 'x0' .* not '2'"),
+        ('{"arc_components": {"x0": true}}\n', r"line 1: component of arc 'x0' .* not True"),
+        ('{"arc_components": {"x0": -1}}\n', r"line 1: component of arc 'x0' .* not -1"),
+        ('{"arc_components": {"x0": 1, "x1": 3}}\n', r"line 1: components \[2\] have no arc"),
+        ('{"arc_components": {}}\n', r"line 1: arc_components must be a non-empty map"),
+        (arcs + crossing(sign="[1]"), r"line 2: bad sign \[1\]"),
+        (arcs + crossing(sign="true"), r"line 2: bad sign True"),
+        (arcs + crossing(over="0"), r"line 2: over must be an arc name string, not 0"),
+        (arcs + crossing(over='["x0"]'), r"line 2: over must be an arc name string"),
+        (crossing(over='"x9"') + arcs, r"line 1: crossing references unknown arc 'x9'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(DiagramError, match="^" + message):
+            parse_diagram(text)
 
 
 def test_wirtinger_rejects_duplicate_under_out():
@@ -430,9 +449,9 @@ def test_builtin_family_defaults():
 
 def test_lk_component_shapes():
     odd = builtin_family("Lk", k=3)
-    assert odd.component_count == 2
+    assert max(odd.component_of) == 2
     even = builtin_family("Lk", k=4)
-    assert even.component_count == 3
+    assert max(even.component_of) == 3
 
 
 def test_t2k_matches_torus_closures():

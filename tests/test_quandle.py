@@ -582,11 +582,18 @@ def test_is_isomorphic_rejects_size_mismatch():
 
 
 def test_is_isomorphic_rejects_same_size_different_structure():
-    # both have 26 elements; orbit sizes differ
-    a = enum("T33", (2, 3, 4))
-    b = enum("T24C")
-    assert a.size == b.size == 26
-    assert not is_isomorphic(a, b)
+    pairs = [
+        # 26 elements; orbit sizes differ
+        (enum("T33", (2, 3, 4)), enum("T24C")),
+        # 12 elements in one orbit each, told apart only by cycle type
+        (enum("trefoil", (5,)), enum("T34", (2,))),
+        # 10 elements, orbit sizes 2, 4 and 4 in both
+        (enum("Lk", (2, 2, 4), k=-2), enum("Lk", (2, 2, 2), k=4)),
+    ]
+    for a, b in pairs:
+        assert a.size == b.size
+        assert not is_isomorphic(a, b)
+        assert not is_isomorphic(b, a)
 
 
 def test_is_isomorphic_same_quandle_relabeled():
@@ -594,6 +601,17 @@ def test_is_isomorphic_same_quandle_relabeled():
     a = enum("T2k", (2, 2), k=4)
     b = enum("T2k", (2, 2), k=-4)
     assert is_isomorphic(a, b)
+    # the search reads the first quandle's generator actions only
+    assert "table" not in vars(a)
+    assert is_isomorphic(b, a)
+    # three orbits with equal invariants, elements shuffled
+    c = enum("T33", (2, 2, 2))
+    order = list(range(c.size))
+    random.Random(31).shuffle(order)
+    d = relabeled(c, order)
+    assert d.action != c.action
+    assert is_isomorphic(c, d)
+    assert is_isomorphic(d, c)
 
 
 # --- exports ---------------------------------------------------------------------
