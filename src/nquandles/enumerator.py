@@ -23,9 +23,9 @@ coset enumeration:
     0..n-1 and the letter rows become integer action tables, which must
     pass every postcondition (each generator a bijection with its
     inverse edges, every primary and universal relation closed) before
-    they are handed to a ``FiniteQuandle``; the bijection and universal
-    relation checks run as array ``take``s over one (2g, n) table, all
-    elements at once.
+    the forward tables go to a ``FiniteQuandle``; the bijection and
+    universal relation checks run as array ``take``s over one (2g, n)
+    table, all elements at once.
 
 The procedure halts exactly when the N-quandle is finite; vertex and
 step caps make the infinite case observable as an Exceeded outcome,
@@ -103,20 +103,22 @@ class EnumerationInternalError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationOutcome:
-    """Finite (quandle set) or Exceeded (cap_kind set).
-
-    vertices is the live count when finite, the total created when a
-    cap stopped the run; stats holds the counters in either case.
-    """
+    """Finite (quandle set) or Exceeded (cap_kind set); stats holds the
+    counters at the stop in either case."""
 
     quandle: FiniteQuandle | None
     cap_kind: str | None
-    vertices: int
     stats: EnumerationStats
 
     @property
     def finite(self) -> bool:
         return self.quandle is not None
+
+    @property
+    def vertices(self) -> int:
+        """The live count when finite, the total created when a cap
+        stopped the run."""
+        return self.stats.live if self.finite else self.stats.created
 
 
 def _codes(word: Word) -> list[int]:
@@ -477,9 +479,9 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     """Step 6: number the live labels in label order, read each letter
     row once into an action table over them, and check the
     postconditions on those tables: every edge defined, each generator's
-    inverse table undoing its action (so both are bijections and the
-    inverse edges agree), and every primary and universal relation
-    closing.
+    inverse edges undoing its action (so it is a bijection, and the
+    quandle derives its inverse), and every primary and universal
+    relation closing.
 
     After the last collapse the rows of representatives hold only
     representatives, so each entry is numbered directly; an entry that
@@ -531,7 +533,6 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
         size=len(live),
         generator_names=presentation.generator_names,
         action=tuple(tables[0::2]),
-        inverse_action=tuple(tables[1::2]),
         generator_element=generator_element,
         component_of_generator=presentation.component_of,
         n_values=presentation.n_values,
@@ -558,6 +559,5 @@ def enumerate_quandle(presentation: Presentation,
             graph.collapse()
         run_schedule(graph, relators)
     except _CapExceeded as exc:
-        return EnumerationOutcome(None, exc.kind, exc.stats.created, exc.stats)
-    quandle = _seal(graph, relators)
-    return EnumerationOutcome(quandle, None, quandle.size, graph.stats())
+        return EnumerationOutcome(None, exc.kind, exc.stats)
+    return EnumerationOutcome(_seal(graph, relators), None, graph.stats())

@@ -188,7 +188,8 @@ def parse_presentation(text: str) -> Presentation:
                     token_col = raw_line.index(token, end) + 1
                     end = token_col - 1 + len(token)
                     name, sep, num = token.partition(":")
-                    if not sep or not num.isdigit():
+                    # isdigit() alone also takes digits int() cannot read, such as '²'
+                    if not sep or not (num.isascii() and num.isdigit()):
                         raise ParseError(f"expected name:index, got {token!r}",
                                          line_no, token_col)
                     if int(num) < 1:
@@ -200,7 +201,7 @@ def parse_presentation(text: str) -> Presentation:
                 if n_values is not None:
                     raise ParseError("duplicate N statement", line_no, col)
                 tokens = rest.split()
-                if not tokens or not all(t.isdigit() for t in tokens):
+                if not tokens or not all(t.isascii() and t.isdigit() for t in tokens):
                     raise ParseError("N needs positive integers", line_no, col)
                 n_values = tuple([int(t) for t in tokens])
                 n_pos = (line_no, col)
@@ -312,14 +313,43 @@ class Diagram:
 _SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object from its pairs, refusing a key given twice."""
+    obj: dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DiagramError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _check_crossings(d: Diagram, where: Sequence[str]) -> None:
+    """Refuse the first crossing, named where[i], that has an arc not in
+    the component map, a repeated outgoing under-arc or under-arcs on
+    two components."""
+    seen_out: set[str] = set()
+    for at, c in zip(where, d.crossings):
+        for arc in (c.over, c.under_in, c.under_out):
+            if arc not in d.arc_component:
+                raise DiagramError(f"{at}: arc {arc!r} not in arc_components")
+        if c.under_out in seen_out:
+            raise DiagramError(
+                f"{at}: arc {c.under_out!r} is the outgoing under-arc of two crossings")
+        seen_out.add(c.under_out)
+        if d.arc_component[c.under_in] != d.arc_component[c.under_out]:
+            raise DiagramError(f"{at}: under-arcs {c.under_in!r} and {c.under_out!r} "
+                               "lie on different components")
+
+
 def parse_diagram(text: str) -> Diagram:
     """Read the JSON-lines diagram format.
 
-    One JSON object per non-blank line.  Exactly one line carries
-    {"arc_components": {...}}, whose components are JSON integers
-    numbered 1..m with no gap; every other line is a crossing with
-    string arc names over, under_in, under_out and a sign ("+", "-", 1
-    or -1).  Each refusal names the line at fault.
+    One JSON object per non-blank line, no key repeated.  Exactly one
+    line carries {"arc_components": {...}}, whose arcs are named like
+    generators and whose components are JSON integers numbered 1..m
+    with no gap; every other line is a crossing with string arc names
+    over, under_in, under_out and a sign ("+", "-", 1 or -1).  Each
+    refusal names the line at fault.
     """
     crossings: list[Crossing] = []
     crossing_lines: list[int] = []
@@ -329,9 +359,11 @@ def parse_diagram(text: str) -> Diagram:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise DiagramError(f"line {line_no}: bad JSON ({exc.msg})") from None
+        except DiagramError as exc:
+            raise DiagramError(f"line {line_no}: {exc}") from None
         if not isinstance(obj, dict):
             raise DiagramError(f"line {line_no}: expected a JSON object")
         if "arc_components" in obj:
@@ -341,6 +373,8 @@ def parse_diagram(text: str) -> Diagram:
             if not isinstance(raw, dict) or not raw:
                 raise DiagramError(f"line {line_no}: arc_components must be a non-empty map")
             for arc, comp in raw.items():
+                if not _NAME_RE.fullmatch(arc):
+                    raise DiagramError(f"line {line_no}: bad arc name {arc!r}")
                 # a bool is an int to Python, but not a component
                 if type(comp) is not int or comp < 1:
                     raise DiagramError(
@@ -370,11 +404,9 @@ def parse_diagram(text: str) -> Diagram:
         crossing_lines.append(line_no)
     if arc_component is None:
         raise DiagramError("no arc_components line")
-    for line_no, c in zip(crossing_lines, crossings):
-        for arc in (c.over, c.under_in, c.under_out):
-            if arc not in arc_component:
-                raise DiagramError(f"line {line_no}: crossing references unknown arc {arc!r}")
-    return Diagram(tuple(crossings), arc_component)
+    diagram = Diagram(tuple(crossings), arc_component)
+    _check_crossings(diagram, [f"line {line_no}" for line_no in crossing_lines])
+    return diagram
 
 
 def print_diagram(d: Diagram) -> str:
@@ -402,23 +434,9 @@ def wirtinger(d: Diagram) -> Presentation:
     the inverse letter, i = k^(j').  N is left unset; attach it with
     ``augment_n``.
     """
+    _check_crossings(d, [f"crossing {pos}" for pos in range(len(d.crossings))])
     arcs = list(d.arc_component.keys())
     index = {arc: i for i, arc in enumerate(arcs)}
-    seen_out: dict[str, int] = {}
-    for pos, c in enumerate(d.crossings):
-        for arc in (c.over, c.under_in, c.under_out):
-            if arc not in index:
-                raise DiagramError(f"crossing {pos}: arc {arc!r} not in arc_components")
-        if c.under_out in seen_out:
-            raise DiagramError(
-                f"arc {c.under_out!r} is the outgoing under-arc of two crossings"
-            )
-        seen_out[c.under_out] = pos
-        if d.arc_component[c.under_in] != d.arc_component[c.under_out]:
-            raise DiagramError(
-                f"crossing {pos}: under-arcs {c.under_in!r} and {c.under_out!r} "
-                "lie on different components"
-            )
     relations = tuple(
         PrimaryRelation(index[c.under_in], ((index[c.over], c.sign),), index[c.under_out])
         for c in d.crossings

@@ -1,17 +1,18 @@
 """Finite quandles as sealed action tables.
 
-A sealed quandle stores, for each generator, the permutation x -> x^g
-of the element set {0, ..., size-1} and its inverse.  Every element
-carries a witness expression a^w naming it; the witnesses are any
-read-only sequence, and an enumerated quandle's spells its words only
-when one is first read (exports and names read them, enumeration and
-the size checks do not).  The operation table
-M[x, y] = x > y is built once per quandle along generator edges: the
-column of a generator element is that generator's action, and every
-other column follows from a column already built by the conjugation
-rule R_(y^g) = g' R_y g of self-distributivity,
+A sealed quandle stores, for each generator g, the permutation x -> x^g
+of the element set {0, ..., size-1}, and derives its inverse on first
+read.  Every element carries a witness expression a^w naming it; the
+witnesses are any read-only sequence, and an enumerated quandle's
+spells its words only when one is first read (exports and names read
+them, enumeration and the size checks do not).  The operation table
+M[x, y] = x > y is built once per quandle along forward generator
+edges, which reach whole orbits since a permutation's inverse is one
+of its powers: the column of a generator element is that generator's
+action, and each other column y^g is the conjugate A[g] R_y A'[g] of
+a column y built before it, by self-distributivity,
 
-    M[:, y^g] = A[g][M[A'[g], y]],    M[:, y^g'] = A'[g][M[A[g], y]],
+    M[A[g], y^g] = A[g][M[:, y]],
 
 with A[g] the action of g and A'[g] its inverse.  The table is one
 read-only array, int16 while the size is below 2^15 and int32 above,
@@ -19,10 +20,10 @@ so a quandle of n elements holds 2n^2 bytes of it.  No inverse table
 is kept: x >' y inverts column y, in O(n), where it is needed.  The
 full operation reads that table; isomorphism testing reads only the
 second quandle's.  Axiom verification needs only the generators: once
-each R_a of a generator a is an automorphism of M, the rule above
-carries that to every column.  So do the power relations and the
-cycle types that prune isomorphism searches, since every column is
-conjugate to a generator's action.
+each action is a bijection and each R_a of a generator a is an
+automorphism of M, the rule above carries that to every column.  So
+do the power relations and the cycle types that prune isomorphism
+searches, since every column is conjugate to a generator's action.
 """
 
 from __future__ import annotations
@@ -45,20 +46,19 @@ _BAND = 1 << 16
 class FiniteQuandle:
     """Immutable finite quandle with generator action tables.
 
-    action[g][x] is x^g, inverse_action[g][x] is x^(g').  Elements are
-    0-based; generator_element maps a generator index to the element
-    representing it.  witnesses[x] names element x; it may be a tuple
-    or a sequence that spells on first read and compares, hashes and
-    prints as the tuple of its words.  relations carries the defining
-    primary relations when the quandle came out of an enumeration (used
-    to prune isomorphism searches); hand-built tables may leave it
-    empty.
+    action[g][x] is x^g; inverse_action[g][x] = x^(g') is derived from
+    it.  Elements are 0-based; generator_element maps a generator index
+    to the element representing it.  witnesses[x] names element x; it
+    may be a tuple or a sequence that spells on first read and compares,
+    hashes and prints as the tuple of its words.  relations carries the
+    defining primary relations when the quandle came out of an
+    enumeration (used to prune isomorphism searches); hand-built tables
+    may leave it empty.
     """
 
     size: int
     generator_names: tuple[str, ...]
     action: tuple[tuple[int, ...], ...]
-    inverse_action: tuple[tuple[int, ...], ...]
     generator_element: tuple[int, ...]
     component_of_generator: tuple[int, ...]
     n_values: tuple[int, ...]
@@ -67,6 +67,13 @@ class FiniteQuandle:
 
     def element_name(self, x: int) -> str:
         return expression_str(self.witnesses[x], self.generator_names)
+
+    @cached_property
+    def inverse_action(self) -> tuple[tuple[int, ...], ...]:
+        """x^(g') per generator g, derived from action on first read:
+        the sort order of a permutation's values is its inverse."""
+        act = np.asarray(self.action).reshape(-1, self.size)
+        return tuple(map(tuple, np.argsort(act, axis=1).tolist()))
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -90,17 +97,17 @@ class VerificationReport:
         return self.ok
 
 
-# roots (generator, element) and edges (parent, generator, sign, child)
-_Tree = tuple[list[tuple[int, int]], list[tuple[int, int, int, int]]]
+# roots (generator, element) and edges (parent, generator, child)
+_Tree = tuple[list[tuple[int, int]], list[tuple[int, int, int]]]
 
 
 def _generator_tree(q: FiniteQuandle) -> _Tree:
-    """Breadth-first spanning forest over action and inverse-action edges.
+    """Breadth-first spanning forest over the generators' action edges.
 
     Returns the roots (generator, element), one per distinct generator
     element in generator order, and the tree edges (parent, generator,
-    sign, child) in discovery order; every element the generators reach
-    is a root or the child of exactly one edge.
+    child), child = parent^generator, in discovery order; every element
+    the generators reach is a root or the child of exactly one edge.
     """
     seen = [False] * q.size
     roots = []
@@ -111,13 +118,12 @@ def _generator_tree(q: FiniteQuandle) -> _Tree:
     edges = []
     queue = [e for _, e in roots]
     for y in queue:
-        for g in range(len(q.generator_names)):
-            for sign, table in ((1, q.action[g]), (-1, q.inverse_action[g])):
-                z = table[y]
-                if not seen[z]:
-                    seen[z] = True
-                    edges.append((y, g, sign, z))
-                    queue.append(z)
+        for g, act in enumerate(q.action):
+            z = act[y]
+            if not seen[z]:
+                seen[z] = True
+                edges.append((y, g, z))
+                queue.append(z)
     return roots, edges
 
 
@@ -130,17 +136,14 @@ def _build_table(q: FiniteQuandle) -> np.ndarray:
     n = q.size
     dtype = _table_dtype(n)
     act = np.asarray(q.action, dtype=dtype).reshape(-1, n)
-    inv = np.asarray(q.inverse_action, dtype=dtype).reshape(-1, n)
     # cols[y] is column y of M, so each step writes one contiguous row
     cols = np.full((n, n), -1, dtype=dtype)
     roots, edges = _generator_tree(q)
     for g, e in roots:
         cols[e] = act[g]
-    for y, g, sign, z in edges:
-        if sign > 0:
-            cols[z] = act[g][cols[y][inv[g]]]
-        else:
-            cols[z] = inv[g][cols[y][act[g]]]
+    for y, g, z in edges:
+        # (x > y) > g = (x > g) > (y > g), scattered over x
+        cols[z, act[g]] = act[g][cols[y]]
     table = cols.T
     table.flags.writeable = False
     return table
@@ -198,22 +201,30 @@ def _first_non_automorphism(cols: np.ndarray,
 def verify_axioms(q: FiniteQuandle) -> VerificationReport:
     """Prove the three quandle axioms for the operation table.
 
-    Checked, with the first violated instance of each reported:
-    idempotence; each generator's action and inverse action undo each
-    other; the generators reach every element; each generator element's
-    column is its generator's action; each witness names its element;
-    and for each generator a, R_a is an automorphism of the table,
-    (x>y)>a = (x>a)>(y>a).  Every other column is g' R_y g for a column
-    R_y built before it, so by induction every column is a bijective
-    automorphism: right invertibility and self-distributivity for all
-    size^3 triples, in O(generators * size^2).  The automorphism check
-    runs over a band of columns at a time, so its memory stays bounded
-    beside the table's.
+    Checked, with the first violated instance of each reported: each
+    generator's action is a bijection; idempotence; the generators
+    reach every element; each generator element's column is its
+    generator's action; each witness names its element; and for each
+    generator a, R_a is an automorphism of the table,
+    (x>y)>a = (x>a)>(y>a).  Every other column is A[g] R_y A'[g] for a
+    column R_y built before it, so by induction every column is a
+    bijective automorphism: right invertibility and self-distributivity
+    for all size^3 triples, in O(generators * size^2).  A failed
+    bijection or generation check ends the proof, since every later
+    check relies on it.  The automorphism check runs over a band of
+    columns at a time, so its memory stays bounded beside the table's.
     """
     n = q.size
+    idx = np.arange(n)
+    act = np.asarray(q.action, dtype=np.intp).reshape(-1, n)
+    for g, name in enumerate(q.generator_names):
+        missed = np.setdiff1d(idx, act[g])
+        if missed.size:
+            return VerificationReport(
+                False, [f"bijection: the action of {name} misses element {missed[0]}"])
+
     fwd = dense_tables(q)
     failures: list[str] = []
-    idx = np.arange(n)
     reached = fwd[0] >= 0
 
     diag = fwd[idx, idx]
@@ -221,20 +232,6 @@ def verify_axioms(q: FiniteQuandle) -> VerificationReport:
     if bad.any():
         x = int(np.argmax(bad))
         failures.append(f"idempotence: {x} > {x} = {int(diag[x])}")
-
-    act = np.asarray(q.action, dtype=np.intp).reshape(-1, n)
-    inv = np.asarray(q.inverse_action, dtype=np.intp).reshape(-1, n)
-    for g, name in enumerate(q.generator_names):
-        undo = inv[g][act[g]]
-        redo = act[g][inv[g]]
-        if not np.array_equal(undo, idx):
-            x = int(np.argmax(undo != idx))
-            failures.append(f"invertibility: ({x} > {name}) >' {name} = {int(undo[x])}")
-            break
-        if not np.array_equal(redo, idx):
-            x = int(np.argmax(redo != idx))
-            failures.append(f"invertibility: ({x} >' {name}) > {name} = {int(redo[x])}")
-            break
 
     if not reached.all():
         x = int(np.argmin(reached))
@@ -286,7 +283,8 @@ class OrbitPartition:
 
 
 def orbits(q: FiniteQuandle) -> OrbitPartition:
-    """Connected components under all generator actions.
+    """Orbits of the generator actions, along forward edges only (the
+    actions are permutations, which ``verify_axioms`` checks).
 
     Orbits are numbered by their smallest element, in order.  Found
     once per quandle and cached on it, so every caller shares one
@@ -298,7 +296,7 @@ def orbits(q: FiniteQuandle) -> OrbitPartition:
 def _orbit_partition(q: FiniteQuandle) -> OrbitPartition:
     # the rows are looked up once: reached through the cached property,
     # q has a materialised __dict__, and each q.action in the loop costs more
-    moves = list(zip(q.action, q.inverse_action))
+    moves = q.action
     orbit_of = [-1] * q.size
     count = 0
     for start in range(q.size):
@@ -308,11 +306,11 @@ def _orbit_partition(q: FiniteQuandle) -> OrbitPartition:
         orbit_of[start] = count
         while stack:
             x = stack.pop()
-            for act, inv in moves:
-                for y in (act[x], inv[x]):
-                    if orbit_of[y] == -1:
-                        orbit_of[y] = count
-                        stack.append(y)
+            for act in moves:
+                y = act[x]
+                if orbit_of[y] == -1:
+                    orbit_of[y] = count
+                    stack.append(y)
         count += 1
     return OrbitPartition(tuple(orbit_of), count)
 
@@ -324,21 +322,18 @@ def verify_n_relations(q: FiniteQuandle) -> VerificationReport:
     contains; an orbit containing no generator is itself reported as a
     structural anomaly.
 
-    Only the generators' actions are raised to their n.  The operation
-    table is built along the generator spanning forest: a root column is
-    a generator's action A[g], and every other column is a conjugate
-    A[g] R_y A'[g] or A'[g] R_y A[g] (as maps composed right to left)
-    of a column R_y built before it, in the same orbit.  When A[g] and
-    A'[g] undo each other, the n-th power of the conjugate is the
-    conjugate of R_y^n, the identity exactly when R_y^n is; so by
-    induction every column has the order of its root generator's
-    action, and A[g]^n = id for each generator g is the whole check, in
-    O(generators * size * max n) rather than O(size^2 * max n).  The
-    argument relies on that invertibility, on the generators reaching
-    every element (which the orbit check above implies) and on each
-    generator element's column being its generator's action;
-    ``verify_axioms`` checks the first and the last, and ``verify_all``
-    runs it.
+    Only the generators' actions are raised to their n.  Each column of
+    the table is a generator's action A[g] or a conjugate A[g] R_y A'[g]
+    (maps composed right to left) of a column R_y built before it in
+    the same orbit, and the n-th power of that conjugate is the identity
+    exactly when R_y^n is; so by induction every column has the order
+    of its root generator's action, and A[g]^n = id for each generator
+    g is the whole check, in O(generators * size * max n) rather than
+    O(size^2 * max n).  The argument relies on bijective actions, on
+    the generators reaching every element (which the orbit check above
+    implies) and on each generator element's column being its
+    generator's action; ``verify_axioms`` checks the first and the
+    last, and ``verify_all`` runs it.
     """
     part = orbits(q)
     failures: list[str] = []
@@ -418,8 +413,8 @@ def _extends(q1: FiniteQuandle, column: _Columns,
     phi = np.full(q1.size, -1, dtype=np.int64)
     for g, e in roots:
         phi[e] = images[g]
-    for y, g, sign, z in edges:
-        phi[z] = column(images[g], sign)[phi[y]]
+    for y, g, z in edges:
+        phi[z] = column(images[g], 1)[phi[y]]
     if (phi < 0).any() or len(np.unique(phi)) != q1.size:
         return False
     act1 = np.asarray(q1.action).reshape(-1, q1.size)

@@ -100,6 +100,8 @@ def test_enumerate_parse_error_position(tmp_path, capsys):
     ("gens a b\ncomp a:1 b:3\nN 2 2\n", "line 2, col 10: components [2] have no generator"),
     ("gens a b\nN 2 3\n", "line 2, col 1: expected 1 n-values, got 2"),
     ("gens a b; N 2; N 3\n", "line 1, col 16: duplicate N statement"),
+    ("gens a; N \u00b2\n", "line 1, col 9: N needs positive integers"),
+    ("gens a b\ncomp a:1 b:\u00b2\n", "line 2, col 10: expected name:index"),
 ])
 def test_enumerate_bad_value_position(tmp_path, capsys, text, where):
     path = tmp_path / "p.txt"
@@ -108,6 +110,21 @@ def test_enumerate_bad_value_position(tmp_path, capsys, text, where):
     assert code == 1
     assert err.startswith(f"error: {where}")
     assert "Traceback" not in err
+
+
+# diagrams that only wirtinger refused, with no line or a crossing
+# index for a line, or that a repeated key misreported
+LINE_FAULTS = [
+    ('{"arc_components": {"x0": 1, "1a": 1}}\n', "line 1", "bad arc name '1a'"),
+    ('{"arc_components": {"a": 1, "a": 2}}\n', "line 1", "repeated key 'a'"),
+    ('{"arc_components": {"a": 1, "b": 1, "c": 1}}\n'
+     '{"over": "a", "under_in": "b", "under_out": "c", "sign": "+"}\n'
+     '{"over": "b", "under_in": "a", "under_out": "c", "sign": "+"}\n',
+     "line 3", "arc 'c' is the outgoing under-arc of two crossings"),
+    ('{"arc_components": {"x0": 1, "x1": 2}}\n'
+     '{"over": "x0", "under_in": "x0", "under_out": "x1", "sign": "+"}\n',
+     "line 2", "under-arcs 'x0' and 'x1' lie on different components"),
+]
 
 
 @pytest.mark.parametrize("text, where", [
@@ -127,6 +144,7 @@ def test_enumerate_bad_value_position(tmp_path, capsys, text, where):
      '{"over": ["x0"], "under_in": "x0", "under_out": "x0", "sign": "+"}\n', "line 2"),
     ('{"over": "x9", "under_in": "x0", "under_out": "x0", "sign": "+"}\n'
      '{"arc_components": {"x0": 1}}\n', "line 1"),
+    *[(text, where) for text, where, _ in LINE_FAULTS],
 ])
 def test_enumerate_bad_diagram_field(tmp_path, capsys, text, where):
     path = tmp_path / "d.jsonl"
@@ -406,6 +424,16 @@ def test_convert_bad_braid_letter_to_diagram(capsys):
                        "--to", "diagram")
     assert code == 1
     assert "braid letter -2 out of range" in err
+
+
+@pytest.mark.parametrize("text, where, reason", LINE_FAULTS)
+def test_convert_to_diagram_refuses_a_bad_crossing_at_its_line(tmp_path, capsys, text, where,
+                                                              reason):
+    path = tmp_path / "d.jsonl"
+    path.write_text(text)
+    code, out, err = run(capsys, "convert", "--diagram", str(path), "--to", "diagram")
+    assert (code, out) == (1, "")
+    assert err == f"error: {where}: {reason}\n"
 
 
 def test_convert_n_only_for_presentations(capsys):

@@ -549,6 +549,8 @@ def test_outcome_reports_final_size():
     out = enumerate_quandle(family("T28", (2, 3)))
     assert out.finite
     assert out.vertices == out.quandle.size == 20
+    # vertices is read from the stats, not passed in
+    assert "vertices" not in {f.name for f in dataclasses.fields(out)}
 
 
 # --- sealing postconditions ------------------------------------------------------

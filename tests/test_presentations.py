@@ -129,6 +129,9 @@ def test_parse_error_zero_component_names_its_token():
     ("gens a; N two\n", "N needs positive integers", (1, 9)),
     ("gens a b\nN 2\nrel a^[b]=a\n rel c^[a]=b\n",
      "rel references unknown generator 'c'", (4, 2)),
+    # digits str.isdigit() accepts but int() does not read
+    ("gens a; N \u00b2\n", "N needs positive integers", (1, 9)),
+    ("gens a b\ncomp a:1 b:\u00b2\n", "expected name:index, got 'b:\u00b2'", (2, 10)),
 ])
 def test_parse_error_points_at_the_faulty_statement(text, message, position):
     with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -365,9 +368,11 @@ def test_parse_diagram_rejects_bad_field_values():
     # component or a numbering gap, the crossing's line otherwise
     arcs = '{"arc_components": {"x0": 1}}\n'
 
-    def crossing(over='"x0"', sign='"+"'):
-        return (f'{{"over": {over}, "under_in": "x0", "under_out": "x0", '
+    def crossing(over='"x0"', sign='"+"', under_in='"x0"', under_out='"x0"'):
+        return (f'{{"over": {over}, "under_in": {under_in}, "under_out": {under_out}, '
                 f'"sign": {sign}}}\n')
+
+    two_arcs = '{"arc_components": {"x0": 1, "x1": 2}}\n'
 
     cases = [
         ('{"arc_components": {"x0": "a"}}\n', r"line 1: component of arc 'x0'"),
@@ -381,7 +386,15 @@ def test_parse_diagram_rejects_bad_field_values():
         (arcs + crossing(sign="true"), r"line 2: bad sign True"),
         (arcs + crossing(over="0"), r"line 2: over must be an arc name string, not 0"),
         (arcs + crossing(over='["x0"]'), r"line 2: over must be an arc name string"),
-        (crossing(over='"x9"') + arcs, r"line 1: crossing references unknown arc 'x9'"),
+        (crossing(over='"x9"') + arcs, r"line 1: arc 'x9' not in arc_components"),
+        ('{"arc_components": {"x0": 1, "1a": 1}}\n', r"line 1: bad arc name '1a'"),
+        ('{"arc_components": {"x0": 1, "x0": 2}}\n', r"line 1: repeated key 'x0'$"),
+        (arcs + '{"over": "x0", "over": "x0"}\n', r"line 2: repeated key 'over'$"),
+        (two_arcs + crossing() + crossing(under_out='"x1"'),
+         r"line 3: under-arcs 'x0' and 'x1' lie on different components"),
+        (two_arcs + crossing(under_in='"x1"', under_out='"x1"') + "\n"
+         + crossing(under_in='"x1"', under_out='"x1"'),
+         r"line 4: arc 'x1' is the outgoing under-arc of two crossings"),
     ]
     for text, message in cases:
         with pytest.raises(DiagramError, match="^" + message):

@@ -40,12 +40,6 @@ def enum(name, ns=None, k=None):
 def tiny(action, gen_elements, components, ns):
     """Hand-built quandle wrapper for verifier edge cases."""
     size = len(action[0])
-    inverse = []
-    for row in action:
-        inv = [0] * size
-        for x, y in enumerate(row):
-            inv[y] = x
-        inverse.append(tuple(inv))
     witnesses = [Expression(0, ())] * size
     for g, el in enumerate(gen_elements):
         witnesses[el] = Expression(g, ())
@@ -53,7 +47,6 @@ def tiny(action, gen_elements, components, ns):
         size=size,
         generator_names=tuple("abcdefgh"[: len(gen_elements)]),
         action=tuple(tuple(row) for row in action),
-        inverse_action=tuple(inverse),
         generator_element=tuple(gen_elements),
         component_of_generator=tuple(components),
         n_values=tuple(ns),
@@ -113,14 +106,24 @@ def test_dense_tables_agree_with_full_op():
             assert full_op(q, fwd[x, y], y, -1) == x
 
 
+def inverted(rows):
+    """Each row's inverse permutation, by a plain loop."""
+    out = np.zeros((len(rows), len(rows[0])), dtype=np.int64)
+    for g, row in enumerate(rows):
+        for x, y in enumerate(row):
+            out[g, y] = x
+    return out
+
+
 def two_tables(q):
     """Oracle: the forward table and its inverse, int64, built column by
-    column along a breadth-first search over the actions, x > y^g =
-    ((x >' g) > y) > g; columns the generators do not reach hold -1, and
-    so does the inverse wherever a column misses a value."""
+    column along a breadth-first search over the actions' forward
+    edges, x > y^g = ((x >' g) > y) > g; columns the generators do not
+    reach hold -1, and so does the inverse wherever a column misses a
+    value."""
     n = q.size
     act = np.array(q.action, dtype=np.int64).reshape(-1, n)
-    inv = np.array(q.inverse_action, dtype=np.int64).reshape(-1, n)
+    inv = inverted(q.action)
     cols = np.full((n, n), -1, dtype=np.int64)
     queue = []
     for g, e in enumerate(q.generator_element):
@@ -129,10 +132,10 @@ def two_tables(q):
             queue.append(e)
     for y in queue:
         for g in range(len(q.generator_names)):
-            for z, outer, inner in ((act[g][y], act[g], inv[g]), (inv[g][y], inv[g], act[g])):
-                if cols[z, 0] < 0:
-                    cols[z] = outer[cols[y][inner]]
-                    queue.append(z)
+            z = act[g][y]
+            if cols[z, 0] < 0:
+                cols[z] = act[g][cols[y][inv[g]]]
+                queue.append(z)
     inv_cols = np.full((n, n), -1, dtype=np.int64)
     for y in queue:
         inv_cols[y, cols[y]] = np.arange(n)
@@ -217,15 +220,26 @@ def test_verify_axioms_catches_idempotence_break():
     assert "idempotence" in report.failures[0]
 
 
-def test_verify_axioms_catches_inverse_break():
+def test_verify_axioms_catches_a_non_bijective_action():
+    # b's action sends 3 and 4 to one element and so misses another;
+    # every later check relies on bijective actions, so this failure is
+    # reported alone
     q = enum("T26", (2, 3))
-    # generator b sits in the n=3 component, so S_b has order 3 and is
-    # not its own inverse; swapping the inverse table for the forward
-    # one must trip the checks
-    bad = dataclasses.replace(
-        q, inverse_action=(q.inverse_action[0], q.action[1]))
-    report = verify_axioms(bad)
-    assert not report
+    row = list(q.action[1])
+    missed = row[3]
+    row[3] = row[4]
+    bad = dataclasses.replace(q, action=(q.action[0], tuple(row)))
+    assert verify_axioms(bad).failures == [
+        f"bijection: the action of b misses element {missed}"]
+    assert not verify_all(bad)
+
+
+def test_inverse_action_is_derived_not_stored():
+    q = enum("T26", (2, 3))
+    assert "inverse_action" not in {f.name for f in dataclasses.fields(q)}
+    assert q.inverse_action is q.inverse_action
+    for row, inv in zip(q.action, q.inverse_action):
+        assert all(inv[y] == x for x, y in enumerate(row))
 
 
 def test_verify_axioms_catches_generators_that_share_an_element_but_not_an_action():
@@ -252,7 +266,7 @@ def cubic_oracle(q):
     n = q.size
     idx = np.arange(n)
     act = np.array(q.action).reshape(-1, n)
-    inv = np.array(q.inverse_action).reshape(-1, n)
+    inv = inverted(q.action)
 
     def walk_all(vec, word):
         for gen, sign in word:
@@ -293,18 +307,10 @@ def renamed(q):
 
 
 def tampered(q, g, x1, x2):
-    """q with entries x1, x2 of generator g's action swapped and the
-    inverse action kept its inverse."""
+    """q with entries x1, x2 of generator g's action swapped."""
     row = list(q.action[g])
     row[x1], row[x2] = row[x2], row[x1]
-    inv = [0] * q.size
-    for x, y in enumerate(row):
-        inv[y] = x
-    return dataclasses.replace(
-        q,
-        action=q.action[:g] + (tuple(row),) + q.action[g + 1:],
-        inverse_action=q.inverse_action[:g] + (tuple(inv),) + q.inverse_action[g + 1:],
-    )
+    return dataclasses.replace(q, action=q.action[:g] + (tuple(row),) + q.action[g + 1:])
 
 
 def test_verify_axioms_agrees_with_cubic_oracle_on_catalog(catalog_quandles):
@@ -395,7 +401,7 @@ def relabeled(q, order):
     for x, w in enumerate(q.witnesses):
         witnesses[label[x]] = w
     return dataclasses.replace(
-        q, action=moved(q.action), inverse_action=moved(q.inverse_action),
+        q, action=moved(q.action),
         generator_element=tuple(label[e] for e in q.generator_element),
         witnesses=tuple(witnesses))
 
@@ -612,6 +618,20 @@ def test_is_isomorphic_same_quandle_relabeled():
     assert d.action != c.action
     assert is_isomorphic(c, d)
     assert is_isomorphic(d, c)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_dihedral_quandle_from_its_actions_alone(q):
+    # R_q: x > y = 2y - x mod q, generators at 0 and 1, no inverse given
+    actions = [[(2 * y - x) % q for x in range(q)] for y in (0, 1)]
+    r = renamed(tiny(actions, [0, 1], [1, 1], [2]))
+    assert verify_all(r)
+    t = enum("T2k", (2,), k=q)
+    assert is_isomorphic(r, t)
+    assert is_isomorphic(t, r)
+    fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+    with pytest.raises(TypeError):
+        FiniteQuandle(**fields, inverse_action=r.inverse_action)
 
 
 # --- exports ---------------------------------------------------------------------
