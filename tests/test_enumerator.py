@@ -1,10 +1,13 @@
 """Scanning, collapsing, caps, and determinism of the enumerator."""
 
+import copy
 import dataclasses
 import gc
 import hashlib
 import random
 import weakref
+from array import array
+from collections import deque
 from functools import lru_cache
 
 import pytest
@@ -61,7 +64,7 @@ def witnesses(g, labels):
 
 def trace(g, start, word, end):
     """Scan ``word`` from start's class to end's (step 3)."""
-    g.scan(g.find(start), _codes(word), g.find(end))
+    g.scan(g.find(start), g.bind(_codes(word)), g.find(end))
 
 
 def follow(g, v, word):
@@ -158,8 +161,11 @@ def test_tiny_vertex_cap_trips_during_setup():
     (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 0, 44283, 2001), "vertices"),
     (family("T2k", (6,), k=-3), {"max_vertices": 2000}, (2001, 260, 38525, 1741), "vertices"),
     (family("Mk", k=6), {"max_steps": 10000}, (1601, 1264, 10001, 337), "steps"),
+    (family("Mk", k=100), {}, (26410, 22820, 1587016, 3590), None),
+    (family("T2k", (4,), k=5), {}, (100001, 6181, 702565, 93820), "vertices"),
+    (family("T2k", (7,), k=-3), {}, (100001, 4179, 955689, 95822), "vertices"),
 ], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "mirror-trefoil-vertex-cap",
-        "Mk6-step-cap"])
+        "Mk6-step-cap", "Mk100", "T25-N4-vertex-cap", "mirror-trefoil-N7-vertex-cap"])
 def test_trajectory_is_pinned(p, limits, counters, cap_kind):
     out = enumerate_quandle(p, EnumerationLimits(**limits))
     assert out.stats == counters
@@ -257,7 +263,7 @@ def test_a_power_past_the_step_cap_stops_where_its_scan_would(p, limits):
     g = TraceGraph(p, limits)
     with pytest.raises(_CapExceeded) as exc:
         for base, codes, target in spelled.primary:
-            g.scan(g.find(base), codes, g.find(target))
+            g.scan(g.find(base), g.bind(codes), g.find(target))
             g.collapse()
         run_schedule(g, spelled)
     assert (out.cap_kind, out.stats) == (exc.value.kind, exc.value.stats)
@@ -278,6 +284,209 @@ def test_default_limits():
     limits = EnumerationLimits()
     assert limits.max_vertices == DEFAULT_MAX_VERTICES
     assert limits.max_steps == DEFAULT_MAX_STEPS
+
+
+# --- the bound scan against the letter-code scan --------------------------------
+
+def reference_scan(g, v, codes, e):
+    """Oracle: ``TraceGraph.scan`` as it was before relators were bound,
+    reading ``rows[code]`` letter by letter with a position counter and
+    always running the backward read."""
+    rows = g.rows
+    i = 0
+    for c in codes:
+        t = rows[c][v]
+        if t < 0:
+            break
+        v = t
+        i += 1
+    j = n = len(codes)
+    while j > i:
+        t = rows[codes[j - 1] ^ 1][e]
+        if t < 0:
+            break
+        e = t
+        j -= 1
+    gap = j - i
+    limits = g.limits
+    if (g.steps + n > limits.max_steps
+            or gap > 1 and g.created + gap > limits.max_vertices + 1):
+        g._stop(n - gap, gap)
+    g.steps += n
+    if not gap:
+        if v != e:
+            g.pending.append((v, e))
+        return
+    if gap > 1:
+        y = g._allocate(gap - 1)
+        g.def_parent.append(v)
+        g.def_parent.extend(range(y, g.created - 1))
+        g.def_code.extend(codes[i:j - 1])
+        for c in codes[i:j - 1]:
+            rows[c][v] = y
+            rows[c ^ 1][y] = v
+            v = y
+            y += 1
+    c = codes[j - 1]
+    w = rows[c ^ 1][e]
+    if w < 0:
+        rows[c][v] = e
+        rows[c ^ 1][e] = v
+    else:
+        g.pending.append((w, v))
+
+
+def reads_round(g, v, codes):
+    """Whether the forward read of ``codes`` from v finds every edge."""
+    for c in codes:
+        v = g.rows[c][v]
+        if v < 0:
+            return False
+    return True
+
+
+def clone(g):
+    """A copy of g that shares nothing mutable with it."""
+    c = copy.copy(g)
+    c.rows = [list(row) for row in g.rows]
+    c.parent = list(g.parent)
+    c.def_parent, c.def_code = array("i", g.def_parent), array("i", g.def_code)
+    c.pending = deque(g.pending)
+    return c
+
+
+def sweep_snapshots(p, limits):
+    """Copies of p's graph at sweep cursor 0, at each power of four
+    and after the sweep, the sweep run with ``reference_scan``, and the
+    universal relators.  A sweep stopped by a cap ends the snapshots."""
+    g = TraceGraph(p, limits)
+    relators = compile_relators(p, limits.max_steps)
+    assert relators.overrun is None
+    snapshots = []
+    try:
+        for base, codes, target in relators.primary:
+            reference_scan(g, g.find(base), codes, g.find(target))
+            g.collapse()
+        cursor = 0
+        while cursor < g.created:
+            if cursor in (0, 1, 4, 16, 64, 256, 1024):
+                snapshots.append(clone(g))
+            v, cursor = cursor, cursor + 1
+            if g.parent[v] != v:
+                continue
+            for codes in relators.universal:
+                reference_scan(g, v, codes, v)
+                if g.pending:
+                    g.collapse()
+                    v = g.find(v)
+        snapshots.append(clone(g))
+    except _CapExceeded:
+        pass
+    return snapshots, relators.universal
+
+
+def graph_state(g):
+    return (g.rows, list(g.pending), g.parent, g.def_parent, g.def_code, g.created, g.steps)
+
+
+def attempt(scan, *args):
+    """None, or the kind and stats of the cap that ``scan`` raised."""
+    try:
+        scan(*args)
+    except _CapExceeded as exc:
+        return exc.kind, exc.stats
+    return None
+
+
+def assert_bound_to(g, bound):
+    """Every bound row is the very row of g that its letter names."""
+    for codes, forward, inverse in bound:
+        assert all(row is g.rows[c] for c, row in zip(codes, forward, strict=True))
+        assert all(row is g.rows[c ^ 1] for c, row in zip(codes, inverse, strict=True))
+
+
+def scan_both(snapshot, universal, limits=None):
+    """Scan every universal relator at every live vertex of two copies of
+    ``snapshot``, with no collapse, one copy by ``reference_scan`` and
+    one by the bound scan; assert that both make the same graph and the
+    same counters after every scan, and that the bound rows stay the
+    graph's rows.  Returns None, or the cap's kind and the branch of the
+    bound scan that raised it."""
+    ref, new = clone(snapshot), clone(snapshot)
+    if limits is not None:
+        ref.limits = new.limits = limits
+    bound = [new.bind(codes) for codes in universal]
+    live = [v for v in range(snapshot.created) if snapshot.parent[v] == v]
+    stop = None
+    for v in live:
+        for codes, rel in zip(universal, bound):
+            errors = [attempt(reference_scan, ref, v, codes, v), attempt(new.scan, v, rel, v)]
+            assert errors[0] == errors[1], (v, codes)
+            assert (ref.created, ref.steps, len(ref.pending)) == (
+                new.created, new.steps, len(new.pending)), (v, codes)
+            if errors[0] is not None:
+                # a scan that raises has changed no edge
+                stop = (errors[0][0], "settled" if reads_round(new, v, codes) else "gap")
+                break
+        if stop:
+            break
+    assert graph_state(ref) == graph_state(new)
+    assert_bound_to(new, bound)
+    return stop, new.steps - snapshot.steps, new.created - snapshot.created
+
+
+def test_the_bound_scan_matches_the_letter_code_scan():
+    # graphs snapshotted mid-sweep, on every default-sweep check, Mk k=6
+    # and a capped infinite run; each scanned with no cap, with a step
+    # cap half way through the scans and with a vertex cap half way
+    # through the vertices they make
+    cases = [(c.presentation, EnumerationLimits()) for c in iter_checks()]
+    cases += [(family("Mk", k=6), EnumerationLimits()),
+              (family("T2k", (6,), k=3), EnumerationLimits(max_vertices=2000))]
+    stops = set()
+    snapshots = 0
+    for p, limits in cases:
+        shots, universal = sweep_snapshots(p, limits)
+        snapshots += len(shots)
+        for snapshot in shots:
+            stop, steps, created = scan_both(snapshot, universal)
+            stops.add(stop)
+            if steps > 1:
+                stops.add(scan_both(snapshot, universal, dataclasses.replace(
+                    limits, max_steps=snapshot.steps + steps // 2))[0])
+            if created > 1:
+                stops.add(scan_both(snapshot, universal, dataclasses.replace(
+                    limits, max_vertices=snapshot.created + created // 2))[0])
+    assert snapshots > 3 * len(cases)
+    # a cap was raised from the settled read and from the gap branch
+    assert {("steps", "settled"), ("steps", "gap"), ("vertices", "gap"), None} <= stops
+
+
+def test_bound_rows_stay_the_graph_rows():
+    p = family("T24", (3, 3))
+    g = TraceGraph(p, EnumerationLimits())
+    a = 0
+    bb = g.bind(_codes(parse_word("b b", p.generator_names)))
+    # a^[b b] = a makes v = a^b after the binding
+    g.scan(a, bb, a)
+    v = 2
+    assert g.created == 3
+    # read from v through the bound rows: v --b--> a --b--> v goes round
+    steps = g.steps
+    g.scan(v, bb, v)
+    assert (g.created, g.steps, len(g.pending)) == (3, steps + 2, 0)
+    # a whole run, with allocations and collapses, keeps the rows bound
+    g = TraceGraph(p, EnumerationLimits())
+    relators = compile_relators(p, g.limits.max_steps)
+    primary = [g.bind(codes) for _, codes, _ in relators.primary]
+    bound = primary + [g.bind(codes) for codes in relators.universal]
+    for (base, _, target), rel in zip(relators.primary, primary):
+        g.scan(g.find(base), rel, g.find(target))
+        g.collapse()
+    run_schedule(g, relators)
+    assert g.unions > 0 and g.created > 3
+    assert_bound_to(g, bound)
+    assert _seal(g, relators) == enumerate_quandle(p).quandle
 
 
 # --- graph-level hand checks ---------------------------------------------------
