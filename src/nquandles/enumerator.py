@@ -37,13 +37,10 @@ label, and every relation is compiled once per run to letter codes
 scanned from both ends, as in the HLT strategy of coset enumeration, so
 a vertex is made only for a letter that neither scan could read.  Each
 relation is also bound once per run to the graph's letter rows
-(``TraceGraph.bind``), and a scan follows those row objects, not letter
+(``TraceGraph.bind``), so a forward read follows row objects, not letter
 codes; the rows grow in place, so a binding stays valid for the whole
-run.  A forward read that goes all the way round is settled at once,
-with no backward pass; on Mk k=60 and on the infinite trefoil and T(2,5)
-quotients, 55 to 75 % of all scans are such reads.  Each
-created vertex keeps only its definition, the edge that created it: the
-parent label and the letter code.  Following definitions back to a
+run.  Each created vertex keeps only its definition, the edge that
+created it: the parent label and the letter code.  Following definitions back to a
 generator vertex spells the vertex's witness a^w; merges never rewrite
 definitions, the smaller label simply survives.  The sealed quandle
 keeps the definitions and the survivors' labels, not the graph, and
@@ -317,63 +314,56 @@ class TraceGraph:
 
     # -- edges ---------------------------------------------------------
 
-    def bind(self, codes: list[int]) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    def bind(self, codes: list[int]) -> tuple[list[int], list[list[int]]]:
         """The relator ``codes`` bound to this graph's letter rows: the
-        codes, the row of each letter and the row of its inverse, the
-        very list objects of ``rows``.  A plain tuple, not a named one,
-        because small runs bind about as often as they scan."""
+        codes and the row of each letter, the very list objects of
+        ``rows``.  A plain tuple, not a named one, because small runs
+        bind about as often as they scan."""
         rows = self.rows
-        return codes, [rows[c] for c in codes], [rows[c ^ 1] for c in codes]
+        return codes, [rows[c] for c in codes]
 
     def scan(self, v: int, bound: tuple, e: int) -> None:
         """Close the path labeled by a relator, ``bound`` to this graph
         by ``bind``, from representative ``v`` to representative ``e``.
 
         The forward scan follows defined edges from v through the bound
-        rows, the backward scan follows the inverse rows from e, each
-        until an edge is missing.  A forward scan that reads every
-        letter is settled at once, with no backward pass: it closes at
-        e, or schedules the identification of its end with e.  Scans
-        that meet schedule the identification of their ends when these
-        differ.  Otherwise the gap between them is filled: one fresh
-        vertex per gap letter but the last, defined along the forward
-        side, and the last letter joins the backward end; a one-letter
-        gap is thus a deduced edge and makes no vertex.  When the gap
-        runs from a vertex back to itself and its first letter undoes
-        its last, the join would give that vertex a second edge with
-        one letter; the two far ends of that letter are scheduled for
-        identification instead.
+        rows, the backward scan follows the inverse letters from e, each
+        until an edge is missing.  Scans that meet schedule the
+        identification of their ends when these differ.  Otherwise the
+        gap between them is filled: one fresh vertex per gap letter but
+        the last, defined along the forward side, and the last letter
+        joins the backward end; a one-letter gap is thus a deduced edge
+        and makes no vertex.  When the gap runs from a vertex back to
+        itself and its first letter undoes its last, the join would give
+        that vertex a second edge with one letter; the two far ends of
+        that letter are scheduled for identification instead.
 
         Every letter is one step, whether read forwards, read backwards
         or filled into the gap, so a scan costs len(codes) steps.
         """
-        codes, fwd, bwd = bound
+        codes, fwd = bound
         n = len(codes)
         it = iter(fwd)
         for row in it:
             t = row[v]
             if t < 0:
+                # the read stopped at letter i; a list iterator knows
+                # how many letters it has left
+                i = n - 1 - length_hint(it)
                 break
             v = t
         else:
-            if self.steps + n > self.limits.max_steps:
-                self._stop(n, 0)
-            self.steps += n
-            if v != e:
-                self.pending.append((v, e))
-            return
-        # the read stopped at letter i; a list iterator knows how many
-        # letters it has left
-        i = n - 1 - length_hint(it)
+            i = n
+        rows = self.rows
         j = n
         while j > i:
-            t = bwd[j - 1][e]
+            t = rows[codes[j - 1] ^ 1][e]
             if t < 0:
                 break
             e = t
             j -= 1
         gap = j - i
-        rows, limits = self.rows, self.limits
+        limits = self.limits
         if (self.steps + n > limits.max_steps
                 or gap > 1 and self.created + gap > limits.max_vertices + 1):
             self._stop(n - gap, gap)
