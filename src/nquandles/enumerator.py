@@ -35,26 +35,24 @@ flat row per letter (a generator or its inverse) indexed by vertex
 label, and every relation is compiled once per run to letter codes
 (``compile_relators``), shared by the scans and the sealing audit, and
 scanned from both ends, as in the HLT strategy of coset enumeration, so
-a vertex is made only for a letter that neither scan could read.  Each
-relation is also bound once per run to the graph's letter rows
-(``TraceGraph.bind``), so a forward read follows row objects, not letter
-codes; the rows grow in place, so a binding stays valid for the whole
-run.  Each created vertex keeps only its definition, the edge that
-created it: the parent label and the letter code.  Following definitions back to a
-generator vertex spells the vertex's witness a^w; merges never rewrite
-definitions, the smaller label simply survives.  The sealed quandle
-keeps the definitions and the survivors' labels, not the graph, and
-spells the survivors' witnesses the first time one is read, one letter
-per label on top of its parent's word, all words sharing one letter
-object per letter code.  All worklists are ordered, so runs are
-bit-for-bit reproducible.
+a vertex is made only for a letter that neither scan could read.  A
+generator a with n = 2 acts as an involution, x^(a') = x^a, since
+R_a^2 = id in the N-quandle: its two letters share one row, its letters
+are compiled as a and cancel in pairs, and its power relation a^2 is
+never scanned, which is a sound deduction that leaves the halting
+behaviour as it was.  Each relation is also bound once per run to the
+graph's letter rows (``TraceGraph.bind``), so a forward read follows
+row objects, not letter codes; the rows grow in place, so a binding
+stays valid for the whole run.  Vertices record nothing about how they
+were made, and merges keep the smaller label.  The sealed quandle names
+its elements along its breadth-first generator tree, spelled the first
+time a name is read (``quandle.TreeWitnesses``).  All worklists are
+ordered, so runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import length_hint
 from typing import NamedTuple
@@ -62,8 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .presentations import Presentation, PresentationError, secondary_relations
-from .quandle import FiniteQuandle
-from .words import Expression, Word
+from .quandle import FiniteQuandle, TreeWitnesses
+from .words import Word
 
 DEFAULT_MAX_VERTICES = 100_000
 DEFAULT_MAX_STEPS = 100_000_000
@@ -125,11 +123,6 @@ class EnumerationOutcome:
         return self.stats.live if self.finite else self.stats.created
 
 
-def _codes(word: Word) -> list[int]:
-    """Letter codes of a word: 2*gen for gen, 2*gen + 1 for its inverse."""
-    return [2 * gen + (sign < 0) for gen, sign in word]
-
-
 class Relators(NamedTuple):
     """A presentation's relations as letter codes, compiled once per run.
 
@@ -147,91 +140,36 @@ class Relators(NamedTuple):
 
 def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
     """The relators of a presentation with n-values, for one run under
-    ``max_steps``.  A power relation longer than the step cap is never
-    spelled: it could not be scanned in full, and the run stops at it."""
-    primary = [(rel.base, _codes(rel.word), rel.target) for rel in presentation.relations]
+    ``max_steps``, as letter codes: 2*gen for gen, 2*gen + 1 for its
+    inverse.  A generator a with n = 2 is an involution, so its letters
+    are folded: a' is written a, a a cancels, a relator that folds to
+    nothing is dropped and the power relation a^2 is never spelled.  A
+    power relation longer than the step cap is never spelled either: it
+    could not be scanned in full, and the run stops at it."""
     powers = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
+
+    def fold(word: Word) -> list[int]:
+        out: list[int] = []
+        for gen, sign in word:
+            flip = powers[gen] != 2  # what turns a code into its inverse
+            c = 2 * gen + (sign < 0 and flip)
+            if out and out[-1] == c ^ flip:
+                out.pop()
+            else:
+                out.append(c)
+        return out
+
+    primary = [(rel.base, fold(rel.word), rel.target) for rel in presentation.relations]
+    universal = []
     for gen, n in enumerate(powers):
+        if n == 2:
+            continue
         if n > max_steps:
-            return Relators(primary, [[2 * j] * powers[j] for j in range(gen)], (2 * gen, n))
-    return Relators(primary, [_codes(u.word) for u in secondary_relations(presentation)], None)
-
-
-def spell_witnesses(ngens: int, def_parent: Sequence[int], def_code: Sequence[int],
-                    labels: Sequence[int]) -> list[Expression]:
-    """The witness a^w of each label, spelled along its definitions.
-
-    A label's word is its parent's word with its defining letter
-    appended, one letter per label, and stays freely reduced: no
-    definition undoes its parent's.  ``scan`` defines the first vertex
-    of a gap along a letter its forward end has no edge for, while a
-    live vertex keeps the edge back along the inverse of its own
-    defining letter; each later vertex of the gap follows the next
-    letter of a freely reduced relator.  Words of shared ancestors are
-    built once, and every word holds the same 2*ngens letter objects,
-    one per code.
-    """
-    letters = [(c >> 1, -1 if c & 1 else 1) for c in range(2 * ngens)]
-    memo = {j: Expression(j, ()) for j in range(ngens)}
-    out = []
-    for v in labels:
-        chain = []
-        while v not in memo:
-            chain.append(v)
-            v = def_parent[v]
-        expr = memo[v]
-        base, word = expr.base, expr.word
-        for u in reversed(chain):
-            word = word + (letters[def_code[u]],)
-            expr = memo[u] = Expression(base, word)
-        out.append(expr)
-    return out
-
-
-class Witnesses(Sequence):
-    """The witnesses of a sealed quandle's elements, spelled on first read.
-
-    Holds the definitions and the live labels only, never the rows or
-    the graph, and spells every word with ``spell_witnesses`` the first
-    time one is read.  Compares, hashes and prints as the tuple of its
-    words.
-    """
-
-    __slots__ = ("_ngens", "_def_parent", "_def_code", "_labels", "_words")
-
-    def __init__(self, ngens: int, def_parent: Sequence[int], def_code: Sequence[int],
-                 labels: Sequence[int]):
-        self._ngens = ngens
-        self._def_parent = def_parent
-        self._def_code = def_code
-        self._labels = labels
-        self._words: tuple[Expression, ...] | None = None
-
-    def _spelled(self) -> tuple[Expression, ...]:
-        if self._words is None:
-            self._words = tuple(spell_witnesses(
-                self._ngens, self._def_parent, self._def_code, self._labels))
-        return self._words
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __getitem__(self, i):
-        return self._spelled()[i]
-
-    def __iter__(self):
-        return iter(self._spelled())
-
-    def __eq__(self, other):
-        if isinstance(other, Witnesses):
-            other = other._spelled()
-        return self._spelled() == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._spelled())
-
-    def __repr__(self) -> str:
-        return repr(self._spelled())
+            return Relators(primary, universal, (2 * gen, n))
+        universal.append([2 * gen] * n)
+    conjugates = secondary_relations(presentation)[len(powers):]
+    universal += [codes for codes in (fold(u.word) for u in conjugates) if codes]
+    return Relators(primary, universal, None)
 
 
 class TraceGraph:
@@ -241,19 +179,18 @@ class TraceGraph:
     code 2*gen stands for gen and 2*gen + 1 for its inverse, so code ^ 1
     inverts a letter; rows[code][v] is the far end of v's edge with that
     letter, -1 when v has none, and every edge is entered in both
-    directions.  Vertex identities live in a union-find keyed by
-    creation label; the least label represents its class.  Only
-    representatives' rows are read, and between collapses every entry
-    in them is a representative whose reverse entry points back: a
-    union takes each of the loser's edges out of its far end's row and
-    enters it at the survivor, so a scan follows edges without ``find``.
-
-    Label v was created by the edge def_parent[v] --def_code[v]--> v,
-    with def_parent[v] < v and def_code[v] a letter code as in the rows;
-    generator vertex j has def_parent -1 and def_code 2*j.  The
-    definitions are read only when witnesses are spelled, so they are
-    kept as machine-integer arrays, a few bytes per label; see
-    ``spell_witnesses``.
+    directions.  An involution, a generator with n = 2, has one row
+    under both its codes, so each of its edges is entered at both ends
+    of that row; ``pairs`` lists each distinct row once beside its
+    inverse row, and allocation and collapse go through it.  Vertex
+    identities live in a union-find keyed by creation label; the least
+    label represents its class.  Only representatives' rows are read,
+    and between collapses every entry in them is a representative whose
+    reverse entry points back: a union takes each of the loser's edges
+    out of its far end's row and enters it at the survivor, so a scan
+    follows edges without ``find``.  Vertices keep no record of the edge
+    that made them; a sealed quandle names its elements along its
+    generator tree instead.
 
     Invariant: ``rows`` and each row in it are the same list objects
     for the graph's whole life.  ``_allocate`` grows every row in place
@@ -267,10 +204,14 @@ class TraceGraph:
         self.limits = limits
         g = len(presentation.generator_names)
         self.ngens = g
-        self.rows: list[list[int]] = [[] for _ in range(2 * g)]
+        self.rows: list[list[int]] = []
+        for j in range(g):
+            row: list[int] = []
+            self.rows += (row, row) if presentation.n_of_generator(j) == 2 else (row, [])
+        rows = self.rows
+        self.pairs = [(rows[c], rows[c ^ 1]) for c in range(2 * g)
+                      if rows[c] is not rows[c ^ 1] or not c & 1]
         self.parent: list[int] = []
-        self.def_parent = array("i")
-        self.def_code = array("i")
         self.created = 0
         self.unions = 0
         self.steps = 0
@@ -280,10 +221,8 @@ class TraceGraph:
             raise _CapExceeded("vertices", self.stats())
         self._allocate(g)
         for j in range(g):
-            self.def_parent.append(-1)
-            self.def_code.append(2 * j)
-            self.rows[2 * j][j] = j
-            self.rows[2 * j + 1][j] = j
+            rows[2 * j][j] = j
+            rows[2 * j + 1][j] = j
 
     def stats(self) -> EnumerationStats:
         return EnumerationStats(self.created, self.unions, self.steps, self.live_count)
@@ -298,13 +237,13 @@ class TraceGraph:
         return v
 
     def _allocate(self, m: int) -> int:
-        """Append m fresh labels, each its own class with no edges yet;
-        return the first.  The caller enters their definitions."""
+        """Append m fresh labels, each its own class with no edges yet,
+        to each distinct row once; return the first."""
         base = self.created
         self.created = base + m
         self.parent.extend(range(base, base + m))
         fill = [-1] * m
-        for row in self.rows:
+        for row, _ in self.pairs:
             row += fill
         return base
 
@@ -331,12 +270,13 @@ class TraceGraph:
         until an edge is missing.  Scans that meet schedule the
         identification of their ends when these differ.  Otherwise the
         gap between them is filled: one fresh vertex per gap letter but
-        the last, defined along the forward side, and the last letter
+        the last, entered along the forward side, and the last letter
         joins the backward end; a one-letter gap is thus a deduced edge
         and makes no vertex.  When the gap runs from a vertex back to
-        itself and its first letter undoes its last, the join would give
-        that vertex a second edge with one letter; the two far ends of
-        that letter are scheduled for identification instead.
+        itself and its first letter undoes its last (x and x', or an
+        involution a and a again), the join would give that vertex a
+        second edge with one letter; the two far ends of that letter are
+        scheduled for identification instead.
 
         Every letter is one step, whether read forwards, read backwards
         or filled into the gap, so a scan costs len(codes) steps.
@@ -374,9 +314,6 @@ class TraceGraph:
             return
         if gap > 1:
             y = self._allocate(gap - 1)
-            self.def_parent.append(v)
-            self.def_parent.extend(range(y, self.created - 1))
-            self.def_code.extend(codes[i:j - 1])
             for c in codes[i:j - 1]:
                 rows[c][v] = y
                 rows[c ^ 1][y] = v
@@ -429,18 +366,21 @@ class TraceGraph:
         """Drain scheduled identifications to a fixpoint.
 
         Each drained pair is one step.  Each union keeps the smaller
-        label and moves the loser's edges to it in letter-code order: an
-        edge leaves its far end's reverse row and is entered at the
-        survivor; where the survivor already has an edge with that
-        letter, or the far end one with its inverse, the two vertices
-        that would clash are scheduled for identification instead.
+        label and moves the loser's edges to it in letter-code order, an
+        involution's one row visited once: an edge leaves its far end's
+        reverse row and is entered at the survivor; where the survivor
+        already has an edge with that letter, or the far end one with
+        its inverse, the two vertices that would clash are scheduled for
+        identification instead.  The loser's own entries are left as
+        they are, so a second visit of a shared row would read the edge
+        just moved as the loser's again and take it out.
 
         The step and union counters are kept in locals while the loop
         runs and written back to the graph before it returns or raises
         ``_CapExceeded``; ``find`` is called only on a label that is not
         its own parent, since it leaves a root's entry alone.
         """
-        pending, parent, rows, find = self.pending, self.parent, self.rows, self.find
+        pending, parent, pairs, find = self.pending, self.parent, self.pairs, self.find
         max_steps = self.limits.max_steps
         steps, unions = self.steps, self.unions
         while pending:
@@ -459,11 +399,10 @@ class TraceGraph:
                 a, b = b, a
             parent[b] = a
             unions += 1
-            for c, row in enumerate(rows):
+            for row, inverse in pairs:
                 t = row[b]
                 if t < 0:
                     continue
-                inverse = rows[c ^ 1]
                 inverse[t] = -1
                 if t == b:
                     t = a
@@ -512,20 +451,23 @@ def run_schedule(graph: TraceGraph, relators: Relators) -> TraceGraph:
 
 
 def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
-    """Step 6: number the live labels in label order, read each letter
-    row once into an action table over them, and check the
+    """Step 6: number the live labels in label order, read the row of
+    each letter code into an action table over them, and check the
     postconditions on those tables: every edge defined, each generator's
     inverse edges undoing its action (so it is a bijection, and the
     quandle derives its inverse), and every primary and universal
-    relation closing.
+    relation closing.  An involution's two codes read its one row
+    twice, so its bijection check is the check x^(a a) = x that its
+    unscanned power relation a^2 would have made.
 
     After the last collapse the rows of representatives hold only
     representatives, so each entry is numbered directly; an entry that
     is a merged label is a broken postcondition, not something to
     remap.  The bijection and universal relation checks read one (2g, n)
     array of the tables, each letter of a relation one ``take`` that
-    moves every element at once.  The quandle's witnesses keep the
-    definitions and the live labels, and are spelled when first read."""
+    moves every element at once.  The quandle's witnesses hold its
+    action tables only, and are spelled along its generator tree when
+    first read."""
     presentation = graph.presentation
     parent = graph.parent
     live = [v for v in range(graph.created) if parent[v] == v]
@@ -565,14 +507,15 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
         if not np.array_equal(perm, identity):
             raise EnumerationInternalError(
                 "universal relation does not close at some vertex")
+    action = tuple(tables[0::2])
     return FiniteQuandle(
         size=len(live),
         generator_names=presentation.generator_names,
-        action=tuple(tables[0::2]),
+        action=action,
         generator_element=generator_element,
         component_of_generator=presentation.component_of,
         n_values=presentation.n_values,
-        witnesses=Witnesses(graph.ngens, graph.def_parent, graph.def_code, live),
+        witnesses=TreeWitnesses(len(live), action, generator_element),
         relations=presentation.relations,
     )
 

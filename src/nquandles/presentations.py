@@ -35,6 +35,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from itertools import compress, count, islice
+from operator import ne, neg
 from typing import Mapping, Sequence
 
 from .words import (
@@ -540,29 +542,40 @@ def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
     letter p are dropped (x^(x w) = x^w, and x^(w p) = p exactly when
     x^w = p) and an empty relation p = p is left out.  Components are the
     cycles of the strand permutation, numbered from their least strand.
+    Each position's word is a list of its own that a crossing extends in
+    place, cancelling only at the seams.
     """
     if strands < 1:
         raise PresentationError("need at least one strand")
-    at: list[tuple[int, Word]] = [(p, ()) for p in range(strands)]
+    at: list[tuple[int, list[int]]] = [(p, []) for p in range(strands)]
     for letter in braid_word:
         if letter == 0 or abs(letter) >= strands:
             raise PresentationError(f"braid letter {letter} out of range")
         i = abs(letter) - 1
         (a, u), (b, v) = at[i], at[i + 1]
+        # the word of the strand passing under grows, in signed letters
+        # +-(generator + 1); C counts the letters that cancel at a seam
         if letter > 0:
-            at[i], at[i + 1] = (b, concat(v, invert(u), ((a, 1),), u)), (a, u)
+            word, parts = v, (list(map(neg, reversed(u))), (a + 1,), u)
         else:
-            at[i], at[i + 1] = (b, v), (a, concat(u, invert(v), ((b, -1),), v))
+            word, parts = u, (list(map(neg, reversed(v))), (-b - 1,), v)
+        for part in parts:
+            cut = next(compress(count(), map(ne, reversed(word), map(neg, part))),
+                       min(len(word), len(part)))
+            del word[len(word) - cut:]
+            word.extend(islice(part, cut, None))
+        at[i], at[i + 1] = (b, v), (a, u)
 
     relations = []
     for p, (base, word) in enumerate(at):
         start, end = 0, len(word)
-        while start < end and word[start][0] == base:
+        while start < end and abs(word[start]) == base + 1:
             start += 1
-        while end > start and word[end - 1][0] == p:
+        while end > start and abs(word[end - 1]) == p + 1:
             end -= 1
         if start < end or base != p:
-            relations.append(PrimaryRelation(base, word[start:end], p))
+            letters = tuple((abs(x) - 1, 1 if x > 0 else -1) for x in word[start:end])
+            relations.append(PrimaryRelation(base, letters, p))
     top = {base: p for p, (base, _) in enumerate(at)}
     component_of = [0] * strands
     for first in range(strands):

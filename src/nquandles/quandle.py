@@ -3,14 +3,15 @@
 A sealed quandle stores, for each generator g, the permutation x -> x^g
 of the element set {0, ..., size-1}, and derives its inverse on first
 read.  Every element carries a witness expression a^w naming it; the
-witnesses are any read-only sequence, and an enumerated quandle's
-spells its words only when one is first read (exports and names read
-them, enumeration and the size checks do not).  The operation table
-M[x, y] = x > y is built once per quandle along forward generator
-edges, which reach whole orbits since a permutation's inverse is one
-of its powers: the column of a generator element is that generator's
-action, and each other column y^g is the conjugate A[g] R_y A'[g] of
-a column y built before it, by self-distributivity,
+witnesses are any read-only sequence.  An enumerated quandle's are
+positive words along its breadth-first generator tree, spelled when
+one is first read (exports and names read them, enumeration and the
+size checks do not).  The operation table M[x, y] = x > y is built
+once per quandle along that tree's forward generator edges, which
+reach whole orbits since a permutation's inverse is one of its
+powers: the column of a generator element is that generator's action,
+and each other column y^g is the conjugate A[g] R_y A'[g] of a column
+y built before it, by self-distributivity,
 
     M[A[g], y^g] = A[g][M[:, y]],
 
@@ -101,7 +102,8 @@ class VerificationReport:
 _Tree = tuple[list[tuple[int, int]], list[tuple[int, int, int]]]
 
 
-def _generator_tree(q: FiniteQuandle) -> _Tree:
+def _generator_tree(size: int, action: Sequence[Sequence[int]],
+                    generator_element: Sequence[int]) -> _Tree:
     """Breadth-first spanning forest over the generators' action edges.
 
     Returns the roots (generator, element), one per distinct generator
@@ -109,22 +111,64 @@ def _generator_tree(q: FiniteQuandle) -> _Tree:
     child), child = parent^generator, in discovery order; every element
     the generators reach is a root or the child of exactly one edge.
     """
-    seen = [False] * q.size
+    seen = [False] * size
     roots = []
-    for g, e in enumerate(q.generator_element):
+    for g, e in enumerate(generator_element):
         if not seen[e]:
             seen[e] = True
             roots.append((g, e))
     edges = []
     queue = [e for _, e in roots]
     for y in queue:
-        for g, act in enumerate(q.action):
+        for g, act in enumerate(action):
             z = act[y]
             if not seen[z]:
                 seen[z] = True
                 edges.append((y, g, z))
                 queue.append(z)
     return roots, edges
+
+
+class TreeWitnesses(Sequence):
+    """Witnesses along the breadth-first generator tree, spelled on
+    first read: a root's witness is its generator, and the tree edge
+    y --g--> z names z by y's word and the letter g, so every word is
+    positive, as long as its element's depth, and made of one letter
+    object per generator.  Holds the action tables and generator
+    elements only; compares, hashes and prints as the tuple of its
+    words."""
+
+    def __init__(self, size: int, action: Sequence[Sequence[int]],
+                 generator_element: Sequence[int]):
+        self._size, self._action, self._generator_element = size, action, generator_element
+        self._words: tuple[Expression, ...] | None = None
+
+    def _spelled(self) -> tuple[Expression, ...]:
+        if self._words is None:
+            roots, edges = _generator_tree(self._size, self._action, self._generator_element)
+            letters = [(g, 1) for g in range(len(self._action))]
+            words: list = [None] * self._size
+            for g, e in roots:
+                words[e] = Expression(g, ())
+            for y, g, z in edges:
+                words[z] = Expression(words[y].base, words[y].word + (letters[g],))
+            self._words = tuple(words)
+        return self._words
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        return self._spelled()[i]
+
+    def __eq__(self, other):
+        return self._spelled() == (other._spelled() if isinstance(other, TreeWitnesses) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._spelled())
+
+    def __repr__(self) -> str:
+        return repr(self._spelled())
 
 
 def _table_dtype(size: int) -> type[np.signedinteger]:
@@ -138,7 +182,7 @@ def _build_table(q: FiniteQuandle) -> np.ndarray:
     act = np.asarray(q.action, dtype=dtype).reshape(-1, n)
     # cols[y] is column y of M, so each step writes one contiguous row
     cols = np.full((n, n), -1, dtype=dtype)
-    roots, edges = _generator_tree(q)
+    roots, edges = _generator_tree(n, q.action, q.generator_element)
     for g, e in roots:
         cols[e] = act[g]
     for y, g, z in edges:
@@ -475,7 +519,7 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     images: list[int | None] = [None] * len(gens)
     table2 = q2.table
     inverse_columns: dict[int, np.ndarray] = {}
-    tree = _generator_tree(q1)
+    tree = _generator_tree(q1.size, q1.action, q1.generator_element)
 
     def column(e: int, sign: int) -> np.ndarray:
         # each candidate image's column is inverted once per search

@@ -11,6 +11,9 @@ from sympy.combinatorics.free_groups import free_group
 from nquandles.catalog import catalog, iter_checks
 from nquandles.enumerator import enumerate_quandle
 from nquandles.presentations import (
+    _BRAIDS,
+    Presentation,
+    PrimaryRelation,
     augment_n,
     braid_presentation,
     builtin_family,
@@ -18,6 +21,7 @@ from nquandles.presentations import (
     wirtinger,
 )
 from nquandles.quandle import is_isomorphic, orbits
+from nquandles.words import concat, invert
 
 TWO_STRAND = {"trefoil": 3, "hopf": 2, "T24": 4, "T26": 6, "T28": 8, "T210": 10}
 
@@ -124,3 +128,34 @@ def test_orbit_sizes_are_coset_indices(word, strands, ns, sizes):
         got.append(len(part.members(part.orbit_of[x])))
     assert got == sizes
     assert coset_indices(p) == sizes
+
+
+def concat_braid_presentation(braid_word, strands):
+    """Reference: the closed braid's presentation with every crossing's
+    word re-reduced whole by ``words.concat``, as before the strand words
+    were joined at their seams."""
+    at = [(p, ()) for p in range(strands)]
+    for letter in braid_word:
+        i = abs(letter) - 1
+        (a, u), (b, v) = at[i], at[i + 1]
+        if letter > 0:
+            at[i], at[i + 1] = (b, concat(v, invert(u), ((a, 1),), u)), (a, u)
+        else:
+            at[i], at[i + 1] = (b, v), (a, concat(u, invert(v), ((b, -1),), v))
+    relations = []
+    for p, (base, word) in enumerate(at):
+        while word and word[0][0] == base:
+            word = word[1:]
+        while word and word[-1][0] == p:
+            word = word[:-1]
+        if word or base != p:
+            relations.append(PrimaryRelation(base, word, p))
+    braid = braid_presentation(braid_word, strands)
+    return Presentation(braid.generator_names, braid.component_of, None, tuple(relations))
+
+
+def test_seam_joins_match_the_concat_words():
+    cases = [*_BRAIDS.values(), ((1, -2, 1, -2, -1, 2), 3), ((2, 3, -1, 2, -3, -3, 1, 2), 4)]
+    cases += [family_braid(name, k) for name in ("T2k", "Lk") for k in range(-40, 41) if k]
+    for word, strands in cases:
+        assert braid_presentation(word, strands) == concat_braid_presentation(word, strands)
