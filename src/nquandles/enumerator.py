@@ -39,14 +39,17 @@ a vertex is made only for a letter that neither scan could read.  A
 generator a with n = 2 acts as an involution, x^(a') = x^a, since
 R_a^2 = id in the N-quandle: its two letters share one row, its letters
 are compiled as a and cancel in pairs, and its power relation a^2 is
-never scanned, which is a sound deduction that leaves the halting
-behaviour as it was.  Each relation is also bound once per run to the
-graph's letter rows (``TraceGraph.bind``), so a forward read follows
-row objects, not letter codes; the rows grow in place, so a binding
-stays valid for the whole run.  Vertices record nothing about how they
-were made, and merges keep the smaller label.  The sealed quandle names
-its elements along its breadth-first generator tree, spelled the first
-time a name is read (``quandle.TreeWitnesses``).  All worklists are
+scanned only when no other universal relation reads a (a free
+involution, as on a component of an unlink).  The fold is a sound
+deduction, and it leaves the halting behaviour as it was only because
+that power is kept: the sweep defines a letter's edges only by reading
+the letter, so a letter that no relation reads would stay undefined.
+Each relation is also bound once per run to the graph's letter rows
+(``TraceGraph.bind``), so a forward read follows row objects, not
+letter codes; the rows grow in place, so a binding stays valid for the
+whole run.  Vertices record nothing about how they
+were made, and merges keep the smaller label; the sealed quandle
+derives its element names from its action tables.  All worklists are
 ordered, so runs are bit-for-bit reproducible.
 """
 
@@ -59,8 +62,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .presentations import Presentation, PresentationError, secondary_relations
-from .quandle import FiniteQuandle, TreeWitnesses
+from .presentations import Presentation, PresentationError, conjugate_relations
+from .quandle import FiniteQuandle
 from .words import Word
 
 DEFAULT_MAX_VERTICES = 100_000
@@ -142,10 +145,12 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
     """The relators of a presentation with n-values, for one run under
     ``max_steps``, as letter codes: 2*gen for gen, 2*gen + 1 for its
     inverse.  A generator a with n = 2 is an involution, so its letters
-    are folded: a' is written a, a a cancels, a relator that folds to
-    nothing is dropped and the power relation a^2 is never spelled.  A
-    power relation longer than the step cap is never spelled either: it
-    could not be scanned in full, and the run stops at it."""
+    are folded: a' is written a, a a cancels and a relator that folds
+    to nothing is dropped.  Its power relation a^2 is spelled, last,
+    only when no folded conjugate relator reads a, since the sweep
+    defines a letter's edges only by reading it.  A power relation
+    longer than the step cap is never spelled either: it could not be
+    scanned in full, and the run stops at it."""
     powers = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
 
     def fold(word: Word) -> list[int]:
@@ -167,9 +172,11 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
         if n > max_steps:
             return Relators(primary, universal, (2 * gen, n))
         universal.append([2 * gen] * n)
-    conjugates = secondary_relations(presentation)[len(powers):]
-    universal += [codes for codes in (fold(u.word) for u in conjugates) if codes]
-    return Relators(primary, universal, None)
+    conjugates = [codes for codes in (fold(u.word) for u in conjugate_relations(presentation))
+                  if codes]
+    read = {c for codes in conjugates for c in codes}
+    free = [[2 * gen] * 2 for gen, n in enumerate(powers) if n == 2 and 2 * gen not in read]
+    return Relators(primary, universal + conjugates + free, None)
 
 
 class TraceGraph:
@@ -458,16 +465,15 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     quandle derives its inverse), and every primary and universal
     relation closing.  An involution's two codes read its one row
     twice, so its bijection check is the check x^(a a) = x that its
-    unscanned power relation a^2 would have made.
+    power relation a^2 would have made where it is not scanned.
 
     After the last collapse the rows of representatives hold only
     representatives, so each entry is numbered directly; an entry that
     is a merged label is a broken postcondition, not something to
     remap.  The bijection and universal relation checks read one (2g, n)
     array of the tables, each letter of a relation one ``take`` that
-    moves every element at once.  The quandle's witnesses hold its
-    action tables only, and are spelled along its generator tree when
-    first read."""
+    moves every element at once.  The quandle gets no names: it
+    derives them from its action tables when one is first read."""
     presentation = graph.presentation
     parent = graph.parent
     live = [v for v in range(graph.created) if parent[v] == v]
@@ -507,15 +513,13 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
         if not np.array_equal(perm, identity):
             raise EnumerationInternalError(
                 "universal relation does not close at some vertex")
-    action = tuple(tables[0::2])
     return FiniteQuandle(
         size=len(live),
         generator_names=presentation.generator_names,
-        action=action,
+        action=tuple(tables[0::2]),
         generator_element=generator_element,
         component_of_generator=presentation.component_of,
         n_values=presentation.n_values,
-        witnesses=TreeWitnesses(len(live), action, generator_element),
         relations=presentation.relations,
     )
 

@@ -270,10 +270,9 @@ def secondary_relations(p: Presentation) -> list[UniversalRelation]:
     """Universal relations y^w = y implied by the presentation.
 
     First the N relations, one per generator g on component i:
-    w = g^(n_i); short words that collapse early.  Then one relation per
-    primary base^w = target: the conjugate w' base w target', which says
-    every element is fixed by that consequence of the primary.  The
-    returned order is the order the enumerator traces at each vertex.
+    w = g^(n_i); short words that collapse early.  Then the
+    ``conjugate_relations``.  The returned order is the order the
+    enumerator traces at each vertex.
     """
     if p.n_values is None:
         raise PresentationError("secondary relations need n-values; call augment_n")
@@ -281,12 +280,16 @@ def secondary_relations(p: Presentation) -> list[UniversalRelation]:
     for gen in range(len(p.generator_names)):
         n = p.n_of_generator(gen)
         out.append(UniversalRelation(((gen, 1),) * n))
-    for rel in p.relations:
-        word = concat(
-            invert(rel.word), ((rel.base, 1),), rel.word, ((rel.target, -1),)
-        )
-        out.append(UniversalRelation(word))
-    return out
+    return out + conjugate_relations(p)
+
+
+def conjugate_relations(p: Presentation) -> list[UniversalRelation]:
+    """One universal relation per primary base^w = target: the conjugate
+    w' base w target', which says every element is fixed by that
+    consequence of the primary."""
+    return [UniversalRelation(concat(invert(rel.word), ((rel.base, 1),), rel.word,
+                                     ((rel.target, -1),)))
+            for rel in p.relations]
 
 
 # --- diagrams -------------------------------------------------------------

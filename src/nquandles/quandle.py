@@ -2,11 +2,11 @@
 
 A sealed quandle stores, for each generator g, the permutation x -> x^g
 of the element set {0, ..., size-1}, and derives its inverse on first
-read.  Every element carries a witness expression a^w naming it; the
-witnesses are any read-only sequence.  An enumerated quandle's are
-positive words along its breadth-first generator tree, spelled when
-one is first read (exports and names read them, enumeration and the
-size checks do not).  The operation table M[x, y] = x > y is built
+read.  Every element the generators reach is named by an expression
+a^w derived from the tables too: a positive word along the
+breadth-first generator tree, spelled when a name is first read
+(exports and names read them, enumeration and the size checks do
+not).  The operation table M[x, y] = x > y is built
 once per quandle along that tree's forward generator edges, which
 reach whole orbits since a permutation's inverse is one of its
 powers: the column of a generator element is that generator's action,
@@ -49,9 +49,8 @@ class FiniteQuandle:
 
     action[g][x] is x^g; inverse_action[g][x] = x^(g') is derived from
     it.  Elements are 0-based; generator_element maps a generator index
-    to the element representing it.  witnesses[x] names element x; it
-    may be a tuple or a sequence that spells on first read and compares,
-    hashes and prints as the tuple of its words.  relations carries the
+    to the element representing it.  witnesses[x] names element x and
+    is derived from those two fields.  relations carries the
     defining primary relations when the quandle came out of an
     enumeration (used to prune isomorphism searches); hand-built tables
     may leave it empty.
@@ -63,11 +62,27 @@ class FiniteQuandle:
     generator_element: tuple[int, ...]
     component_of_generator: tuple[int, ...]
     n_values: tuple[int, ...]
-    witnesses: Sequence[Expression]
     relations: tuple[PrimaryRelation, ...] = ()
 
     def element_name(self, x: int) -> str:
         return expression_str(self.witnesses[x], self.generator_names)
+
+    @cached_property
+    def witnesses(self) -> tuple[Expression | None, ...]:
+        """Names along the breadth-first generator tree, spelled on
+        first read: a root is named by its generator, and the tree edge
+        y --g--> z names z by y's word and the letter g, so every word
+        is positive, as long as its element's depth, and made of one
+        letter object per generator.  None for an element no generator
+        reaches."""
+        roots, edges = _generator_tree(self)
+        letters = [(g, 1) for g in range(len(self.action))]
+        words: list = [None] * self.size
+        for g, e in roots:
+            words[e] = Expression(g, ())
+        for y, g, z in edges:
+            words[z] = Expression(words[y].base, words[y].word + (letters[g],))
+        return tuple(words)
 
     @cached_property
     def inverse_action(self) -> tuple[tuple[int, ...], ...]:
@@ -102,8 +117,7 @@ class VerificationReport:
 _Tree = tuple[list[tuple[int, int]], list[tuple[int, int, int]]]
 
 
-def _generator_tree(size: int, action: Sequence[Sequence[int]],
-                    generator_element: Sequence[int]) -> _Tree:
+def _generator_tree(q: FiniteQuandle) -> _Tree:
     """Breadth-first spanning forest over the generators' action edges.
 
     Returns the roots (generator, element), one per distinct generator
@@ -111,64 +125,22 @@ def _generator_tree(size: int, action: Sequence[Sequence[int]],
     child), child = parent^generator, in discovery order; every element
     the generators reach is a root or the child of exactly one edge.
     """
-    seen = [False] * size
+    seen = [False] * q.size
     roots = []
-    for g, e in enumerate(generator_element):
+    for g, e in enumerate(q.generator_element):
         if not seen[e]:
             seen[e] = True
             roots.append((g, e))
     edges = []
     queue = [e for _, e in roots]
     for y in queue:
-        for g, act in enumerate(action):
+        for g, act in enumerate(q.action):
             z = act[y]
             if not seen[z]:
                 seen[z] = True
                 edges.append((y, g, z))
                 queue.append(z)
     return roots, edges
-
-
-class TreeWitnesses(Sequence):
-    """Witnesses along the breadth-first generator tree, spelled on
-    first read: a root's witness is its generator, and the tree edge
-    y --g--> z names z by y's word and the letter g, so every word is
-    positive, as long as its element's depth, and made of one letter
-    object per generator.  Holds the action tables and generator
-    elements only; compares, hashes and prints as the tuple of its
-    words."""
-
-    def __init__(self, size: int, action: Sequence[Sequence[int]],
-                 generator_element: Sequence[int]):
-        self._size, self._action, self._generator_element = size, action, generator_element
-        self._words: tuple[Expression, ...] | None = None
-
-    def _spelled(self) -> tuple[Expression, ...]:
-        if self._words is None:
-            roots, edges = _generator_tree(self._size, self._action, self._generator_element)
-            letters = [(g, 1) for g in range(len(self._action))]
-            words: list = [None] * self._size
-            for g, e in roots:
-                words[e] = Expression(g, ())
-            for y, g, z in edges:
-                words[z] = Expression(words[y].base, words[y].word + (letters[g],))
-            self._words = tuple(words)
-        return self._words
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, i):
-        return self._spelled()[i]
-
-    def __eq__(self, other):
-        return self._spelled() == (other._spelled() if isinstance(other, TreeWitnesses) else other)
-
-    def __hash__(self) -> int:
-        return hash(self._spelled())
-
-    def __repr__(self) -> str:
-        return repr(self._spelled())
 
 
 def _table_dtype(size: int) -> type[np.signedinteger]:
@@ -182,7 +154,7 @@ def _build_table(q: FiniteQuandle) -> np.ndarray:
     act = np.asarray(q.action, dtype=dtype).reshape(-1, n)
     # cols[y] is column y of M, so each step writes one contiguous row
     cols = np.full((n, n), -1, dtype=dtype)
-    roots, edges = _generator_tree(n, q.action, q.generator_element)
+    roots, edges = _generator_tree(q)
     for g, e in roots:
         cols[e] = act[g]
     for y, g, z in edges:
@@ -519,7 +491,7 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     images: list[int | None] = [None] * len(gens)
     table2 = q2.table
     inverse_columns: dict[int, np.ndarray] = {}
-    tree = _generator_tree(q1.size, q1.action, q1.generator_element)
+    tree = _generator_tree(q1)
 
     def column(e: int, sign: int) -> np.ndarray:
         # each candidate image's column is inverted once per search

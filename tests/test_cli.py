@@ -71,6 +71,17 @@ def test_enumerate_cap_exceeded(capsys):
                    "before the stop, 10001 live, 231723 steps\n")
 
 
+def test_enumerate_a_free_involution_hits_the_cap(tmp_path, capsys):
+    # the 2-component unlink at N=(2,2) is infinite; no relation but its
+    # own power reads either generator
+    path = tmp_path / "p.txt"
+    path.write_text("gens a b\ncomp a:1 b:2\nN 2 2\n")
+    code, out, err = run(capsys, "enumerate", "--file", str(path), "--max-vertices", "1000")
+    assert code == 4 and err == ""
+    assert out == ("exceeded vertices cap (1000); 1001 vertices created "
+                   "before the stop, 1001 live, 4991 steps\n")
+
+
 def test_enumerate_from_file(tmp_path, capsys):
     path = tmp_path / "p.txt"
     path.write_text("gens a b\ncomp a:1 b:1\nN 3\n"

@@ -27,7 +27,7 @@ from nquandles.quandle import (
     verify_axioms,
     verify_n_relations,
 )
-from nquandles.words import Expression, invert
+from nquandles.words import invert
 
 
 def enum(name, ns=None, k=None):
@@ -39,18 +39,13 @@ def enum(name, ns=None, k=None):
 
 def tiny(action, gen_elements, components, ns):
     """Hand-built quandle wrapper for verifier edge cases."""
-    size = len(action[0])
-    witnesses = [Expression(0, ())] * size
-    for g, el in enumerate(gen_elements):
-        witnesses[el] = Expression(g, ())
     return FiniteQuandle(
-        size=size,
+        size=len(action[0]),
         generator_names=tuple("abcdefgh"[: len(gen_elements)]),
         action=tuple(tuple(row) for row in action),
         generator_element=tuple(gen_elements),
         component_of_generator=tuple(components),
         n_values=tuple(ns),
-        witnesses=tuple(witnesses),
     )
 
 
@@ -247,9 +242,7 @@ def test_verify_axioms_catches_generators_that_share_an_element_but_not_an_actio
     # (the identity), so b's swap is not the column of its element
     q = tiny([(0, 1), (1, 0)], [0, 0], [1, 1], [2])
     assert verify_axioms(q).failures == [
-        "generator column: x > 0 differs from the action of b",
-        "witness: a names element 0, not 1",
-    ]
+        "generator column: x > 0 differs from the action of b"]
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +255,10 @@ def cubic_oracle(q):
     """Reference verifier sharing no code with verify_axioms: every
     column is walked from its witness, x > a^w = x^(w' a w), then
     idempotence, bijective columns and all size^3 self-distributivity
-    triples are checked."""
+    triples are checked.  An element without a witness is one the
+    generators do not reach, so the quandle is not generated."""
+    if None in q.witnesses:
+        return False
     n = q.size
     idx = np.arange(n)
     act = np.array(q.action).reshape(-1, n)
@@ -282,28 +278,6 @@ def cubic_oracle(q):
         return False
     return all(np.array_equal(fwd[:, z][fwd], fwd[np.ix_(fwd[:, z], fwd[:, z])])
                for z in range(n))
-
-
-def renamed(q):
-    """q with witnesses re-derived breadth-first along its actions, so
-    every reachable element's name walks to it whatever the tables say."""
-    names = list(q.witnesses)
-    seen = set()
-    queue = []
-    for g, e in enumerate(q.generator_element):
-        if e not in seen:
-            seen.add(e)
-            names[e] = Expression(g, ())
-            queue.append(e)
-    for y in queue:
-        for g in range(len(q.generator_names)):
-            for sign, table in ((1, q.action[g]), (-1, q.inverse_action[g])):
-                z = table[y]
-                if z not in seen:
-                    seen.add(z)
-                    names[z] = Expression(names[y].base, names[y].word + ((g, sign),))
-                    queue.append(z)
-    return dataclasses.replace(q, witnesses=tuple(names))
 
 
 def tampered(q, g, x1, x2):
@@ -334,14 +308,11 @@ def tamperings(quandles):
             yield q, g, x1, x2, tampered(q, g, x1, x2)
 
 
-@pytest.mark.parametrize("rename", [False, True])
-def test_verify_axioms_rejects_tampered_actions(catalog_quandles, rename):
-    # swapped action entries, with witnesses either kept or re-derived
-    # so that names stay valid and only the algebra can give it away
+def test_verify_axioms_rejects_tampered_actions(catalog_quandles):
+    # swapped action entries; names are derived from the tampered tables,
+    # so they stay valid and only the algebra can give it away
     rejected = 0
     for q, g, x1, x2, bad in tamperings(catalog_quandles):
-        if rename:
-            bad = renamed(bad)
         if not cubic_oracle(bad):
             rejected += 1
             assert not verify_axioms(bad), (q.generator_names, g, x1, x2)
@@ -362,16 +333,12 @@ def assert_true_violation(q, failure):
     return y
 
 
-@pytest.mark.parametrize("rename", [False, True])
-def test_verify_axioms_in_small_bands_rejects_tampered_actions(catalog_quandles, rename,
-                                                               monkeypatch):
+def test_verify_axioms_in_small_bands_rejects_tampered_actions(catalog_quandles, monkeypatch):
     # a band of 64 entries splits every catalog quandle past 64 elements
     # into one-column bands
     monkeypatch.setattr(quandle, "_BAND", 64)
     rejected = 0
     for q, g, x1, x2, bad in tamperings(catalog_quandles):
-        if rename:
-            bad = renamed(bad)
         report = verify_axioms(bad)
         if not cubic_oracle(bad):
             rejected += 1
@@ -397,13 +364,9 @@ def relabeled(q, order):
             out.append(tuple(new))
         return tuple(out)
 
-    witnesses = [None] * q.size
-    for x, w in enumerate(q.witnesses):
-        witnesses[label[x]] = w
     return dataclasses.replace(
         q, action=moved(q.action),
-        generator_element=tuple(label[e] for e in q.generator_element),
-        witnesses=tuple(witnesses))
+        generator_element=tuple(label[e] for e in q.generator_element))
 
 
 @pytest.mark.parametrize("g, x1, x2", [(0, 106, 321), (1, 372, 797), (2, 2, 3), (2, 137, 140)])
@@ -417,7 +380,7 @@ def test_verify_axioms_finds_a_violation_past_the_first_band(mk30, g, x1, x2):
         broken = (a[m] != m[np.ix_(a, a)]).any(axis=0)
         if broken.any():
             break
-    bad = renamed(relabeled(bad, np.argsort(broken, kind="stable")))
+    bad = relabeled(bad, np.argsort(broken, kind="stable"))
     first_broken = int((~broken).sum())
     assert first_broken >= quandle._BAND // bad.size
     report = verify_axioms(bad)
@@ -627,7 +590,7 @@ def test_is_isomorphic_same_quandle_relabeled():
 def test_dihedral_quandle_from_its_actions_alone(q):
     # R_q: x > y = 2y - x mod q, generators at 0 and 1, no inverse given
     actions = [[(2 * y - x) % q for x in range(q)] for y in (0, 1)]
-    r = renamed(tiny(actions, [0, 1], [1, 1], [2]))
+    r = tiny(actions, [0, 1], [1, 1], [2])
     assert verify_all(r)
     t = enum("T2k", (2,), k=q)
     assert is_isomorphic(r, t)
