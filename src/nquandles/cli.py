@@ -139,8 +139,6 @@ def _load_presentation(args: argparse.Namespace) -> Presentation:
 
 
 def _write_or_print(text: str, path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -240,6 +238,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.braid is not None and args.strands is None:
         print("error: --braid needs --strands", file=sys.stderr)
         return 1
+    if args.braid is not None and args.strands > DEFAULT_MAX_VERTICES:
+        raise PresentationError(f"{args.strands} strands exceed the vertex cap "
+                                f"{DEFAULT_MAX_VERTICES}: each strand needs a vertex")
     if args.to == "diagram":
         if args.N is not None:
             print("error: --N only applies to presentation output", file=sys.stderr)

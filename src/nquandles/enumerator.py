@@ -19,13 +19,13 @@ coset enumeration:
     relations) from each live vertex back to itself in the same way,
     collapsing after each scan that schedules an identification, until
     every live vertex has been processed;
-6.  sealing: the live vertices, in label order, become the elements
-    0..n-1 and the letter rows become integer action tables, which must
-    pass every postcondition (each generator a bijection with its
-    inverse edges, every primary and universal relation closed) before
-    the forward tables go to a ``FiniteQuandle``; the bijection and
-    universal relation checks run as array ``take``s over one (2g, n)
-    table, all elements at once.
+6.  sealing: the live vertices become the elements 0..n-1 along the
+    generator tree that names them, generator elements first, and the
+    letter rows become integer action tables, which must pass every
+    postcondition (each generator a bijection with its inverse edges,
+    every primary and universal relation closed, every vertex reached)
+    before the forward tables go to a ``FiniteQuandle``; the checks on
+    all elements at once are array ``take``s over one (2g, n) table.
 
 The procedure halts exactly when the N-quandle is finite; vertex and
 step caps make the infinite case observable as an Exceeded outcome,
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import length_hint
 from typing import NamedTuple
 
@@ -458,14 +459,18 @@ def run_schedule(graph: TraceGraph, relators: Relators) -> TraceGraph:
 
 
 def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
-    """Step 6: number the live labels in label order, read the row of
-    each letter code into an action table over them, and check the
-    postconditions on those tables: every edge defined, each generator's
-    inverse edges undoing its action (so it is a bijection, and the
-    quandle derives its inverse), and every primary and universal
-    relation closing.  An involution's two codes read its one row
-    twice, so its bijection check is the check x^(a a) = x that its
-    power relation a^2 would have made where it is not scanned.
+    """Step 6: number the live labels along the generator tree, read
+    the row of each letter code into an action table over them, and
+    check the postconditions on those tables: every edge defined, each
+    generator's inverse edges undoing its action (so it is a bijection,
+    and the quandle derives its inverse), every primary and universal
+    relation closing, then every live label reached.  An involution's
+    two codes read its one row twice, so its bijection check is the
+    x^(a a) = x that its power a^2 would check where it is not scanned.
+
+    The walk is ``quandle._generator_tree``'s, on the forward rows, and
+    canonical: a generated quandle has one isomorphism fixing each
+    generator's element.  Labels it misses are numbered after it.
 
     After the last collapse the rows of representatives hold only
     representatives, so each entry is numbered directly; an entry that
@@ -476,10 +481,18 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     derives them from its action tables when one is first read."""
     presentation = graph.presentation
     parent = graph.parent
-    live = [v for v in range(graph.created) if parent[v] == v]
     index = [-1] * graph.created
-    for i, v in enumerate(live):
-        index[v] = i
+    live: list[int] = []  # read by the walk while it grows
+    forward = graph.rows[0::2]
+    walk = (row[v] for v in live for row in forward)
+    for t in chain(map(graph.find, range(graph.ngens)), walk):
+        if t >= 0 and index[t] < 0 and parent[t] == t:
+            index[t] = len(live)
+            live.append(t)
+    reached = len(live)
+    live += [v for v in range(graph.created) if parent[v] == v and index[v] < 0]
+    for i in range(reached, len(live)):
+        index[live[i]] = i
     tables = []
     for code, row in enumerate(graph.rows):
         ends = [row[v] for v in live]
@@ -513,6 +526,8 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
         if not np.array_equal(perm, identity):
             raise EnumerationInternalError(
                 "universal relation does not close at some vertex")
+    if reached < len(live):
+        raise EnumerationInternalError(f"the generators do not reach vertex {live[reached]}")
     return FiniteQuandle(
         size=len(live),
         generator_names=presentation.generator_names,

@@ -105,8 +105,8 @@ class Presentation:
             raise PresentationError("component_of must assign every generator")
         comps = set(self.component_of)
         m = max(comps)
-        if comps != set(range(1, m + 1)):
-            missing = sorted(set(range(1, m + 1)) - comps)
+        if m > len(names) or comps != set(range(1, m + 1)):
+            missing = sorted(set(range(1, min(m, len(names)) + 1)) - comps)
             raise PresentationError(f"components {missing} have no generator")
         if self.n_values is not None:
             if len(self.n_values) != m:
@@ -152,6 +152,9 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
 
 
 _REL_RE = re.compile(r"^(\w+)\s*\^\s*\[([^\]]*)\]\s*=\s*(\w+)$")
+# ASCII digits only (isdigit() also takes '²'), no more of them than
+# int() reads under the lowest digit limit an interpreter may set
+_NUMBER_RE = re.compile(r"[0-9]{1,640}")
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -190,8 +193,7 @@ def parse_presentation(text: str) -> Presentation:
                     token_col = raw_line.index(token, end) + 1
                     end = token_col - 1 + len(token)
                     name, sep, num = token.partition(":")
-                    # isdigit() alone also takes digits int() cannot read, such as '²'
-                    if not sep or not (num.isascii() and num.isdigit()):
+                    if not sep or not _NUMBER_RE.fullmatch(num):
                         raise ParseError(f"expected name:index, got {token!r}",
                                          line_no, token_col)
                     if int(num) < 1:
@@ -203,7 +205,7 @@ def parse_presentation(text: str) -> Presentation:
                 if n_values is not None:
                     raise ParseError("duplicate N statement", line_no, col)
                 tokens = rest.split()
-                if not tokens or not all(t.isascii() and t.isdigit() for t in tokens):
+                if not tokens or not all(_NUMBER_RE.fullmatch(t) for t in tokens):
                     raise ParseError("N needs positive integers", line_no, col)
                 n_values = tuple([int(t) for t in tokens])
                 n_pos = (line_no, col)
@@ -225,9 +227,10 @@ def parse_presentation(text: str) -> Presentation:
             raise ParseError(f"comp references unknown generator {name!r}", line_no, col)
     component_of = tuple([comp.get(name, 1) for name in gens])
     # the checks Presentation would make, reported where the fault lies:
-    # the first comp token past a gap in the numbering, the N statement
+    # the first comp token past a gap in the numbering, the N statement;
+    # g generators with a gap in their numbering leave one at or below g
     m = max(component_of)
-    missing = sorted(set(range(1, m + 1)) - set(component_of))
+    missing = sorted(set(range(1, min(m, len(gens)) + 1)) - set(component_of))
     if missing:
         line_no, col = min(comp_pos[name] for name, c in comp.items() if c > missing[0])
         raise ParseError(f"components {missing} have no generator", line_no, col)
@@ -365,10 +368,11 @@ def parse_diagram(text: str) -> Diagram:
             continue
         try:
             obj = json.loads(line, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise DiagramError(f"line {line_no}: bad JSON ({exc.msg})") from None
         except DiagramError as exc:
             raise DiagramError(f"line {line_no}: {exc}") from None
+        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+            raise DiagramError(
+                f"line {line_no}: bad JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(obj, dict):
             raise DiagramError(f"line {line_no}: expected a JSON object")
         if "arc_components" in obj:
@@ -386,7 +390,7 @@ def parse_diagram(text: str) -> Diagram:
                         f"line {line_no}: component of arc {arc!r} must be an "
                         f"integer >= 1, not {comp!r}")
             comps = set(raw.values())
-            missing = sorted(set(range(1, max(comps) + 1)) - comps)
+            missing = sorted(set(range(1, min(max(comps), len(raw)) + 1)) - comps)
             if missing:
                 raise DiagramError(f"line {line_no}: components {missing} have no arc")
             arc_component = raw
@@ -580,9 +584,9 @@ def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
             letters = tuple((abs(x) - 1, 1 if x > 0 else -1) for x in word[start:end])
             relations.append(PrimaryRelation(base, letters, p))
     top = {base: p for p, (base, _) in enumerate(at)}
-    component_of = [0] * strands
+    component_of, comp = [0] * strands, 0
     for first in range(strands):
-        p, comp = first, max(component_of) + 1
+        p, comp = first, comp + (not component_of[first])
         while not component_of[p]:
             component_of[p] = comp
             p = top[p]

@@ -1,7 +1,10 @@
 """A first slice of the closed-braid census: every 3-strand braid word
 of one to four letters, one per cyclic rotation, at every N in {2, 3}^m
 for its m components.  No run may break a sealing postcondition, and
-every finite result must pass the full verification."""
+every finite result must pass the full verification.  At N all 2s and
+all 3s, each finite result must also be isomorphic to the results of
+the word rotated by one letter and of the word with sigma_1 and sigma_2
+swapped, and its mirror image must give a quandle of the same size."""
 
 from itertools import product
 
@@ -10,6 +13,7 @@ from nquandles import (
     augment_n,
     braid_presentation,
     enumerate_quandle,
+    is_isomorphic,
     verify_all,
 )
 
@@ -39,3 +43,30 @@ def test_three_strand_words_of_at_most_four_letters():
                 finite += 1
                 assert verify_all(out.quandle), (word, ns)
     assert (runs, finite) == (476, 122)
+
+
+def uniform(word, n):
+    """The closed 3-braid ``word`` enumerated with n on every component."""
+    p = braid_presentation(word, 3)
+    return enumerate_quandle(augment_n(p, (n,) * len(set(p.component_of))), LIMITS)
+
+
+def test_finite_results_are_invariant_under_rotation_flip_and_mirror():
+    # with every n equal, the N tuple does not depend on how components
+    # are numbered, so a braid that closes to the same link must give an
+    # isomorphic quandle, and its mirror image one of the same size
+    finite = 0
+    for word in braid_words(3, 4):
+        rotated = word[1:] + word[:1]
+        flipped = tuple(3 - x if x > 0 else -3 - x for x in word)
+        mirrored = tuple(-x for x in word)
+        for n in (2, 3):
+            out = uniform(word, n)
+            if not out.finite:
+                continue
+            finite += 1
+            assert is_isomorphic(out.quandle, uniform(rotated, n).quandle), (word, n)
+            assert is_isomorphic(out.quandle, uniform(flipped, n).quandle), (word, n)
+            mirror = uniform(mirrored, n)
+            assert mirror.finite and mirror.quandle.size == out.quandle.size, (word, n)
+    assert finite == 106

@@ -424,6 +424,16 @@ def test_convert_braid_needs_strands(capsys):
     assert "--strands" in err
 
 
+@pytest.mark.parametrize("to", ["presentation", "diagram"])
+@pytest.mark.parametrize("strands", ["100001", "100000000000"])
+def test_convert_refuses_more_strands_than_the_vertex_cap(capsys, to, strands):
+    # refused before a list of strand positions is built
+    code, out, err = run(capsys, "convert", "--braid", "1", "--strands", strands, "--to", to)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {strands} strands exceed the vertex cap 100000: "
+                   "each strand needs a vertex\n")
+
+
 def test_convert_bad_braid_letter(capsys):
     code, _, err = run(capsys, "convert", "--braid", "3", "--strands", "2")
     assert code == 1

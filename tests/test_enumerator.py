@@ -42,7 +42,6 @@ from nquandles.quandle import (
     FiniteQuandle,
     export_dot,
     export_json,
-    is_isomorphic,
     orbits,
     verify_all,
     verify_axioms,
@@ -184,14 +183,12 @@ def test_trajectory_is_pinned(p, limits, counters, cap_kind):
     assert out.vertices == (out.stats.live if cap_kind is None else out.stats.created)
 
 
-# sha256 of export_dot + export_json.  Pinned when involutions got one
-# row each and witnesses moved to the generator tree, which renumbers the
-# elements and renames them; the quandles they pin are isomorphic to the
-# ones pinned before, measured with the forward-only walk that preceded
-# the scan.
+# sha256 of export_dot + export_json.  Re-pinned when sealing numbered
+# the elements along the generator tree instead of by vertex label: the
+# exports before were these relabeled, each element keeping its name.
 MK_EXPORT_DIGESTS = {
-    60: "49548d633a1f1bf0248c2863c6d91bc59b8522f7f7b13e012bba0483ba76f175",
-    -59: "dde7709be0e91d884688ba328f1131d2c60fbb08be129287ce4f31e26e146aa8",
+    60: "720f7061067bc5fb17e300966792a8bb107840a9b8ac3c5b2aa272d03d6d3c87",
+    -59: "aa27934f5586ae6924aa756e3a9da941b7feedf8a13e8b8fc2e48c58ea35af63",
 }
 
 
@@ -749,6 +746,24 @@ def test_step_is_none_until_forced():
     assert follow(g, b, ((a, -1),)) == u
 
 
+def walk_order(g):
+    """Oracle for the sealed numbering: the live labels met breadth
+    first from the generator vertices along forward edges, each vertex's
+    edges in generator order."""
+    order = list(dict.fromkeys(g.find(j) for j in range(g.ngens)))
+    queue = deque(order)
+    seen = set(order)
+    while queue:
+        v = queue.popleft()
+        for gen in range(g.ngens):
+            t = g.find(g.rows[2 * gen][v])
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+                queue.append(t)
+    return order
+
+
 def test_live_accounting_after_schedule():
     p = family("T26", (2, 3))
     g = TraceGraph(p, EnumerationLimits())
@@ -759,10 +774,12 @@ def test_live_accounting_after_schedule():
     live = [v for v in range(g.created) if g.parent[v] == v]
     assert g.live_count == len(live) == 10
     assert all(g.find(v) == v for v in live)
-    # every live vertex's witness in the sealed quandle follows edges
-    # that are all there back to it
-    for v, w in zip(live, _seal(g, relators(g)).witnesses, strict=True):
-        assert follow(g, w.base, w.word) == v
+    # the witnesses of the sealed quandle follow edges that are all
+    # there, each to its own live vertex, in the order the walk met them
+    ends = [follow(g, w.base, w.word) for w in _seal(g, relators(g)).witnesses]
+    assert sorted(ends) == live
+    assert ends == walk_order(g)
+
 
 
 # --- witness spelling -------------------------------------------------------------
@@ -848,6 +865,18 @@ def test_witnesses_share_one_letter_object_per_letter(sealed_graphs):
         assert len(letters) <= len(p.generator_names)
 
 
+def test_sealing_numbers_elements_along_the_generator_tree():
+    # the tree reads its roots as elements 0, 1, ... and meets every
+    # other element in index order, so the numbering is the canonical one
+    qs = [enumerate_quandle(c.presentation).quandle for c in iter_checks()]
+    qs += [mk(k).quandle for k in (6, -5, 30)]
+    assert len(qs) == 95
+    for q in qs:
+        roots, edges = quandle._generator_tree(q)
+        assert [e for _, e in roots] == list(range(len(roots)))
+        assert [z for _, _, z in edges] == list(range(len(roots), q.size))
+
+
 def test_a_sealed_quandle_spells_no_witness_until_one_is_read(monkeypatch):
     calls = []
 
@@ -880,6 +909,17 @@ def test_verify_axioms_reports_a_wrong_tree_witness():
 UNFOLDED_TABLES = Path(__file__).parent / "data" / "unfolded_tables.json"
 
 
+def along_the_tree(q):
+    """q with its elements renumbered in the order its generator tree
+    meets them."""
+    roots, edges = quandle._generator_tree(q)
+    order = [e for _, e in roots] + [z for _, _, z in edges]
+    new = {x: i for i, x in enumerate(order)}
+    return dataclasses.replace(
+        q, action=tuple(tuple(new[act[x]] for x in order) for act in q.action),
+        generator_element=tuple(new[e] for e in q.generator_element))
+
+
 @pytest.mark.parametrize("name, p", [
     ("Mk k=6", family("Mk", k=6)),
     ("Mk k=-5", family("Mk", k=-5)),
@@ -890,15 +930,17 @@ UNFOLDED_TABLES = Path(__file__).parent / "data" / "unfolded_tables.json"
 ])
 def test_folded_runs_are_isomorphic_to_the_unfolded_tables(name, p):
     # action tables enumerated with a' kept apart from a for n = 2 and
-    # the elements numbered along definitions
+    # the elements numbered along definitions; renumbered along their
+    # generator tree, as sealing numbers them, they are the same tables
     saved = json.loads(UNFOLDED_TABLES.read_text())[name]
     q = enumerate_quandle(p).quandle
     unfolded = FiniteQuandle(
         size=saved["size"], generator_names=p.generator_names,
         action=tuple(map(tuple, saved["action"])),
         generator_element=tuple(saved["generator_element"]),
-        component_of_generator=p.component_of, n_values=p.n_values)
-    assert is_isomorphic(q, unfolded)
+        component_of_generator=p.component_of, n_values=p.n_values,
+        relations=p.relations)
+    assert along_the_tree(unfolded) == q
 
 
 def test_the_trace_graph_is_freed_when_the_run_returns(monkeypatch):
@@ -917,7 +959,7 @@ def test_the_trace_graph_is_freed_when_the_run_returns(monkeypatch):
         # freed by reference counting alone: nothing the quandle keeps,
         # its witnesses included, reaches the graph
         assert refs[0]() is None
-        assert q.element_name(5) == "a^ca" and q.element_name(6) == "a^cacc"
+        assert q.element_name(10) == "a^ca" and q.element_name(45) == "a^cacc"
     finally:
         gc.enable()
 
@@ -1021,7 +1063,8 @@ def test_seal_rejects_an_open_universal_relation():
 def loop_audit(g, p):
     """Reference for the sealing audit: the bijection, primary and
     universal relation checks one element at a time in Python lists, as
-    they ran before the array audit; the first failure, or None."""
+    they ran before the array audit, then the reach from the generators
+    over the label-ordered tables; the first failure, or None."""
     live = [v for v in range(g.created) if g.parent[v] == v]
     index = {v: i for i, v in enumerate(live)}
     tables = [[index[row[v]] for v in live] for row in g.rows]
@@ -1043,6 +1086,16 @@ def loop_audit(g, p):
             perm = [tables[c][x] for x in perm]
         if perm != identity:
             return "universal relation does not close"
+    reached = set(element)
+    queue = list(reached)
+    for x in queue:
+        for act in tables[0::2]:
+            if act[x] not in reached:
+                reached.add(act[x])
+                queue.append(act[x])
+    missed = [v for i, v in enumerate(live) if i not in reached]
+    if missed:
+        return f"the generators do not reach vertex {missed[0]}"
     return None
 
 
@@ -1077,6 +1130,22 @@ def test_the_array_audit_agrees_with_the_loop_audit():
     assert None in verdicts and "primary relation does not close" in verdicts
     assert "universal relation does not close" in verdicts
     assert any(v and "bijection" in v for v in verdicts)
+    assert any(v and "do not reach" in v for v in verdicts)
+
+
+def test_seal_rejects_a_vertex_the_generators_miss():
+    # a second copy of the quandle beside the first: every edge is there,
+    # every letter a bijection and every relation closed, so only the
+    # walk from the generators can tell
+    p, g, live = finished_t24()
+    base = g._allocate(len(live))
+    twin = {v: base + i for i, v in enumerate(live)}
+    for row in g.rows:
+        for v in live:
+            row[twin[v]] = twin[row[v]]
+    with pytest.raises(EnumerationInternalError,
+                       match=f"the generators do not reach vertex {base}$"):
+        _seal(g, relators(g))
 
 
 def test_seal_rejects_an_open_universal_relation_on_mk30():

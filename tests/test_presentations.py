@@ -132,6 +132,11 @@ def test_parse_error_zero_component_names_its_token():
     # digits str.isdigit() accepts but int() does not read
     ("gens a; N \u00b2\n", "N needs positive integers", (1, 9)),
     ("gens a b\ncomp a:1 b:\u00b2\n", "expected name:index, got 'b:\u00b2'", (2, 10)),
+    # more digits than int() reads under the lowest limit it may be set to
+    ("gens a; N 2 " + "9" * 641 + "\n", "N needs positive integers", (1, 9)),
+    ("gens a\ncomp a:" + "1" * 641 + "\n", "expected name:index", (2, 6)),
+    # a gap lies at or below the generator count, so no more is listed
+    ("gens a b\ncomp a:1 b:99999999999\n", "components [2] have no generator", (2, 10)),
 ])
 def test_parse_error_points_at_the_faulty_statement(text, message, position):
     with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -154,6 +159,9 @@ def test_duplicate_generators_rejected():
 def test_component_numbering_must_be_contiguous():
     with pytest.raises(PresentationError):
         Presentation(("a", "b"), (1, 3), None, ())
+    # listed up to the generator count, not to the largest index
+    with pytest.raises(PresentationError, match=re.escape("components [2] have no")):
+        Presentation(("a", "b"), (1, 10**11), None, ())
 
 
 def test_n_values_length_checked():
@@ -361,6 +369,12 @@ def test_parse_diagram_errors():
                       '{"over": "x0", "under_in": "x0", "under_out": "x9", "sign": "+"}\n')
     with pytest.raises(DiagramError):
         parse_diagram('not json\n')
+    # JSON that json.loads refuses with other errors than JSONDecodeError
+    with pytest.raises(DiagramError, match="line 1: bad JSON .*recursion"):
+        parse_diagram("[" * 100_000 + "]" * 100_000)
+    # (a number past int()'s digit limit, where the interpreter has one)
+    with pytest.raises(DiagramError, match="line 2: "):
+        parse_diagram('{"arc_components": {"x0": 1}}\n{"sign": ' + "1" * 5000 + "}\n")
 
 
 def test_parse_diagram_rejects_bad_field_values():
@@ -381,6 +395,8 @@ def test_parse_diagram_rejects_bad_field_values():
         ('{"arc_components": {"x0": true}}\n', r"line 1: component of arc 'x0' .* not True"),
         ('{"arc_components": {"x0": -1}}\n', r"line 1: component of arc 'x0' .* not -1"),
         ('{"arc_components": {"x0": 1, "x1": 3}}\n', r"line 1: components \[2\] have no arc"),
+        ('{"arc_components": {"x0": 1, "x1": 99999999999}}\n',
+         r"line 1: components \[2\] have no arc"),
         ('{"arc_components": {}}\n', r"line 1: arc_components must be a non-empty map"),
         (arcs + crossing(sign="[1]"), r"line 2: bad sign \[1\]"),
         (arcs + crossing(sign="true"), r"line 2: bad sign True"),

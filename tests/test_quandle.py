@@ -392,14 +392,14 @@ def test_verify_axioms_finds_a_violation_past_the_first_band(mk30, g, x1, x2):
 def test_exports_golden_digest(catalog_quandles):
     # pins element names and both exports byte for byte over the sweep;
     # the closed-braid families name their elements after the strands.
-    # Re-pinned when involutions got one row each, which renumbers the
-    # elements of every check with an n = 2 component, and witnesses
-    # moved to the generator tree, which renames elements everywhere
+    # Re-pinned when sealing numbered the elements along the generator
+    # tree instead of by vertex label, which relabels them and keeps each
+    # element's name
     digest = hashlib.sha256()
     for q in catalog_quandles:
         digest.update((export_dot(q) + export_json(q)).encode())
     assert digest.hexdigest() == (
-        "517bfba070dd94e990ae5e01e009856ee6a5afac4454d040c358cbc13aa9f45f")
+        "ba9fb758fea58853b7e496a1a3324befcc181f32d0727a3eb0f8fd0c4105d527")
 
 
 def test_verify_n_relations_pass():
