@@ -192,7 +192,9 @@ class TraceGraph:
     of that row; ``pairs`` lists each distinct row once beside its
     inverse row, and allocation and collapse go through it.  Vertex
     identities live in a union-find keyed by creation label; the least
-    label represents its class.  Only representatives' rows are read,
+    label represents its class.  ``parent`` and the rows are allocated
+    ahead, geometrically: past ``created`` every entry is -1 and every
+    label its own parent.  Only representatives' rows are read,
     and between collapses every entry in them is a representative whose
     reverse entry points back: a union takes each of the loser's edges
     out of its far end's row and enters it at the survivor, so a scan
@@ -245,14 +247,20 @@ class TraceGraph:
         return v
 
     def _allocate(self, m: int) -> int:
-        """Append m fresh labels, each its own class with no edges yet,
-        to each distinct row once; return the first."""
+        """Make m fresh labels, each its own class with no edges yet;
+        return the first.  When they run past the rows' length,
+        ``parent`` and each distinct row once grow to twice that length,
+        capped one past the vertex cap, or to the new labels' end if
+        that is further."""
         base = self.created
-        self.created = base + m
-        self.parent.extend(range(base, base + m))
-        fill = [-1] * m
-        for row, _ in self.pairs:
-            row += fill
+        self.created = end = base + m
+        parent = self.parent
+        if end > len(parent):
+            length = max(end, min(2 * len(parent), self.limits.max_vertices + 1))
+            fill = [-1] * (length - len(parent))
+            for row, _ in self.pairs:
+                row += fill
+            parent.extend(range(len(parent), length))
         return base
 
     @property

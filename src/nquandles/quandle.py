@@ -13,14 +13,15 @@ powers: the column of a generator element is that generator's action,
 and each other column y^g is the conjugate A[g] R_y A'[g] of a column
 y built before it, by self-distributivity,
 
-    M[A[g], y^g] = A[g][M[:, y]],
+    M[:, y^g] = A[g][M[A'[g], y]],
 
 with A[g] the action of g and A'[g] its inverse.  The table is one
 read-only array, int16 while the size is below 2^15 and int32 above,
 so a quandle of n elements holds 2n^2 bytes of it.  No inverse table
 is kept: x >' y inverts column y, in O(n), where it is needed.  The
-full operation reads that table; isomorphism testing reads only the
-second quandle's.  Axiom verification needs only the generators: once
+full operation reads that table.  Isomorphism testing builds neither
+quandle's: it builds the second quandle's columns its search reads,
+one at a time by the same rule.  Axiom verification needs only the generators: once
 each action is a bijection and each R_a of a generator a is an
 automorphism of M, the rule above carries that to every column.  So
 do the power relations and the cycle types that prune isomorphism
@@ -65,7 +66,13 @@ class FiniteQuandle:
     relations: tuple[PrimaryRelation, ...] = ()
 
     def element_name(self, x: int) -> str:
-        return expression_str(self.witnesses[x], self.generator_names)
+        return self.element_names[x]
+
+    @cached_property
+    def element_names(self) -> tuple[str, ...]:
+        """Each element's witness spelled out, rendered on first read."""
+        names = self.generator_names
+        return tuple(expression_str(w, names) for w in self.witnesses)
 
     @cached_property
     def witnesses(self) -> tuple[Expression | None, ...]:
@@ -148,31 +155,62 @@ def _table_dtype(size: int) -> type[np.signedinteger]:
     return np.int16 if size < 1 << 15 else np.int32
 
 
+def _actions(q: FiniteQuandle) -> tuple[np.ndarray, np.ndarray]:
+    """The generator actions A[g], in the table's dtype, and their
+    inverses A'[g], read from the sort order of A[g]'s values."""
+    act = np.asarray(q.action, dtype=_table_dtype(q.size)).reshape(-1, q.size)
+    return act, np.argsort(act, axis=1)
+
+
 def _build_table(q: FiniteQuandle) -> np.ndarray:
     n = q.size
-    dtype = _table_dtype(n)
-    act = np.asarray(q.action, dtype=dtype).reshape(-1, n)
+    act, inv = _actions(q)
     # cols[y] is column y of M, so each step writes one contiguous row
-    cols = np.full((n, n), -1, dtype=dtype)
+    cols = np.full((n, n), -1, dtype=act.dtype)
     roots, edges = _generator_tree(q)
     for g, e in roots:
         cols[e] = act[g]
     for y, g, z in edges:
-        # (x > y) > g = (x > g) > (y > g), scattered over x
-        cols[z, act[g]] = act[g][cols[y]]
+        # x > z = ((x >' g) > y) > g, gathered over x
+        cols[z] = act[g].take(cols[y].take(inv[g]))
     table = cols.T
     table.flags.writeable = False
     return table
 
 
-def _inverse_column(table: np.ndarray, y: int) -> np.ndarray:
-    """x >' y for every x: column y of the table inverted, in O(size).
-    All -1 for a column no generator reaches; a column that is not a
-    permutation leaves -1 at the values it misses."""
-    col = table[:, y]
-    inverse = np.full(len(col), -1, dtype=table.dtype)
+def _column_builder(q: FiniteQuandle) -> Callable[[int], np.ndarray]:
+    """column(e) = x > e for every x, built without the table: from the
+    nearest built column up e's path in the generator tree, one gather
+    per tree edge as in ``_build_table``.  Every column built is kept,
+    so each is built at most once and all of them together hold no more
+    than the table.  Only an element the generators reach has one."""
+    act, inv = _actions(q)
+    roots, edges = _generator_tree(q)
+    built = {e: act[g] for g, e in roots}
+    via = {z: (y, g) for y, g, z in edges}
+
+    def column(e: int) -> np.ndarray:
+        # iterative: a tree can be thousands of edges deep
+        path = []
+        while e not in built:
+            y, g = via[e]
+            path.append((e, g))
+            e = y
+        col = built[e]
+        for z, g in reversed(path):
+            col = built[z] = act[g].take(col.take(inv[g]))
+        return col
+
+    return column
+
+
+def _inverse_column(col: np.ndarray) -> np.ndarray:
+    """x >' y for every x from col = x > y for every x: inverted in
+    O(size).  All -1 for a column no generator reaches; a column that is
+    not a permutation leaves -1 at the values it misses."""
+    inverse = np.full(len(col), -1, dtype=col.dtype)
     if col[0] >= 0:
-        inverse[col] = np.arange(len(col), dtype=table.dtype)
+        inverse[col] = np.arange(len(col), dtype=col.dtype)
     return inverse
 
 
@@ -181,7 +219,7 @@ def full_op(q: FiniteQuandle, x: int, y: int, sign: int = 1) -> int:
     which inverts column y, in O(size) per call."""
     if sign > 0:
         return int(q.table[x, y])
-    return int(_inverse_column(q.table, y)[x])
+    return int(_inverse_column(q.table[:, y])[x])
 
 
 def dense_tables(q: FiniteQuandle) -> np.ndarray:
@@ -261,10 +299,12 @@ def verify_axioms(q: FiniteQuandle) -> VerificationReport:
                 f"{q.generator_names[g]}")
             break
 
+    # rows bound once: a property read per letter costs more than the step
+    forward, backward = q.action, q.inverse_action
     for y, expr in enumerate(q.witnesses):
         x = q.generator_element[expr.base]
         for gen, sign in expr.word:
-            x = (q.action[gen] if sign > 0 else q.inverse_action[gen])[x]
+            x = (forward[gen] if sign > 0 else backward[gen])[x]
         if x != y:
             failures.append(f"witness: {q.element_name(y)} names element {x}, not {y}")
             break
@@ -400,8 +440,8 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _invariants(q: FiniteQuandle) -> list[tuple[int, tuple[int, ...]]]:
-    """(orbit size, cycle type of the point symmetry) per element.
+def _orbit_kinds(q: FiniteQuandle) -> list[tuple[int, tuple[int, ...]]]:
+    """(size, cycle type of the point symmetries) per orbit.
 
     A generator element's point symmetry is its generator's action
     (``verify_axioms`` checks each generator column), and point
@@ -410,10 +450,9 @@ def _invariants(q: FiniteQuandle) -> list[tuple[int, tuple[int, ...]]]:
     members.  No table is read.
     """
     part = orbits(q)
-    sizes = part.sizes()
     types = {part.orbit_of[e]: _cycle_type(act)
              for act, e in zip(q.action, q.generator_element)}
-    return [(sizes[o], types.get(o, ())) for o in part.orbit_of]
+    return [(size, types.get(o, ())) for o, size in enumerate(part.sizes())]
 
 
 # column(e, sign): x > e for every x when sign = 1, x >' e when -1
@@ -453,20 +492,24 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     only over images of q1's generators, pruned by orbit size and point
     symmetry cycle type (both read from generator actions) and, when q1
     carries its defining relations, by checking each relation as soon as
-    all its generators are assigned.  Only q2's table is read.
+    all its generators are assigned.  Neither table is built: the
+    columns of q2 the search reads are built one at a time along q2's
+    generator tree.
     """
     if q1.size != q2.size:
         return False
-    inv1 = _invariants(q1)
-    inv2 = _invariants(q2)
-    if sorted(inv1) != sorted(inv2):
+    kinds1, kinds2 = _orbit_kinds(q1), _orbit_kinds(q2)
+    if sorted(kinds1) != sorted(kinds2):
         return False
 
     gens = list(range(len(q1.generator_names)))
-    candidates = {
-        g: [e for e in range(q2.size) if inv2[e] == inv1[q1.generator_element[g]]]
-        for g in gens
-    }
+    orbit_of1 = orbits(q1).orbit_of
+    orbit_of2 = np.asarray(orbits(q2).orbit_of)
+    candidates = {}
+    for g in gens:
+        kind = kinds1[orbit_of1[q1.generator_element[g]]]
+        alike = [o for o, other in enumerate(kinds2) if other == kind]
+        candidates[g] = np.flatnonzero(np.isin(orbit_of2, alike)).tolist()
 
     # Order generators greedily, each next one making the most pending
     # relations checkable (ties: fewest candidates, then lowest index),
@@ -489,16 +532,16 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
         pending = [(r, support) for r, support in pending if not support <= assigned]
 
     images: list[int | None] = [None] * len(gens)
-    table2 = q2.table
+    column2 = _column_builder(q2)
     inverse_columns: dict[int, np.ndarray] = {}
     tree = _generator_tree(q1)
 
     def column(e: int, sign: int) -> np.ndarray:
         # each candidate image's column is inverted once per search
         if sign > 0:
-            return table2[:, e]
+            return column2(e)
         if e not in inverse_columns:
-            inverse_columns[e] = _inverse_column(table2, e)
+            inverse_columns[e] = _inverse_column(column2(e))
         return inverse_columns[e]
 
     def dfs(depth: int) -> bool:
@@ -513,8 +556,8 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
         return False
 
     # dfs reaches itself through its closure cell; breaking that cycle
-    # frees both quandles' tables as soon as the caller drops them,
-    # instead of at the next full garbage collection.
+    # frees q1 and the columns built of q2 as soon as the search
+    # returns, instead of at the next full garbage collection.
     try:
         return dfs(0)
     finally:
@@ -532,8 +575,8 @@ def export_dot(q: FiniteQuandle) -> str:
     action and its inverse agree there (loops always, and any pair the
     generator swaps)."""
     lines = ["digraph quandle {", "  node [shape=ellipse];"]
-    for x in range(q.size):
-        lines.append(f'  v{x} [label="{q.element_name(x)}"];')
+    for x, name in enumerate(q.element_names):
+        lines.append(f'  v{x} [label="{name}"];')
     for g in range(len(q.generator_names)):
         style = _EDGE_STYLES[g % len(_EDGE_STYLES)]
         for x in range(q.size):
@@ -559,7 +602,7 @@ def export_json(q: FiniteQuandle) -> str:
         "generator_element": list(q.generator_element),
         "component_of_generator": list(q.component_of_generator),
         "n_values": list(q.n_values),
-        "elements": [q.element_name(x) for x in range(q.size)],
+        "elements": list(q.element_names),
         "action": [list(row) for row in q.action],
         "inverse_action": [list(row) for row in q.inverse_action],
     }

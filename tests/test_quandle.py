@@ -160,7 +160,35 @@ def test_table_and_inverse_columns_match_the_two_table_oracle(catalog_quandles, 
         x = rng.randrange(mk30.size)
         assert full_op(mk30, x, y, -1) == bwd[x, y]
         # the rest of column y, read the way full_op reads it
-        assert np.array_equal(quandle._inverse_column(mk30.table, y), bwd[:, y])
+        assert np.array_equal(quandle._inverse_column(mk30.table[:, y]), bwd[:, y])
+
+
+def test_the_column_builder_builds_each_column_of_the_table(catalog_quandles, mk30):
+    # deepest elements first, so each call walks a path of untouched
+    # columns before later calls find their parents built
+    for q in catalog_quandles + [mk30]:
+        column = quandle._column_builder(q)
+        for e in reversed(range(q.size)):
+            col = column(e)
+            assert col.dtype == q.table.dtype
+            assert np.array_equal(col, q.table[:, e]), (q.size, e)
+            assert column(e) is col
+
+
+def test_the_column_builder_walks_a_deep_tree():
+    # dihedral R_4001, x > y = 2y - x mod 4001, generators at 0 and 1:
+    # the element -1000 sits 2000 edges down the generator tree
+    n = 4001
+    r = tiny([[(2 * y - x) % n for x in range(n)] for y in (0, 1)], [0, 1], [1, 1], [2])
+    roots, edges = quandle._generator_tree(r)
+    depth = {e: 0 for _, e in roots}
+    for y, _, z in edges:
+        depth[z] = depth[y] + 1
+    deepest = edges[-1][2]
+    assert depth[deepest] == max(depth.values()) == (n - 1) // 2
+    col = quandle._column_builder(r)(deepest)
+    assert np.array_equal(col, r.table[:, deepest])
+    assert np.array_equal(col, (2 * deepest - np.arange(n)) % n)
 
 
 def test_inverse_column_of_an_unreached_element_is_unset():
@@ -536,15 +564,15 @@ def test_is_isomorphic_reflexive_symmetric():
     assert is_isomorphic(b, a)
 
 
-def test_is_isomorphic_frees_the_tables_without_garbage_collection():
+def test_is_isomorphic_keeps_neither_quandle_alive_without_garbage_collection():
     a = enum("Lk", ns=(2, 3), k=3)
     b = enum("Lk", ns=(2, 3), k=-3)
     gc.disable()
     try:
         assert is_isomorphic(a, b)
-        tables = [weakref.ref(a.table), weakref.ref(b.table)]
+        refs = [weakref.ref(a), weakref.ref(b)]
         del a, b
-        assert all(ref() is None for ref in tables)
+        assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
@@ -573,8 +601,8 @@ def test_is_isomorphic_same_quandle_relabeled():
     a = enum("T2k", (2, 2), k=4)
     b = enum("T2k", (2, 2), k=-4)
     assert is_isomorphic(a, b)
-    # the search reads the first quandle's generator actions only
-    assert "table" not in vars(a)
+    # the search builds neither table
+    assert "table" not in vars(a) and "table" not in vars(b)
     assert is_isomorphic(b, a)
     # three orbits with equal invariants, elements shuffled
     c = enum("T33", (2, 2, 2))
