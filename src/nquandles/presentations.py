@@ -10,10 +10,12 @@ N-quandle.
 Three kinds of input produce presentations: a small text format (see
 ``parse_presentation``), link diagrams given as crossing lists, with one
 generator per arc (see ``wirtinger``), and closed braid words, with one
-generator per strand (see ``braid_presentation``).  A library of named
-presentations used throughout the test suite and catalog lives in
-``builtin_family``; every family in it but the twist knots is a closed
-braid.
+generator per strand (see ``braid_presentation``).  Both
+``closed_braid_diagram`` and ``braid_presentation`` read the one walk
+of a braid word in ``_braid_arcs``, which fixes the crossing
+convention.  A library of named presentations used throughout the test
+suite and catalog lives in ``builtin_family``; every family in it but
+the twist knots is a closed braid.
 
 Text format, one statement per line (';' also separates statements,
 '#' starts a comment):
@@ -454,49 +456,57 @@ def wirtinger(d: Diagram) -> Presentation:
     return Presentation(tuple(arcs), component_of, None, relations)
 
 
-def closed_braid_diagram(braid_word: Sequence[int], strands: int) -> Diagram:
-    """Diagram of a closed braid.
+def _braid_arcs(braid_word: Sequence[int], strands: int,
+                error: type[ValueError]) -> tuple[list, list[int], list[int], list[int]]:
+    """Walk a braid once, bottom to top, and return its arcs.
 
     ``braid_word`` lists crossings bottom to top: +i crosses the strand
     at position i over the strand at position i+1 (1-based), -i crosses
-    it under.  Arcs are named x0, x1, ... in creation order; the closure
-    identifies the top of each strand position with its bottom.
+    it under.  Arc p starts strand p at the bottom of position p, and
+    each crossing starts one new arc, numbered in word order, on the
+    strand passing under.  Returns the crossings as (over, under_in,
+    under_out, sign) arc ids, the arc at the top of each position, the
+    strand of each arc, and each strand's 1-based link component: the
+    cycles of the strand permutation, numbered from their least strand.
+    A bad strand count or letter raises ``error``.
     """
     if strands < 1:
-        raise DiagramError("need at least one strand")
+        raise error("need at least one strand")
     for letter in braid_word:
         if letter == 0 or abs(letter) >= strands:
-            raise DiagramError(f"braid letter {letter} out of range")
-
-    fresh = 0
-
-    def new_arc() -> int:
-        nonlocal fresh
-        fresh += 1
-        return fresh - 1
-
-    # Positions carry (arc id, start position of the strand); the start
-    # position doubles as the strand's identity.
-    at = [(new_arc(), p) for p in range(strands)]
-    strand_of_arc = {p: p for p in range(strands)}
-    crossings: list[tuple[int, int, int, int]] = []
+            raise error(f"braid letter {letter} out of range")
+    top, strand_of, crossings = list(range(strands)), list(range(strands)), []
     for letter in braid_word:
-        i = abs(letter) - 1
-        (arc_a, strand_a), (arc_b, strand_b) = at[i], at[i + 1]
-        out = new_arc()
+        i, out = abs(letter) - 1, len(strand_of)
+        a, b = top[i], top[i + 1]
+        # the two strands swap positions; the one passing under breaks
         if letter > 0:
-            # Strand at position i passes over; the under strand breaks.
-            strand_of_arc[out] = strand_b
-            crossings.append((arc_a, arc_b, out, 1))
-            at[i], at[i + 1] = (out, strand_b), (arc_a, strand_a)
+            crossing, top[i], top[i + 1] = (a, b, out, 1), out, a
         else:
-            strand_of_arc[out] = strand_a
-            crossings.append((arc_b, arc_a, out, -1))
-            at[i], at[i + 1] = (arc_b, strand_b), (out, strand_a)
+            crossing, top[i], top[i + 1] = (b, a, out, -1), b, out
+        crossings.append(crossing)
+        strand_of.append(strand_of[crossing[1]])
 
-    # Closure: the arc ending at the top of position p is the arc that
-    # started at the bottom of position p (initial arcs have id p).
-    rep = list(range(fresh))
+    # strand s goes on as the strand starting where s ends at the top
+    goes_on = {strand_of[arc]: p for p, arc in enumerate(top)}
+    component, comp = [0] * strands, 0
+    for first in range(strands):
+        s, comp = first, comp + (not component[first])
+        while not component[s]:
+            component[s] = comp
+            s = goes_on[s]
+    return crossings, top, strand_of, component
+
+
+def closed_braid_diagram(braid_word: Sequence[int], strands: int) -> Diagram:
+    """Diagram of a closed braid, its crossings and arcs as ``_braid_arcs``
+    walks them.
+
+    The closure identifies the top of each strand position with its
+    bottom; the arcs it joins are named x0, x1, ... in arc order.
+    """
+    crossings, top, strand_of, component = _braid_arcs(braid_word, strands, DiagramError)
+    rep = list(range(len(strand_of)))
 
     def find(a: int) -> int:
         while rep[a] != a:
@@ -504,77 +514,53 @@ def closed_braid_diagram(braid_word: Sequence[int], strands: int) -> Diagram:
             a = rep[a]
         return a
 
-    for p in range(strands):
-        a, b = find(at[p][0]), find(p)
+    # the arc ending at the top of position p goes on as arc p
+    for p, arc in enumerate(top):
+        a, b = find(arc), find(p)
         if a != b:
             rep[max(a, b)] = min(a, b)
 
-    # Link components = cycles of the strand permutation.
-    end_pos = {strand: p for p, (_, strand) in enumerate(at)}
-    comp_of_start: dict[int, int] = {}
-    comp = 0
-    for start in range(strands):
-        if start in comp_of_start:
-            continue
-        comp += 1
-        p = start
-        while p not in comp_of_start:
-            comp_of_start[p] = comp
-            p = end_pos[p]
-
-    name = {}
-    arc_component: dict[str, int] = {}
-    for arc in range(fresh):
-        r = find(arc)
-        if r not in name:
-            name[r] = f"x{len(name)}"
-            arc_component[name[r]] = comp_of_start[strand_of_arc[r]]
-    out_crossings = tuple(
-        Crossing(name[find(over)], name[find(under_in)], name[find(under_out)],
-                 sign)
-        for over, under_in, under_out, sign in crossings
-    )
-    return Diagram(out_crossings, arc_component)
+    # each class is named at its least arc, which is its root
+    roots = [arc for arc in range(len(rep)) if find(arc) == arc]
+    name = {r: f"x{i}" for i, r in enumerate(roots)}
+    arc_component = {name[r]: component[strand_of[r]] for r in roots}
+    return Diagram(tuple(Crossing(name[find(o)], name[find(i)], name[find(u)], sign)
+                         for o, i, u, sign in crossings), arc_component)
 
 
 def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
     """Presentation of a closed braid with one generator per strand.
 
     Generators a, b, c, ... (a suffix past 26: a1, b1, ...) stand for the
-    strands at the bottom.  The expression at each position is carried
-    up through the crossings of ``closed_braid_diagram``: +i maps the
-    pair (A, B) at positions i, i+1 to (B^A, A), and -i maps it to
-    (B, A^(B')).  The closure equates the expression x^w at the top of
-    position p with generator p, where a leading letter x and a trailing
-    letter p are dropped (x^(x w) = x^w, and x^(w p) = p exactly when
-    x^w = p) and an empty relation p = p is left out.  Components are the
-    cycles of the strand permutation, numbered from their least strand.
-    Each position's word is a list of its own that a crossing extends in
-    place, cancelling only at the seams.
+    strands at the bottom.  Each arc of ``_braid_arcs`` carries the
+    expression x^w of its strand x up the braid: a crossing with over
+    arc y^v and sign s turns the under arc x^w into x^(w v' y^s v), so
+    +i maps the pair (A, B) at positions i, i+1 to (B^A, A), and -i maps
+    it to (B, A^(B')).  The closure equates the expression x^w at the
+    top of position p with generator p, where a leading letter x and a
+    trailing letter p are dropped (x^(x w) = x^w, and x^(w p) = p exactly
+    when x^w = p) and an empty relation p = p is left out.  Components
+    are those of ``_braid_arcs``.
     """
-    if strands < 1:
-        raise PresentationError("need at least one strand")
-    at: list[tuple[int, list[int]]] = [(p, []) for p in range(strands)]
-    for letter in braid_word:
-        if letter == 0 or abs(letter) >= strands:
-            raise PresentationError(f"braid letter {letter} out of range")
-        i = abs(letter) - 1
-        (a, u), (b, v) = at[i], at[i + 1]
-        # the word of the strand passing under grows, in signed letters
-        # +-(generator + 1); C counts the letters that cancel at a seam
-        if letter > 0:
-            word, parts = v, (list(map(neg, reversed(u))), (a + 1,), u)
-        else:
-            word, parts = u, (list(map(neg, reversed(v))), (-b - 1,), v)
-        for part in parts:
+    crossings, top, strand_of, component = _braid_arcs(braid_word, strands,
+                                                       PresentationError)
+    # one word per arc in signed letters +-(generator + 1); the arc
+    # passing under ends there, so its word moves to the arc it becomes
+    # and grows in place, cancelling only at the seams: cut counts the
+    # letters that cancel at a seam
+    words = {p: [] for p in range(strands)}
+    for over, under_in, under_out, sign in crossings:
+        v = words[over]
+        word = words[under_out] = words.pop(under_in)
+        for part in (list(map(neg, reversed(v))), (sign * (strand_of[over] + 1),), v):
             cut = next(compress(count(), map(ne, reversed(word), map(neg, part))),
                        min(len(word), len(part)))
             del word[len(word) - cut:]
             word.extend(islice(part, cut, None))
-        at[i], at[i + 1] = (b, v), (a, u)
 
     relations = []
-    for p, (base, word) in enumerate(at):
+    for p, arc in enumerate(top):
+        base, word = strand_of[arc], words[arc]
         start, end = 0, len(word)
         while start < end and abs(word[start]) == base + 1:
             start += 1
@@ -583,15 +569,8 @@ def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
         if start < end or base != p:
             letters = tuple((abs(x) - 1, 1 if x > 0 else -1) for x in word[start:end])
             relations.append(PrimaryRelation(base, letters, p))
-    top = {base: p for p, (base, _) in enumerate(at)}
-    component_of, comp = [0] * strands, 0
-    for first in range(strands):
-        p, comp = first, comp + (not component_of[first])
-        while not component_of[p]:
-            component_of[p] = comp
-            p = top[p]
     names = tuple(chr(97 + p % 26) + str(p // 26 or "") for p in range(strands))
-    return Presentation(names, tuple(component_of), None, tuple(relations))
+    return Presentation(names, tuple(component), None, tuple(relations))
 
 
 # --- named presentations --------------------------------------------------

@@ -70,9 +70,12 @@ class FiniteQuandle:
 
     @cached_property
     def element_names(self) -> tuple[str, ...]:
-        """Each element's witness spelled out, rendered on first read."""
-        names = self.generator_names
-        return tuple(expression_str(w, names) for w in self.witnesses)
+        """Each element's witness spelled out, rendered on first read.
+        A ValueError names the first element no generator reaches."""
+        names, words = self.generator_names, self.witnesses
+        if None in words:
+            raise ValueError(f"element {words.index(None)} is not reached from the generators")
+        return tuple(expression_str(w, names) for w in words)
 
     @cached_property
     def witnesses(self) -> tuple[Expression | None, ...]:

@@ -1,10 +1,19 @@
-"""Closed-braid presentations against two routes that share no code with
-``braid_presentation``: the Wirtinger presentation of the same closed
-braid's diagram, and the coset indices of the N-quandle's group."""
+"""Closed-braid presentations against routes of their own.
+
+``braid_presentation`` and ``closed_braid_diagram`` share one walk of
+the braid, ``_braid_arcs``: its crossing convention, arcs and component
+numbering.  So the Wirtinger presentation of the closed braid's diagram
+checks the expressions ``braid_presentation`` carries, not that walk.
+What stays independent of it: the concat walk below, which carries
+whole re-reduced words and numbers the components itself; the coset
+indices of the N-quandle's group; and the catalog's sizes, which both
+routes must reproduce."""
 
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics.fp_groups import FpGroup
 from sympy.combinatorics.free_groups import free_group
 
@@ -133,7 +142,8 @@ def test_orbit_sizes_are_coset_indices(word, strands, ns, sizes):
 def concat_braid_presentation(braid_word, strands):
     """Reference: the closed braid's presentation with every crossing's
     word re-reduced whole by ``words.concat``, as before the strand words
-    were joined at their seams."""
+    were joined at their seams.  Each strand's component is numbered by
+    the least strand of its cycle, ranked; at most 26 strands."""
     at = [(p, ()) for p in range(strands)]
     for letter in braid_word:
         i = abs(letter) - 1
@@ -150,8 +160,16 @@ def concat_braid_presentation(braid_word, strands):
             word = word[:-1]
         if word or base != p:
             relations.append(PrimaryRelation(base, word, p))
-    braid = braid_presentation(braid_word, strands)
-    return Presentation(braid.generator_names, braid.component_of, None, tuple(relations))
+    ends = {base: p for p, (base, _) in enumerate(at)}
+    least = []
+    for s in range(strands):
+        t, m = ends[s], s
+        while t != s:
+            t, m = ends[t], min(m, t)
+        least.append(m)
+    number = {m: c for c, m in enumerate(sorted(set(least)), 1)}
+    names = tuple(chr(97 + p) for p in range(strands))
+    return Presentation(names, tuple(number[m] for m in least), None, tuple(relations))
 
 
 def test_seam_joins_match_the_concat_words():
@@ -159,3 +177,14 @@ def test_seam_joins_match_the_concat_words():
     cases += [family_braid(name, k) for name in ("T2k", "Lk") for k in range(-40, 41) if k]
     for word, strands in cases:
         assert braid_presentation(word, strands) == concat_braid_presentation(word, strands)
+
+
+BRAIDS = st.integers(2, 6).flatmap(lambda s: st.tuples(
+    st.lists(st.sampled_from([e * i for i in range(1, s) for e in (1, -1)]), max_size=8),
+    st.just(s)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(BRAIDS)
+def test_seam_joins_match_the_concat_words_on_random_braids(braid):
+    assert braid_presentation(*braid) == concat_braid_presentation(*braid)

@@ -653,6 +653,14 @@ def test_export_dot_n2_edges_undirected():
     assert arrow_lines == []
 
 
+def test_exports_refuse_an_element_no_generator_reaches():
+    # element 1 is fixed by the only generator, which sits at 0
+    q = tiny([[0, 1]], [0], [1], [2])
+    for read in (export_json, export_dot, lambda q: q.element_name(0)):
+        with pytest.raises(ValueError, match=r"^element 1 is not reached from the generators$"):
+            read(q)
+
+
 def test_export_json_round_trip():
     q = enum("T24", (3, 3))
     payload = json.loads(export_json(q))
