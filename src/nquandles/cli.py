@@ -93,17 +93,17 @@ def _cap(text: str) -> int:
     return cap
 
 
-_RANGE_OPTIONS = ("--k-range", "--n-range")
+_SIGNED_OPTIONS = ("--k-range", "--n-range", "--braid")
 
 
-def _attach_range_values(argv: list[str]) -> list[str]:
-    """Join each range option to the argument after it, so that a value
-    such as -3:3, which argparse would take for an option, stays its
-    value."""
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Join each option that takes a signed value to the argument after
+    it, so that a value such as -3:3 or -1,-1,-1, which argparse would
+    take for an option, stays its value."""
     out = []
     args = iter(argv)
     for arg in args:
-        value = next(args, None) if arg in _RANGE_OPTIONS else None
+        value = next(args, None) if arg in _SIGNED_OPTIONS else None
         out.append(arg if value is None else f"{arg}={value}")
     return out
 
@@ -323,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_attach_range_values(argv))
+    args = _build_parser().parse_args(_attach_signed_values(argv))
     try:
         return args.func(args)
     except (ParseError, PresentationError, DiagramError, CatalogError) as exc:

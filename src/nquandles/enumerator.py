@@ -47,7 +47,13 @@ the letter, so a letter that no relation reads would stay undefined.
 Each relation is also bound once per run to the graph's letter rows
 (``TraceGraph.bind``), so a forward read follows row objects, not
 letter codes; the rows grow in place, so a binding stays valid for the
-whole run.  Vertices record nothing about how they
+whole run.  Every row runs at least one entry past the last label made,
+and every entry there is -1, so a read past a missing edge lands on
+index -1 and stays at -1: a scan first reads its whole relator with no
+test per letter, and reads it again letter by letter from both ends
+only when that read ends at -1.  On Mk about three scans in four find
+their relator closed and stop after the first read; a scan counts one
+step per letter either way.  Vertices record nothing about how they
 were made, and merges keep the smaller label; the sealed quandle
 derives its element names from its action tables.  All worklists are
 ordered, so runs are bit-for-bit reproducible.
@@ -206,6 +212,15 @@ class TraceGraph:
     for the graph's whole life.  ``_allocate`` grows every row in place
     and nothing rebinds ``rows`` or a row during a run, so a relator
     bound once by ``bind`` reads and writes the live rows ever after.
+
+    Sentinel invariant: ``parent`` and every row are longer than
+    ``created``, so each row ends in -1.  Reading row[-1] after a missing
+    edge therefore gives -1 again, and a read that lost its way at any
+    letter ends at -1 without a test per letter.  ``_allocate`` keeps
+    this by growing the rows when the new labels reach their length, not
+    only when they pass it, and a scan makes no label past
+    ``max_vertices - 1``, so the growth cap of ``max_vertices + 1`` keeps
+    it too.
     """
 
     def __init__(self, presentation: Presentation,
@@ -248,15 +263,15 @@ class TraceGraph:
 
     def _allocate(self, m: int) -> int:
         """Make m fresh labels, each its own class with no edges yet;
-        return the first.  When they run past the rows' length,
-        ``parent`` and each distinct row once grow to twice that length,
-        capped one past the vertex cap, or to the new labels' end if
-        that is further."""
+        return the first.  When they reach the rows' length, ``parent``
+        and each distinct row once grow to twice that length, capped one
+        past the vertex cap, or to one past the new labels' end if that
+        is further, so each row still ends in a -1."""
         base = self.created
         self.created = end = base + m
         parent = self.parent
-        if end > len(parent):
-            length = max(end, min(2 * len(parent), self.limits.max_vertices + 1))
+        if end >= len(parent):
+            length = max(end + 1, min(2 * len(parent), self.limits.max_vertices + 1))
             fill = [-1] * (length - len(parent))
             for row, _ in self.pairs:
                 row += fill
@@ -294,11 +309,28 @@ class TraceGraph:
         second edge with one letter; the two far ends of that letter are
         scheduled for identification instead.
 
+        The first pass reads every letter forwards with no test: by the
+        sentinel invariant a read past a missing edge stays at -1, so a
+        non-negative end means the whole relator was read, and the scan
+        is finished once the ends are compared.  Only a read that ends
+        at -1 reads again, letter by letter, from both ends.
+
         Every letter is one step, whether read forwards, read backwards
-        or filled into the gap, so a scan costs len(codes) steps.
+        or filled into the gap, so a scan costs len(codes) steps on
+        either path, and the cap stops it at the same letter.
         """
         codes, fwd = bound
         n = len(codes)
+        x = v
+        for row in fwd:
+            x = row[x]
+        if x >= 0:
+            if self.steps + n > self.limits.max_steps:
+                self._stop(n, 0)
+            self.steps += n
+            if x != e:
+                self.pending.append((x, e))
+            return
         it = iter(fwd)
         for row in it:
             t = row[v]
@@ -473,8 +505,9 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     generator's inverse edges undoing its action (so it is a bijection,
     and the quandle derives its inverse), every primary and universal
     relation closing, then every live label reached.  An involution's
-    two codes read its one row twice, so its bijection check is the
-    x^(a a) = x that its power a^2 would check where it is not scanned.
+    two codes share its one row, so the second reuses the first one's
+    table, and its bijection check is the x^(a a) = x that its power a^2
+    would check where it is not scanned.
 
     The walk is ``quandle._generator_tree``'s, on the forward rows, and
     canonical: a generated quandle has one isomorphism fixing each
@@ -483,13 +516,16 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     After the last collapse the rows of representatives hold only
     representatives, so each entry is numbered directly; an entry that
     is a merged label is a broken postcondition, not something to
-    remap.  The bijection and universal relation checks read one (2g, n)
-    array of the tables, each letter of a relation one ``take`` that
-    moves every element at once.  The quandle gets no names: it
+    remap.  ``index`` has one spare -1 past the labels, which a missing
+    edge's -1 reads, so one test finds both faults and they are told
+    apart only when it fails.  The bijection and universal relation
+    checks read one (2g, n) array of the tables: the bijection check is
+    one fancy index of the inverse tables by the forward ones, and each
+    letter of a relation one ``take`` that moves every element at once.  The quandle gets no names: it
     derives them from its action tables when one is first read."""
     presentation = graph.presentation
     parent = graph.parent
-    index = [-1] * graph.created
+    index = [-1] * (graph.created + 1)  # index[-1] is the spare -1
     live: list[int] = []  # read by the walk while it grows
     forward = graph.rows[0::2]
     walk = (row[v] for v in live for row in forward)
@@ -503,19 +539,22 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
         index[live[i]] = i
     tables = []
     for code, row in enumerate(graph.rows):
+        if code & 1 and row is graph.rows[code - 1]:
+            tables.append(tables[-1])
+            continue
         ends = [row[v] for v in live]
-        if -1 in ends:
-            v = live[ends.index(-1)]
-            raise EnumerationInternalError(f"generator {code >> 1} undefined at vertex {v}")
         table = [index[t] for t in ends]
         if -1 in table:
+            if -1 in ends:
+                v = live[ends.index(-1)]
+                raise EnumerationInternalError(f"generator {code >> 1} undefined at vertex {v}")
             i = table.index(-1)
             raise EnumerationInternalError(
                 f"generator {code >> 1} at vertex {live[i]} points at merged label {ends[i]}")
         tables.append(tuple(table))
     moves = np.array(tables)
     identity = np.arange(len(live))
-    undone = np.take_along_axis(moves[1::2], moves[0::2], axis=1) != identity
+    undone = moves[1::2][np.arange(graph.ngens)[:, None], moves[0::2]] != identity
     if undone.any():
         raise EnumerationInternalError(
             f"generator {int(undone.any(axis=1).argmax())} is not a bijection "

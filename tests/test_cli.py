@@ -398,6 +398,14 @@ def test_convert_braid_to_presentation(capsys):
     assert out == TREFOIL_BRAID_PRESENTATION
 
 
+def test_convert_braid_word_may_start_with_a_dash(capsys):
+    _, joined, _ = run(capsys, "convert", "--braid=-1,-1,-1", "--strands", "2")
+    code, spaced, err = run(capsys, "convert", "--braid", "-1,-1,-1", "--strands", "2")
+    assert (code, err) == (0, "")
+    assert spaced == joined == ("gens a b\ncomp a:1 b:1\n"
+                                "rel b^[a' b']=a\nrel a^[b' a']=b\n")
+
+
 def test_convert_round_trip_through_diagram(tmp_path, capsys):
     diag = tmp_path / "t.diag"
     code, _, _ = run(capsys, "convert", "--braid", "1,1,1", "--strands", "2",

@@ -586,6 +586,59 @@ def test_bound_rows_stay_the_graph_rows():
         assert _seal(g, relators) == enumerate_quandle(p).quandle
 
 
+def assert_sentinel(g):
+    """``parent`` and every distinct row run past ``created``, every row
+    entry past it is -1 and every label past it its own parent, so each
+    row ends in the -1 that a read past a missing edge stays at."""
+    length = len(g.parent)
+    assert length > g.created
+    assert g.parent[g.created:] == list(range(g.created, length))
+    for row, _ in g.pairs:
+        assert len(row) == length
+        assert row[g.created:] == [-1] * (length - g.created)
+        assert row[-1] == -1
+
+
+def test_every_row_ends_in_a_minus_one_past_created(monkeypatch):
+    # allocations that each end exactly at the rows' length: the rows
+    # double, then stop one past the vertex cap
+    cap = 40
+    g = TraceGraph(family("T24", (3, 3)), EnumerationLimits(max_vertices=cap))
+    assert_sentinel(g)
+    lengths = []
+    while g.created < cap:
+        g._allocate(min(len(g.parent), cap) - g.created)
+        assert_sentinel(g)
+        lengths.append(len(g.parent))
+    assert lengths == [6, 12, 24, cap + 1, cap + 1]
+    # an allocation past twice the length grows the rows to one past its end
+    g = TraceGraph(family("T24", (2, 3)), EnumerationLimits(max_vertices=1000))
+    g._allocate(100)
+    assert_sentinel(g)
+    assert len(g.parent) == 103
+    # whole runs under small vertex caps, closing and stopped at the cap,
+    # checked after every allocation
+    allocate = TraceGraph._allocate
+    calls = []
+
+    def checked(self, m):
+        base = allocate(self, m)
+        assert_sentinel(self)
+        calls.append(m)
+        return base
+
+    monkeypatch.setattr(TraceGraph, "_allocate", checked)
+    for p, max_vertices, cap_kind in [(family("trefoil", (5,)), 13, None),
+                                      (family("trefoil", (5,)), 12, "vertices"),
+                                      (family("T24", (2, 3)), 6, None),
+                                      (family("Mk", k=6), 958, None),
+                                      (family("Mk", k=6), 500, "vertices"),
+                                      (family("trefoil", (6,)), 50, "vertices")]:
+        out = enumerate_quandle(p, EnumerationLimits(max_vertices=max_vertices))
+        assert out.cap_kind == cap_kind
+    assert len(calls) > 50
+
+
 # --- graph-level hand checks ---------------------------------------------------
 
 def test_trace_and_collapse_by_hand():
