@@ -18,7 +18,10 @@ coset enumeration:
     y^w = y (the N relations first, then the conjugates of the primary
     relations) from each live vertex back to itself in the same way,
     collapsing after each scan that schedules an identification, until
-    every live vertex has been processed;
+    every live vertex has been processed, or until the audit of step 6,
+    tried after each window of live vertices that made no vertex and
+    merged none, passes: it then proves that every scan left would
+    close, so the graph is already the one the whole sweep would leave;
 6.  sealing: the live vertices become the elements 0..n-1 along the
     generator tree that names them, generator elements first, and the
     letter rows become integer action tables, which must pass every
@@ -75,6 +78,9 @@ from .words import Word
 
 DEFAULT_MAX_VERTICES = 100_000
 DEFAULT_MAX_STEPS = 100_000_000
+# live vertices per window of the sweep; a window that changes nothing
+# is followed by the seal's audit (see ``run_schedule``)
+_QUIET_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,11 @@ class EnumerationStats(NamedTuple):
     identification pairs drained (what ``max_steps`` caps), where a
     scanned letter is one read forwards, read backwards or filled into
     the gap between the two, so that every scan of a relation costs its
-    length; live is created - unions.  A named tuple, not a frozen
-    dataclass, because it is about ten times cheaper to define at
-    import.
+    length; live is created - unions.  Only scans that ran count: a
+    sweep ended early by the seal's audit counts none of the scans it
+    skipped, and the audit itself counts no step.  A named tuple, not a
+    frozen dataclass, because it is about ten times cheaper to define
+    at import.
     """
 
     created: int
@@ -466,10 +474,10 @@ class TraceGraph:
         self.steps, self.unions = steps, unions
 
 
-def run_schedule(graph: TraceGraph, relators: Relators) -> TraceGraph:
-    """Step 5: sweep live vertices in label order, scanning every
-    universal relation at each and collapsing after each scan that
-    schedules an identification.
+def run_schedule(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
+    """Step 5, ended by step 6: sweep live vertices in label order,
+    scanning every universal relation at each and collapsing after each
+    scan that schedules an identification, and return the sealed quandle.
 
     Expects the primary relations already scanned (steps 1 to 4) and
     collapsed, and ``relators`` compiled for the graph's presentation
@@ -479,10 +487,24 @@ def run_schedule(graph: TraceGraph, relators: Relators) -> TraceGraph:
     merged away mid-sweep continues as its representative.  A survivor
     behind the cursor is not scanned again: a relation that closes at a
     vertex still closes at its class after any later identification.
+
+    The sweep counts the live vertices it processes in windows of
+    ``_QUIET_WINDOW``.  A window that made no vertex and merged none
+    (``created + unions`` did not grow; both only grow) is followed by
+    the seal's audit.  An audit that passes proves that every remaining
+    scan would read its relator round a defined cycle and change
+    nothing, so its quandle is the full sweep's, and the sweep ends
+    there; ``steps`` then counts only the letters scanned, and the audit
+    itself counts no step.  An audit that fails leaves the graph as it
+    was and the sweep goes on, each later window twice as long, so
+    failed audits stay few.  Past the last label the seal runs once
+    more, and its errors propagate.
     """
     universals = [graph.bind(codes) for codes in relators.universal]
     overrun = relators.overrun
     parent, scan, pending = graph.parent, graph.scan, graph.pending
+    window = left = _QUIET_WINDOW
+    mark = graph.created + graph.unions
     cursor = 0
     while cursor < graph.created:
         v, cursor = cursor, cursor + 1
@@ -495,7 +517,16 @@ def run_schedule(graph: TraceGraph, relators: Relators) -> TraceGraph:
                 v = graph.find(v)
         if overrun is not None:
             graph.overrun(v, *overrun)
-    return graph
+        left -= 1
+        if not left:
+            if graph.created + graph.unions == mark:
+                try:
+                    return _seal(graph, relators)
+                except EnumerationInternalError:
+                    window *= 2
+            left = window
+            mark = graph.created + graph.unions
+    return _seal(graph, relators)
 
 
 def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
@@ -512,6 +543,11 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     The walk is ``quandle._generator_tree``'s, on the forward rows, and
     canonical: a generated quandle has one isomorphism fixing each
     generator's element.  Labels it misses are numbered after it.
+
+    ``run_schedule`` also calls it mid-sweep, after a window that
+    changed nothing: it reads the graph and changes nothing in it (bar
+    ``find``'s path halving), so an audit that fails leaves the sweep
+    free to go on, and one that passes ends it.
 
     After the last collapse the rows of representatives hold only
     representatives, so each entry is numbered directly; an entry that
@@ -602,7 +638,7 @@ def enumerate_quandle(presentation: Presentation,
         for base, codes, target in relators.primary:
             graph.scan(graph.find(base), graph.bind(codes), graph.find(target))
             graph.collapse()
-        run_schedule(graph, relators)
+        quandle = run_schedule(graph, relators)
     except _CapExceeded as exc:
         return EnumerationOutcome(None, exc.kind, exc.stats)
-    return EnumerationOutcome(_seal(graph, relators), None, graph.stats())
+    return EnumerationOutcome(quandle, None, graph.stats())

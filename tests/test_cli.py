@@ -344,6 +344,15 @@ def test_enumerate_refuses_a_k_past_the_step_cap(capsys, family, extra):
     assert (code, err.split(":")[:2]) == (1, ["error", " k -31 exceeds the step cap 30"])
 
 
+def test_enumerate_closes_below_a_step_cap_its_full_sweep_breaks(capsys):
+    # the sweep ends with the seal's audit at 122,594 steps, before the
+    # cap; swept to its last label it stopped at 150,001
+    code, out, err = run(capsys, "enumerate", "--family", "Mk", "--k", "30",
+                         "--max-steps", "150000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "elements: 1070"
+
+
 def test_enumerate_stops_on_a_power_past_the_step_cap(tmp_path, capsys):
     # the power relation is never spelled: the run stops at its first
     # scan, as it would after scanning all 10^20 letters

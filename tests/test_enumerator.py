@@ -162,16 +162,18 @@ def test_tiny_vertex_cap_trips_during_setup():
 # its N=6 quandle merges nothing before the cap, so its mirror pins a
 # vertex cap after merges.  Mk k=6 closes in 12,539 steps, so its step
 # cap sits below that.  Mk's knot generators are involutions (n = 2),
-# each scanned through one shared row.
+# each scanned through one shared row.  Mk k=30, 60 and 100 end with the
+# seal's audit after a quiet window, 26-31 % of their steps before the
+# last label (165,059, 588,989 and 1,557,429 steps swept to it).
 @pytest.mark.parametrize("p, limits, counters, cap_kind", [
     (family("Mk", k=6), {}, (958, 752, 12539, 206), None),
     (family("T24", (3, 4)), {}, (16, 2, 330, 14), None),
-    (family("Mk", k=30), {}, (4318, 3248, 165059, 1070), None),
-    (family("Mk", k=60), {}, (8518, 6368, 588989, 2150), None),
+    (family("Mk", k=30), {}, (4318, 3248, 122594, 1070), None),
+    (family("Mk", k=60), {}, (8518, 6368, 419788, 2150), None),
     (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 0, 44283, 2001), "vertices"),
     (family("T2k", (6,), k=-3), {"max_vertices": 2000}, (2001, 260, 38525, 1741), "vertices"),
     (family("Mk", k=6), {"max_steps": 10000}, (958, 750, 10001, 208), "steps"),
-    (family("Mk", k=100), {}, (14118, 10528, 1557429, 3590), None),
+    (family("Mk", k=100), {}, (14118, 10528, 1081668, 3590), None),
     (family("T2k", (4,), k=5), {}, (100001, 6181, 702565, 93820), "vertices"),
     (family("T2k", (7,), k=-3), {}, (100001, 4179, 955689, 95822), "vertices"),
 ], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "mirror-trefoil-vertex-cap",
@@ -834,6 +836,90 @@ def test_live_accounting_after_schedule():
     assert sorted(ends) == live
     assert ends == walk_order(g)
 
+
+
+# --- the sweep ended by the seal's audit -------------------------------------------
+
+def full_sweep(p):
+    """Reference: p's graph swept to its last label, as the sweep ran
+    before the seal's audit could end it, then sealed; the quandle and
+    the counters."""
+    g = TraceGraph(p, EnumerationLimits())
+    rel = relators(g)
+    for base, codes, target in rel.primary:
+        g.scan(g.find(base), g.bind(codes), g.find(target))
+        g.collapse()
+    universals = [g.bind(codes) for codes in rel.universal]
+    cursor = 0
+    while cursor < g.created:
+        v, cursor = cursor, cursor + 1
+        if g.parent[v] != v:
+            continue
+        for bound in universals:
+            g.scan(v, bound, v)
+            if g.pending:
+                g.collapse()
+                v = g.find(v)
+        if rel.overrun is not None:
+            g.overrun(v, *rel.overrun)
+    return _seal(g, rel), g.stats()
+
+
+@pytest.mark.parametrize("window", [enumerator._QUIET_WINDOW, 1])
+def test_the_early_seal_gives_the_full_sweeps_quandle(monkeypatch, window):
+    # a window of 1 audits after every vertex that changed nothing, so
+    # audits are declined on graphs not yet closed and the sweep goes on
+    monkeypatch.setattr(enumerator, "_QUIET_WINDOW", window)
+    declined = []
+    seal = enumerator._seal
+
+    def counted(g, rel):
+        try:
+            return seal(g, rel)
+        except EnumerationInternalError:
+            declined.append(g.created)
+            raise
+
+    monkeypatch.setattr(enumerator, "_seal", counted)
+    ps = [c.presentation for c in iter_checks()]
+    ps += [family("Mk", k=k) for k in (6, 12, -11, 30)] + [family("T33", (2, 3, 5))]
+    shorter = 0
+    for p in ps:
+        out = enumerate_quandle(p)
+        q, stats = full_sweep(p)
+        assert out.quandle == q
+        assert (out.stats.created, out.stats.unions, out.stats.live) == \
+            (stats.created, stats.unions, stats.live)
+        assert out.stats.steps <= stats.steps
+        shorter += out.stats.steps < stats.steps
+    assert shorter > 0
+    assert (len(declined) > 0) == (window == 1)
+
+
+def test_a_closed_graph_is_finite_under_a_step_cap_its_full_sweep_breaks():
+    # all 1070 elements of Mk k=30 are live and closed well before
+    # 150,000 steps; swept to its last label the run read past the cap
+    # and was reported as a steps stop at 150,001
+    out = enumerate_quandle(family("Mk", k=30), EnumerationLimits(max_steps=150_000))
+    assert out.finite and out.quandle.size == 1070
+    assert (out.quandle, out.stats) == (mk(30).quandle, mk(30).stats)
+    assert full_sweep(family("Mk", k=30))[1].steps > 150_000
+
+
+def test_a_seal_that_fails_at_the_last_label_is_raised(monkeypatch):
+    # every audit is declined: the sweep goes on to its last label, and
+    # the seal's error there leaves the run
+    audits = []
+
+    def failing(g, rel):
+        audits.append(g.steps)
+        raise EnumerationInternalError("audit")
+
+    monkeypatch.setattr(enumerator, "_seal", failing)
+    with pytest.raises(EnumerationInternalError, match="audit"):
+        enumerate_quandle(family("Mk", k=30))
+    assert len(audits) > 1
+    assert audits[-1] == full_sweep(family("Mk", k=30))[1].steps
 
 
 # --- witness spelling -------------------------------------------------------------
