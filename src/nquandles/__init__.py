@@ -9,15 +9,7 @@ result, and ships a catalog of the known finite cardinalities for
 cross-checking.
 """
 
-from .words import (
-    Expression,
-    concat,
-    expression_str,
-    invert,
-    power,
-    reduce,
-    word_str,
-)
+from .words import concat, invert, power, reduce, word_str
 from .presentations import (
     Crossing,
     Diagram,
@@ -51,12 +43,14 @@ from .enumerator import (
     run_schedule,
 )
 from .quandle import (
+    Expression,
     FiniteQuandle,
     OrbitPartition,
     VerificationReport,
     dense_tables,
     export_dot,
     export_json,
+    expression_str,
     full_op,
     is_isomorphic,
     orbits,

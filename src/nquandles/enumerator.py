@@ -34,8 +34,8 @@ The procedure halts exactly when the N-quandle is finite; vertex and
 step caps make the infinite case observable as an Exceeded outcome,
 and the counters of ``EnumerationStats`` say how far either kind of
 run got.  As in a Todd-Coxeter coset table, the edges are kept in one
-flat row per letter (a generator or its inverse) indexed by vertex
-label, and every relation is compiled once per run to letter codes
+flat row per letter code, the codes that spell every relation word,
+indexed by vertex label.  Relators are compiled once per run
 (``compile_relators``), shared by the scans and the sealing audit, and
 scanned from both ends, as in the HLT strategy of coset enumeration, so
 a vertex is made only for a letter that neither scan could read.  A
@@ -158,25 +158,24 @@ class Relators(NamedTuple):
 
 def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
     """The relators of a presentation with n-values, for one run under
-    ``max_steps``, as letter codes: 2*gen for gen, 2*gen + 1 for its
-    inverse.  A generator a with n = 2 is an involution, so its letters
-    are folded: a' is written a, a a cancels and a relator that folds
-    to nothing is dropped.  Its power relation a^2 is spelled, last,
-    only when no folded conjugate relator reads a, since the sweep
-    defines a letter's edges only by reading it.  A power relation
-    longer than the step cap is never spelled either: it could not be
-    scanned in full, and the run stops at it."""
+    ``max_steps``.  Words are already letter codes, so only involutions
+    change: a generator a with n = 2 is folded, a' written a, a a
+    cancelling and a relator that folds to nothing dropped.  Its power
+    relation a^2 is spelled, last, only when no folded conjugate relator
+    reads a, since the sweep defines a letter's edges only by reading
+    it.  A power relation longer than the step cap is never spelled
+    either: it could not be scanned in full, and the run stops at it."""
     powers = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
+    # how each code is written: an involution's inverse letter as itself
+    spell = [c & -2 if powers[c >> 1] == 2 else c for c in range(2 * len(powers))]
 
     def fold(word: Word) -> list[int]:
         out: list[int] = []
-        for gen, sign in word:
-            flip = powers[gen] != 2  # what turns a code into its inverse
-            c = 2 * gen + (sign < 0 and flip)
-            if out and out[-1] == c ^ flip:
+        for c in word:
+            if out and out[-1] == spell[c ^ 1]:
                 out.pop()
             else:
-                out.append(c)
+                out.append(spell[c])
         return out
 
     primary = [(rel.base, fold(rel.word), rel.target) for rel in presentation.relations]
@@ -187,8 +186,7 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
         if n > max_steps:
             return Relators(primary, universal, (2 * gen, n))
         universal.append([2 * gen] * n)
-    conjugates = [codes for codes in (fold(u.word) for u in conjugate_relations(presentation))
-                  if codes]
+    conjugates = [codes for codes in map(fold, conjugate_relations(presentation)) if codes]
     read = {c for codes in conjugates for c in codes}
     free = [[2 * gen] * 2 for gen, n in enumerate(powers) if n == 2 and 2 * gen not in read]
     return Relators(primary, universal + conjugates + free, None)

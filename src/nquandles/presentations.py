@@ -37,18 +37,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from itertools import compress, count, islice
-from operator import ne, neg
+from itertools import compress, count, islice, repeat
+from operator import ne, xor
 from typing import Mapping, Sequence
 
-from .words import (
-    Letter,
-    Word,
-    concat,
-    invert,
-    power,
-    reduce,
-)
+from .words import Word, concat, invert, power, reduce, word_str
 
 
 class PresentationError(ValueError):
@@ -73,7 +66,8 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 @dataclass(frozen=True)
 class PrimaryRelation:
-    """base^word = target, all generator indices, word reduced."""
+    """base^word = target: generator indices base and target, and word
+    a reduced tuple of letter codes (see ``words``)."""
 
     base: int
     word: Word
@@ -82,9 +76,10 @@ class PrimaryRelation:
 
 @dataclass(frozen=True)
 class UniversalRelation:
-    """y^word = y imposed at every element y; word reduced, nonempty."""
+    """y^word = y imposed at every element y; word reduced, nonempty,
+    spelled as (generator, sign) pairs with sign 1 or -1."""
 
-    word: Word
+    word: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -121,11 +116,11 @@ class Presentation:
         for rel in self.relations:
             if not (0 <= rel.base < g and 0 <= rel.target < g):
                 raise PresentationError("relation references unknown generator")
+            # a bool is an int to Python, but not a letter
+            if not all(type(c) is int and 0 <= c < 2 * g for c in rel.word):
+                raise PresentationError("bad letter in relation word")
             if reduce(rel.word) != rel.word:
                 raise PresentationError("relation word is not reduced")
-            for gen, sign in rel.word:
-                if not (0 <= gen < g) or sign not in (1, -1):
-                    raise PresentationError("bad letter in relation word")
 
     def n_of_generator(self, gen: int) -> int:
         if self.n_values is None:
@@ -139,17 +134,15 @@ def augment_n(p: Presentation, n_values: Sequence[int]) -> Presentation:
 
 
 def parse_word(text: str, names: Sequence[str]) -> Word:
-    """Parse space-separated letters like ``b a b'`` against a name list."""
-    letters: list[Letter] = []
+    """Parse space-separated letters like ``b a b'`` against a name list
+    into a reduced word of letter codes."""
+    letters: list[int] = []
     index = {name: i for i, name in enumerate(names)}
     for token in text.split():
-        sign = 1
-        if token.endswith("'"):
-            sign = -1
-            token = token[:-1]
-        if token not in index:
-            raise PresentationError(f"unknown generator {token!r} in word")
-        letters.append((index[token], sign))
+        name = token.removesuffix("'")
+        if name not in index:
+            raise PresentationError(f"unknown generator {name!r} in word")
+        letters.append(2 * index[name] + (name != token))
     return reduce(letters)
 
 
@@ -266,8 +259,7 @@ def print_presentation(p: Presentation) -> str:
     if p.n_values is not None:
         lines.append("N " + " ".join(str(n) for n in p.n_values))
     for rel in p.relations:
-        word = " ".join(names[g] + ("" if s > 0 else "'") for g, s in rel.word)
-        lines.append(f"rel {names[rel.base]}^[{word}]={names[rel.target]}")
+        lines.append(f"rel {names[rel.base]}^[{word_str(rel.word, names)}]={names[rel.target]}")
     return "\n".join(lines) + "\n"
 
 
@@ -277,23 +269,21 @@ def secondary_relations(p: Presentation) -> list[UniversalRelation]:
     First the N relations, one per generator g on component i:
     w = g^(n_i); short words that collapse early.  Then the
     ``conjugate_relations``.  The returned order is the order the
-    enumerator traces at each vertex.
+    enumerator traces at each vertex.  The words are spelled in letter
+    codes and decoded into (generator, sign) pairs here.
     """
     if p.n_values is None:
         raise PresentationError("secondary relations need n-values; call augment_n")
-    out: list[UniversalRelation] = []
-    for gen in range(len(p.generator_names)):
-        n = p.n_of_generator(gen)
-        out.append(UniversalRelation(((gen, 1),) * n))
-    return out + conjugate_relations(p)
+    words = [(2 * gen,) * p.n_of_generator(gen) for gen in range(len(p.generator_names))]
+    return [UniversalRelation(tuple([(c >> 1, -1 if c & 1 else 1) for c in word]))
+            for word in words + conjugate_relations(p)]
 
 
-def conjugate_relations(p: Presentation) -> list[UniversalRelation]:
-    """One universal relation per primary base^w = target: the conjugate
-    w' base w target', which says every element is fixed by that
-    consequence of the primary."""
-    return [UniversalRelation(concat(invert(rel.word), ((rel.base, 1),), rel.word,
-                                     ((rel.target, -1),)))
+def conjugate_relations(p: Presentation) -> list[Word]:
+    """One universal relation word per primary base^w = target: the
+    conjugate w' base w target', which says every element is fixed by
+    that consequence of the primary."""
+    return [concat(invert(rel.word), (2 * rel.base,), rel.word, (2 * rel.target + 1,))
             for rel in p.relations]
 
 
@@ -449,7 +439,7 @@ def wirtinger(d: Diagram) -> Presentation:
     arcs = list(d.arc_component.keys())
     index = {arc: i for i, arc in enumerate(arcs)}
     relations = tuple(
-        PrimaryRelation(index[c.under_in], ((index[c.over], c.sign),), index[c.under_out])
+        PrimaryRelation(index[c.under_in], (2 * index[c.over] + (c.sign < 0),), index[c.under_out])
         for c in d.crossings
     )
     component_of = tuple(d.arc_component[arc] for arc in arcs)
@@ -539,21 +529,21 @@ def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
     it to (B, A^(B')).  The closure equates the expression x^w at the
     top of position p with generator p, where a leading letter x and a
     trailing letter p are dropped (x^(x w) = x^w, and x^(w p) = p exactly
-    when x^w = p) and an empty relation p = p is left out.  Components
-    are those of ``_braid_arcs``.
+    when x^w = p) and an empty relation p = p is left out.  Words are
+    letter codes (see ``words``); components are those of ``_braid_arcs``.
     """
     crossings, top, strand_of, component = _braid_arcs(braid_word, strands,
                                                        PresentationError)
-    # one word per arc in signed letters +-(generator + 1); the arc
-    # passing under ends there, so its word moves to the arc it becomes
-    # and grows in place, cancelling only at the seams: cut counts the
-    # letters that cancel at a seam
+    # one word of letter codes per arc; the arc passing under ends
+    # there, so its word moves to the arc it becomes and grows in place,
+    # cancelling only at the seams: cut counts the letters that cancel
+    # at a seam
     words = {p: [] for p in range(strands)}
     for over, under_in, under_out, sign in crossings:
         v = words[over]
         word = words[under_out] = words.pop(under_in)
-        for part in (list(map(neg, reversed(v))), (sign * (strand_of[over] + 1),), v):
-            cut = next(compress(count(), map(ne, reversed(word), map(neg, part))),
+        for part in (invert(v), (2 * strand_of[over] + (sign < 0),), v):
+            cut = next(compress(count(), map(ne, reversed(word), map(xor, part, repeat(1)))),
                        min(len(word), len(part)))
             del word[len(word) - cut:]
             word.extend(islice(part, cut, None))
@@ -562,13 +552,12 @@ def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
     for p, arc in enumerate(top):
         base, word = strand_of[arc], words[arc]
         start, end = 0, len(word)
-        while start < end and abs(word[start]) == base + 1:
+        while start < end and word[start] >> 1 == base:
             start += 1
-        while end > start and abs(word[end - 1]) == p + 1:
+        while end > start and word[end - 1] >> 1 == p:
             end -= 1
         if start < end or base != p:
-            letters = tuple((abs(x) - 1, 1 if x > 0 else -1) for x in word[start:end])
-            relations.append(PrimaryRelation(base, letters, p))
+            relations.append(PrimaryRelation(base, tuple(word[start:end]), p))
     names = tuple(chr(97 + p % 26) + str(p // 26 or "") for p in range(strands))
     return Presentation(names, tuple(component), None, tuple(relations))
 

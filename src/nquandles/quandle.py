@@ -37,11 +37,29 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .presentations import PrimaryRelation
-from .words import Expression, expression_str
 
 # table entries compared at a time when verify_axioms proves a
 # generator's action an automorphism of the table
 _BAND = 1 << 16
+
+
+@dataclass(frozen=True)
+class Expression:
+    """Normal form a^w of an element: a base generator index and a
+    reduced word of (generator, sign) pairs, sign 1 or -1."""
+
+    base: int
+    word: tuple[tuple[int, int], ...]
+
+
+def expression_str(expr: Expression, names: Sequence[str]) -> str:
+    """Render a^w, a bare base when the word is empty: x' marks an
+    inverse, and the letters run together when every name is one
+    character."""
+    if not expr.word:
+        return names[expr.base]
+    sep = "" if all(len(name) == 1 for name in names) else " "
+    return names[expr.base] + "^" + sep.join([names[g] + "'" * (s < 0) for g, s in expr.word])
 
 
 @dataclass(frozen=True)
@@ -169,7 +187,11 @@ def _build_table(q: FiniteQuandle) -> np.ndarray:
     n = q.size
     act, inv = _actions(q)
     # cols[y] is column y of M, so each step writes one contiguous row
-    cols = np.full((n, n), -1, dtype=act.dtype)
+    try:
+        cols = np.full((n, n), -1, dtype=act.dtype)
+    except MemoryError:
+        raise MemoryError(f"the operation table of {n} elements needs {n * n * act.itemsize} "
+                          "bytes, more than could be allocated") from None
     roots, edges = _generator_tree(q)
     for g, e in roots:
         cols[e] = act[g]
@@ -458,7 +480,7 @@ def _orbit_kinds(q: FiniteQuandle) -> list[tuple[int, tuple[int, ...]]]:
     return [(size, types.get(o, ())) for o, size in enumerate(part.sizes())]
 
 
-# column(e, sign): x > e for every x when sign = 1, x >' e when -1
+# column(e, bit): x > e for every x when bit = 0, x >' e when 1
 _Columns = Callable[[int, int], np.ndarray]
 
 
@@ -472,19 +494,19 @@ def _extends(q1: FiniteQuandle, column: _Columns,
     for g, e in roots:
         phi[e] = images[g]
     for y, g, z in edges:
-        phi[z] = column(images[g], 1)[phi[y]]
+        phi[z] = column(images[g], 0)[phi[y]]
     if (phi < 0).any() or len(np.unique(phi)) != q1.size:
         return False
     act1 = np.asarray(q1.action).reshape(-1, q1.size)
-    return all(np.array_equal(phi[act1[g]], column(images[g], 1)[phi])
+    return all(np.array_equal(phi[act1[g]], column(images[g], 0)[phi])
                for g in range(len(q1.generator_names)))
 
 
 def _relation_holds(column: _Columns, rel: PrimaryRelation,
                     images: Sequence[int | None]) -> bool:
     val = images[rel.base]
-    for gen, sign in rel.word:
-        val = column(images[gen], sign)[val]  # type: ignore[arg-type]
+    for c in rel.word:
+        val = column(images[c >> 1], c & 1)[val]  # type: ignore[arg-type]
     return val == images[rel.target]
 
 
@@ -518,7 +540,7 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     # relations checkable (ties: fewest candidates, then lowest index),
     # and check each relation at the depth that assigns the last
     # generator it names.
-    pending = [(r, {r.base, r.target} | {gen for gen, _ in r.word})
+    pending = [(r, {r.base, r.target} | {c >> 1 for c in r.word})
                for r in q1.relations]
     order: list[int] = []
     checks_at: list[list[PrimaryRelation]] = []
@@ -539,9 +561,9 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     inverse_columns: dict[int, np.ndarray] = {}
     tree = _generator_tree(q1)
 
-    def column(e: int, sign: int) -> np.ndarray:
+    def column(e: int, bit: int) -> np.ndarray:
         # each candidate image's column is inverted once per search
-        if sign > 0:
+        if not bit:
             return column2(e)
         if e not in inverse_columns:
             inverse_columns[e] = _inverse_column(column2(e))

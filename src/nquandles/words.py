@@ -8,55 +8,56 @@ identity
 
     (a^u)^(b^v) = a^(u v' b v)
 
-flattens any nested expression back to the a^w normal form; that normal
-form is all this module manipulates.  Generators are bare indices here.
-Names exist only at the parse/print boundary (see presentations).
+flattens any nested expression back to the a^w normal form.  This
+module manipulates the words w, which also spell every relation.
+Generators are bare indices here.  Names exist only at the parse/print
+boundary (see presentations).
 
-A letter is a pair ``(generator_index, sign)`` with sign +1 or -1, a
-word is a tuple of letters, and words are kept freely reduced: no
-letter is ever adjacent to its own inverse.
+A letter is an int code, as in the rows of a Todd-Coxeter coset table:
+2*g is generator g and 2*g + 1 its inverse, so ``code ^ 1`` inverts a
+letter and ``code >> 1`` gives its generator.  A word is a tuple of
+codes, and words are kept freely reduced: no letter is ever adjacent to
+its own inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-Letter = tuple[int, int]
-Word = tuple[Letter, ...]
+Word = tuple[int, ...]
 
 
-def reduce(letters: Iterable[Letter]) -> Word:
+def reduce(codes: Iterable[int]) -> Word:
     """Freely reduce a letter sequence by cancelling adjacent inverses.
 
     Single stack pass; the result is the unique reduced form of the
     word, so reduce is idempotent and order of cancellation is moot.
     """
-    out: list[Letter] = []
-    for gen, sign in letters:
-        if out and out[-1] == (gen, -sign):
+    out: list[int] = []
+    for c in codes:
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append((gen, sign))
+            out.append(c)
     return tuple(out)
 
 
-def invert(word: Iterable[Letter]) -> Word:
-    """Inverse word: reversed letters, each sign flipped."""
+def invert(word: Iterable[int]) -> Word:
+    """Inverse word: reversed letters, each one inverted."""
     # tuple() of a list is sized exactly; of a generator it starts from
     # a length guess, and the spare tuples pile up on CPython's free lists
-    return tuple([(gen, -sign) for gen, sign in reversed(tuple(word))])
+    return tuple([c ^ 1 for c in reversed(tuple(word))])
 
 
-def concat(*words: Iterable[Letter]) -> Word:
+def concat(*words: Iterable[int]) -> Word:
     """Concatenate words and reduce the seams."""
-    joined: list[Letter] = []
+    joined: list[int] = []
     for word in words:
         joined.extend(word)
     return reduce(joined)
 
 
-def power(word: Sequence[Letter], exponent: int) -> Word:
+def power(word: Sequence[int], exponent: int) -> Word:
     """w^e as a reduced word; negative exponents invert first.
 
     This is where the x^(y^-n) = x^((y')^n) convention gets resolved,
@@ -67,25 +68,7 @@ def power(word: Sequence[Letter], exponent: int) -> Word:
     return reduce(tuple(word) * exponent)
 
 
-@dataclass(frozen=True)
-class Expression:
-    """Normal form a^w: a base generator index and a reduced word."""
-
-    base: int
-    word: Word
-
-
-def word_str(word: Iterable[Letter], names: Sequence[str]) -> str:
-    """Render a word with the file-format spelling: x' marks an inverse."""
-    parts = [names[gen] + ("" if sign > 0 else "'") for gen, sign in word]
-    if all(len(name) == 1 for name in names):
-        return "".join(parts)
-    return " ".join(parts)
-
-
-def expression_str(expr: Expression, names: Sequence[str]) -> str:
-    """Render a^w; a bare base when the word is empty."""
-    base = names[expr.base]
-    if not expr.word:
-        return base
-    return base + "^" + word_str(expr.word, names)
+def word_str(word: Iterable[int], names: Sequence[str]) -> str:
+    """Render a word with the file-format spelling: letters apart, x'
+    marks an inverse."""
+    return " ".join([names[c >> 1] + "'" * (c & 1) for c in word])

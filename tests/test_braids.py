@@ -95,8 +95,8 @@ def coset_indices(p):
 
     def element(word):
         out = free.identity
-        for gen, sign in word:
-            out *= xs[gen] ** sign
+        for c in word:  # letter code 2*gen, or 2*gen + 1 for its inverse
+            out *= xs[c >> 1] ** (-1 if c & 1 else 1)
         return out
 
     relators = [xs[j] ** p.n_of_generator(j) for j in range(len(names))]
@@ -149,14 +149,14 @@ def concat_braid_presentation(braid_word, strands):
         i = abs(letter) - 1
         (a, u), (b, v) = at[i], at[i + 1]
         if letter > 0:
-            at[i], at[i + 1] = (b, concat(v, invert(u), ((a, 1),), u)), (a, u)
+            at[i], at[i + 1] = (b, concat(v, invert(u), (2 * a,), u)), (a, u)
         else:
-            at[i], at[i + 1] = (b, v), (a, concat(u, invert(v), ((b, -1),), v))
+            at[i], at[i + 1] = (b, v), (a, concat(u, invert(v), (2 * b + 1,), v))
     relations = []
     for p, (base, word) in enumerate(at):
-        while word and word[0][0] == base:
+        while word and word[0] >> 1 == base:
             word = word[1:]
-        while word and word[-1][0] == p:
+        while word and word[-1] >> 1 == p:
             word = word[:-1]
         if word or base != p:
             relations.append(PrimaryRelation(base, word, p))

@@ -245,6 +245,34 @@ def test_enumerate_lists_the_failures_of_full_verification(tmp_path, capsys):
     assert not (tmp_path / "never.json").exists()
 
 
+# main() in a child process whose address space is capped at what it
+# holds after its imports plus 200 MiB
+CAPPED_MAIN = """
+import resource, sys
+from nquandles.cli import main
+with open("/proc/self/status") as status:
+    kib = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = (kib << 10) + (200 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_a_table_that_does_not_fit_in_memory_is_an_error_line():
+    # Mk k=300 enumerates in a few MB, but its 10,790-element int16
+    # operation table needs 233 MB
+    argv = [sys.executable, "-c", CAPPED_MAIN, "enumerate", "--family", "Mk", "--k", "300"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("elements: 10790\n")
+    assert proc.stderr == ("error: the operation table of 10790 elements needs 232848200 "
+                           "bytes, more than could be allocated; --verify none skips it\n")
+    # without verification nothing builds the table
+    proc = subprocess.run(argv + ["--verify", "none"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 # --- verify-catalog --------------------------------------------------------------
 
 # sha256 of the default sweep's stdout: any change to a check's label,

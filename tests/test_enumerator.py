@@ -35,6 +35,7 @@ from nquandles.presentations import (
     builtin_family,
     parse_presentation,
     parse_word,
+    print_presentation,
     secondary_relations,
 )
 from nquandles import quandle
@@ -46,7 +47,8 @@ from nquandles.quandle import (
     verify_all,
     verify_axioms,
 )
-from nquandles.words import Expression, concat
+from nquandles.quandle import Expression
+from nquandles.words import concat
 
 
 def family(name, ns=None, k=None):
@@ -61,8 +63,9 @@ def mk(k):
 
 
 def _codes(word):
-    """Letter codes of a word, letter for letter: 2*gen for gen, 2*gen + 1
-    for its inverse, whatever the generator's n."""
+    """Letter codes of a word of (generator, sign) pairs, as secondary
+    relations and witnesses spell them, letter for letter: 2*gen for
+    gen, 2*gen + 1 for its inverse, whatever the generator's n."""
     return [2 * gen + (sign < 0) for gen, sign in word]
 
 
@@ -72,15 +75,16 @@ def relators(g):
 
 
 def trace(g, start, word, end):
-    """Scan ``word`` from start's class to end's (step 3)."""
-    g.scan(g.find(start), g.bind(_codes(word)), g.find(end))
+    """Scan the letter codes ``word`` from start's class to end's (step 3)."""
+    g.scan(g.find(start), g.bind(word), g.find(end))
 
 
 def follow(g, v, word):
-    """The end of the path labeled ``word`` from v's class, or None where
-    an edge is missing; reads the rows and changes nothing."""
+    """The end of the path labeled by the letter codes ``word`` from v's
+    class, or None where an edge is missing; reads the rows and changes
+    nothing."""
     v = g.find(v)
-    for code in _codes(word):
+    for code in word:
         v = g.rows[code][v]
         if v < 0:
             return None
@@ -270,7 +274,7 @@ def test_a_power_past_the_step_cap_stops_where_its_scan_would(p, limits):
     out = enumerate_quandle(p, limits)
     assert compile_relators(p, limits.max_steps).overrun is not None
     # oracle: the same run with every power spelled out and scanned
-    spelled = Relators([(r.base, _codes(r.word), r.target) for r in p.relations],
+    spelled = Relators([(r.base, list(r.word), r.target) for r in p.relations],
                        [_codes(u.word) for u in secondary_relations(p)], None)
     g = TraceGraph(p, limits)
     with pytest.raises(_CapExceeded) as exc:
@@ -313,10 +317,29 @@ def test_compiled_relators_fold_involutions():
             [2 * j] * n for j, n in enumerate(ns) if n != 2]
         assert all(relators.universal)
         if 2 not in ns:
-            assert relators.primary == [(r.base, _codes(r.word), r.target) for r in p.relations]
+            assert relators.primary == [(r.base, list(r.word), r.target) for r in p.relations]
             assert relators.universal == [_codes(u.word) for u in secondary_relations(p)]
         folded += 2 in ns
     assert 2 < folded < len(ps)
+
+
+# sha256 over the 461 presentations of the wide sweep and of Mk at
+# k = -60..60: each one's text and its compiled relators, hashed as
+# plain lists of ints.  Pinned before relation words became letter
+# codes, so a change of spelling that moved a relator would show here.
+GOLDEN_RELATORS_DIGEST = "7c31ce41c253891e0fa7e5456b322392e7daa95b1d857d98e2bb5cedd6784bbd"
+
+
+def test_text_and_compiled_relators_match_the_golden_digest():
+    checks = list(iter_checks(k_values=range(-20, 21), n_values=range(2, 8)))
+    checks += [c for c in iter_checks(k_values=range(-60, 61)) if c.row_id == "Mk"]
+    assert len(checks) == 461
+    digest = hashlib.sha256()
+    for check in checks:
+        r = compile_relators(check.presentation, DEFAULT_MAX_STEPS)
+        digest.update(print_presentation(check.presentation).encode())
+        digest.update(json.dumps([r.primary, r.universal, r.overrun]).encode())
+    assert digest.hexdigest() == GOLDEN_RELATORS_DIGEST
 
 
 def test_an_involution_power_is_never_scanned():
@@ -562,7 +585,7 @@ def test_bound_rows_stay_the_graph_rows():
     p = family("T24", (3, 3))
     g = TraceGraph(p, EnumerationLimits())
     a = 0
-    bb = g.bind(_codes(parse_word("b b", p.generator_names)))
+    bb = g.bind(parse_word("b b", p.generator_names))
     # a^[b b] = a makes v = a^b after the binding
     g.scan(a, bb, a)
     v = 2
@@ -746,9 +769,9 @@ def test_an_involution_edge_is_entered_at_both_ends_of_one_row():
     assert g.rows[1] is g.rows[0] and g.rows[3] is not g.rows[2]
     assert [id(row) for row, _ in g.pairs] == [id(g.rows[c]) for c in (0, 2, 3)]
     # a^[b b] = a: the gap b, b makes v = a^b; then b --a--> v deduced
-    trace(g, a, ((b, 1), (b, 1)), end=a)
+    trace(g, a, (2 * b, 2 * b), end=a)
     v = 2
-    trace(g, b, ((a, -1),), end=v)
+    trace(g, b, (2 * a + 1,), end=v)
     assert g.rows[0][b] == v and g.rows[0][v] == b
     assert g.created == 3
     assert len(g.rows[0]) == len(g.rows[2]) == len(g.parent) >= g.created
@@ -786,20 +809,20 @@ def test_step_is_none_until_forced():
     g = TraceGraph(p, EnumerationLimits())
     a, b = 0, 1
     assert g.rows[2 * b][a] == -1
-    assert follow(g, a, ((b, 1),)) is None
+    assert follow(g, a, (2 * b,)) is None
     # a^[b b] = a: a two-letter gap, so one new vertex v between
-    trace(g, a, ((b, 1), (b, 1)), end=a)
+    trace(g, a, (2 * b, 2 * b), end=a)
     v = 2
     assert g.created == 3
     assert g.rows[2 * b][a] == v
     assert g.rows[2 * b + 1][v] == a  # the reverse edge lands with it
-    assert follow(g, a, ((b, 1),)) == v
+    assert follow(g, a, (2 * b,)) == v
     # an inverse letter is entered under the odd code, its reverse under
     # the even one
-    trace(g, b, ((a, -1), (a, -1)), end=b)
+    trace(g, b, (2 * a + 1, 2 * a + 1), end=b)
     u = 3
     assert g.rows[2 * a + 1][b] == u and g.rows[2 * a][u] == b
-    assert follow(g, b, ((a, -1),)) == u
+    assert follow(g, b, (2 * a + 1,)) == u
 
 
 def walk_order(g):
@@ -832,7 +855,7 @@ def test_live_accounting_after_schedule():
     assert all(g.find(v) == v for v in live)
     # the witnesses of the sealed quandle follow edges that are all
     # there, each to its own live vertex, in the order the walk met them
-    ends = [follow(g, w.base, w.word) for w in _seal(g, relators(g)).witnesses]
+    ends = [follow(g, w.base, _codes(w.word)) for w in _seal(g, relators(g)).witnesses]
     assert sorted(ends) == live
     assert ends == walk_order(g)
 
@@ -938,18 +961,21 @@ def closed(p):
 def concat_witnesses(q):
     """Oracle: each element's word spelled breadth first from the
     generator elements along the forward generator edges, each child's
-    word its parent's plus the generator's letter with ``words.concat``,
-    a fresh letter tuple per letter."""
+    word its parent's plus the generator's letter code with
+    ``words.concat``, then decoded into (generator, sign) pairs, a fresh
+    pair per letter."""
     words = {}
     for g, e in enumerate(q.generator_element):
-        words.setdefault(e, Expression(g, ()))
+        words.setdefault(e, (g, ()))
     queue = list(words)
     for y in queue:
         for g, act in enumerate(q.action):
             if act[y] not in words:
-                words[act[y]] = Expression(words[y].base, concat(words[y].word, ((g, 1),)))
+                base, word = words[y]
+                words[act[y]] = (base, concat(word, (2 * g,)))
                 queue.append(act[y])
-    return tuple(words[x] for x in range(q.size))
+    return tuple(Expression(base, tuple((c >> 1, -1 if c & 1 else 1) for c in word))
+                 for base, word in (words[x] for x in range(q.size)))
 
 
 def tree_depths(q):
@@ -1215,7 +1241,7 @@ def loop_audit(g, p):
     element = [index[g.find(j)] for j in range(g.ngens)]
     for rel in p.relations:
         x = element[rel.base]
-        for c in _codes(rel.word):
+        for c in rel.word:
             x = tables[c][x]
         if x != element[rel.target]:
             return "primary relation does not close"

@@ -61,7 +61,7 @@ def presentations(draw):
     names = draw(st.lists(NAMES, min_size=g, max_size=g, unique=True))
     m, comps = components(draw, g)
     n_values = draw(st.none() | st.tuples(*[st.integers(1, 5)] * m))
-    letter = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
+    letter = st.integers(0, 2 * g - 1)  # a letter code: 2*gen, or 2*gen + 1 for its inverse
     relations = draw(st.lists(st.builds(
         PrimaryRelation, st.integers(0, g - 1), st.lists(letter, max_size=6).map(reduce),
         st.integers(0, g - 1)), max_size=4))

@@ -33,9 +33,10 @@ FAMILIES = ["T24", "T24C", "T26", "T28", "T210", "T33", "T34", "T35",
 # --- words and text round trips -------------------------------------------
 
 def test_parse_word():
+    # letter codes: 2*g for generator g, 2*g + 1 for its inverse
     names = ("a", "b")
-    assert parse_word("b a b", names) == ((1, 1), (0, 1), (1, 1))
-    assert parse_word("a'", names) == ((0, -1),)
+    assert parse_word("b a b", names) == (2, 0, 2)
+    assert parse_word("a'", names) == (1,)
     assert parse_word("", names) == ()
     assert parse_word("a a'", names) == ()  # parsed words come back reduced
     with pytest.raises(PresentationError):
@@ -75,8 +76,8 @@ def test_parse_presentation_statements():
     assert p.generator_names == ("a", "b")
     assert p.n_values == (3, 4)
     assert p.relations == (
-        PrimaryRelation(0, ((1, 1), (0, 1), (1, 1)), 0),
-        PrimaryRelation(1, ((0, 1), (1, 1), (0, 1)), 1),
+        PrimaryRelation(0, (2, 0, 2), 0),
+        PrimaryRelation(1, (0, 2, 0), 1),
     )
 
 
@@ -156,6 +157,14 @@ def test_duplicate_generators_rejected():
         parse_presentation("gens a a\n")
 
 
+@pytest.mark.parametrize("word", [((0, 1),), (True,), (0, True), (-1,), (4,), (5,), [0, 2]])
+def test_malformed_relation_words_refused(word):
+    # a letter is an int code from 0 to 2g - 1: not a (generator, sign)
+    # pair, not a bool, nothing out of range; the word a reduced tuple
+    with pytest.raises(PresentationError):
+        Presentation(("a", "b"), (1, 1), None, (PrimaryRelation(0, word, 1),))
+
+
 def test_component_numbering_must_be_contiguous():
     with pytest.raises(PresentationError):
         Presentation(("a", "b"), (1, 3), None, ())
@@ -195,7 +204,8 @@ def test_n_of_generator():
 # --- secondary relations ----------------------------------------------------
 
 def letters(text, names):
-    return parse_word(text, names)
+    """The (generator, sign) pairs that secondary relations spell."""
+    return tuple((c >> 1, -1 if c & 1 else 1) for c in parse_word(text, names))
 
 
 def test_secondary_relations_order_and_words():
@@ -339,7 +349,7 @@ def test_closed_braid_negative_letters():
     assert len(p.relations) == 3
     for rel in p.relations:
         assert len(rel.word) == 1
-        assert rel.word[0][1] == -1  # mirror crossings act by the inverse
+        assert rel.word[0] & 1  # mirror crossings act by the inverse
 
 
 def test_closed_braid_validation():

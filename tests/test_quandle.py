@@ -51,9 +51,15 @@ def tiny(action, gen_elements, components, ns):
 
 # --- the operation ------------------------------------------------------------
 
+def codes(word):
+    """A witness word's (generator, sign) pairs as letter codes: 2*gen,
+    or 2*gen + 1 for the inverse."""
+    return tuple(2 * gen + (sign < 0) for gen, sign in word)
+
+
 def walk(q, x, word):
-    for gen, sign in word:
-        x = q.action[gen][x] if sign > 0 else q.inverse_action[gen][x]
+    for c in word:
+        x = (q.inverse_action if c & 1 else q.action)[c >> 1][x]
     return x
 
 
@@ -63,7 +69,8 @@ def test_full_op_matches_witness_walk():
     for y in range(q.size):
         w = q.witnesses[y]
         for x in range(q.size):
-            expect = walk(q, q.action[w.base][walk(q, x, invert(w.word))], w.word)
+            word = codes(w.word)
+            expect = walk(q, q.action[w.base][walk(q, x, invert(word))], word)
             assert full_op(q, x, y) == expect
 
 
@@ -293,13 +300,14 @@ def cubic_oracle(q):
     inv = inverted(q.action)
 
     def walk_all(vec, word):
-        for gen, sign in word:
-            vec = (act if sign > 0 else inv)[gen][vec]
+        for c in word:
+            vec = (inv if c & 1 else act)[c >> 1][vec]
         return vec
 
     fwd = np.empty((n, n), dtype=np.int64)
     for y, w in enumerate(q.witnesses):
-        fwd[:, y] = walk_all(act[w.base][walk_all(idx, invert(w.word))], w.word)
+        word = codes(w.word)
+        fwd[:, y] = walk_all(act[w.base][walk_all(idx, invert(word))], word)
     if not np.array_equal(fwd[idx, idx], idx):
         return False
     if not (np.sort(fwd, axis=0) == idx[:, np.newaxis]).all():
