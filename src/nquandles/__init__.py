@@ -9,7 +9,7 @@ result, and ships a catalog of the known finite cardinalities for
 cross-checking.
 """
 
-from .words import concat, invert, power, reduce, word_str
+from .words import concat, invert, reduce, word_str
 from .presentations import (
     Crossing,
     Diagram,

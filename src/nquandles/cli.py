@@ -7,8 +7,9 @@ every enumerated size against its recorded value.  ``convert`` turns a
 closed braid word (one generator per strand) or a diagram file (one per
 arc) into a generator presentation, or either into a diagram file.
 
-Exit codes: 0 success, 1 bad input or I/O failure, 2 usage error,
-3 verification or catalog mismatch, 4 enumeration cap exceeded.
+Exit codes: 0 success, 1 bad input, I/O failure or out of memory,
+2 usage error, 3 verification or catalog mismatch, 4 enumeration cap
+exceeded.
 
 Output is deterministic for a fixed command line; the single exception
 is the line emitted by ``--timing``, which begins with ``time:`` so it
@@ -337,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
 
 

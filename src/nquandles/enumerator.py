@@ -337,6 +337,8 @@ class TraceGraph:
             if x != e:
                 self.pending.append((x, e))
             return
+        # the same rows from the same vertex: this read stops at the
+        # letter where the first one fell to -1
         it = iter(fwd)
         for row in it:
             t = row[v]
@@ -346,8 +348,6 @@ class TraceGraph:
                 i = n - 1 - length_hint(it)
                 break
             v = t
-        else:
-            i = n
         rows = self.rows
         j = n
         while j > i:

@@ -41,7 +41,7 @@ from itertools import compress, count, islice, repeat
 from operator import ne, xor
 from typing import Mapping, Sequence
 
-from .words import Word, concat, invert, power, reduce, word_str
+from .words import Word, concat, invert, reduce, word_str
 
 
 class PresentationError(ValueError):
@@ -268,8 +268,9 @@ def secondary_relations(p: Presentation) -> list[UniversalRelation]:
 
     First the N relations, one per generator g on component i:
     w = g^(n_i); short words that collapse early.  Then the
-    ``conjugate_relations``.  The returned order is the order the
-    enumerator traces at each vertex.  The words are spelled in letter
+    ``conjugate_relations``, in relation order.  The enumerator scans
+    another order: ``compile_relators`` folds away the n = 2 powers and
+    puts a free involution's a a last.  The words are spelled in letter
     codes and decoded into (generator, sign) pairs here.
     """
     if p.n_values is None:
@@ -568,21 +569,16 @@ def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
 def _family_mk(k: int) -> Presentation:
     """Twist knot with k full twists together with its axis circle c.
 
-    The two-sided relations collapse to base^word = target form:
-    a^(c a c' a) = a^(c' a c) becomes a^(c a c' a c' a' c) = a, and
-    a^(c' a c) = b^((ab)^(k-1)) becomes a^(c' a c (b' a')^(k-1)) = b.
+    Spelled in the text format.  The two-sided relations collapse to
+    base^word = target form: a^(c a c' a) = a^(c' a c) becomes
+    a^(c a c' a c' a' c) = a, and a^(c' a c) = b^((ab)^(k-1)) becomes
+    a^(c' a c (b' a')^(k-1)) = b, whose tail is (a b)^(1-k) for k <= 0.
     """
-    names = ("a", "b", "c")
-
-    def w(text: str) -> Word:
-        return parse_word(text, names)
-
-    relations = (
-        PrimaryRelation(2, w("b a"), 2),
-        PrimaryRelation(0, concat(w("c a c' a"), invert(w("c' a c"))), 0),
-        PrimaryRelation(0, concat(w("c' a c"), power(w("a b"), -(k - 1))), 1),
-    )
-    return Presentation(names, (1, 1, 2), (2, 3), relations)
+    tail = "b' a' " * (k - 1) if k > 0 else "a b " * (1 - k)
+    return parse_presentation(
+        "gens a b c; comp a:1 b:1 c:2; N 2 3\n"
+        "rel c^[b a]=c; rel a^[c a c' a c' a' c]=a\n"
+        f"rel a^[c' a c {tail}]=b\n")
 
 
 _BRAIDS = {

@@ -57,17 +57,6 @@ def concat(*words: Iterable[int]) -> Word:
     return reduce(joined)
 
 
-def power(word: Sequence[int], exponent: int) -> Word:
-    """w^e as a reduced word; negative exponents invert first.
-
-    This is where the x^(y^-n) = x^((y')^n) convention gets resolved,
-    so nothing downstream ever sees a negative power.
-    """
-    if exponent < 0:
-        return power(invert(word), -exponent)
-    return reduce(tuple(word) * exponent)
-
-
 def word_str(word: Iterable[int], names: Sequence[str]) -> str:
     """Render a word with the file-format spelling: letters apart, x'
     marks an inverse."""

@@ -151,3 +151,21 @@ def test_a_formula_the_evaluator_cannot_read_is_refused(monkeypatch, capsys, tam
     assert err.value.args == (message,)
     assert main(["verify-catalog", "--rows", "Mk", "--k-range", "1:1"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("row, value", [
+    # a closed form may negate: unary minus
+    ("X | link | (n) | -n+3*n | in | T2k:3 | closed-form | notes", 6),
+    ("X | link | (n) | n | in | T2k:3 | closed-form", "catalog row needs 8 columns: "),
+])
+def test_data_file_rows(tmp_path, monkeypatch, row, value):
+    data = tmp_path / "cardinalities.txt"
+    data.write_text(f"# columns\n{row}\n")
+    monkeypatch.setattr(catalog_module, "_DATA_PATH", data)
+    if isinstance(value, str):
+        with pytest.raises(ValueError) as err:
+            load_catalog()
+        assert err.value.args == (value + repr(row),)
+    else:
+        (entry,) = load_catalog()
+        assert catalog_module._value(entry, (3,), {}) == value

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line surface."""
 
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -222,6 +223,29 @@ def test_timing_line_is_marked(capsys):
     assert out.splitlines()[-1].startswith("time:")
 
 
+@pytest.mark.parametrize("argv, code, last_line", [
+    (["convert", "--braid", "1,x", "--strands", "2"], 2,
+     "nquandles convert: error: argument --braid: bad braid word '1,x', expected e.g. 1,1,-2"),
+    (["convert", "--braid", ",", "--strands", "2"], 2,
+     "nquandles convert: error: argument --braid: empty braid word"),
+    (["enumerate", "--file", "p.txt", "--k", "3", "--N", "2"], 1,
+     "error: --k only applies to --family"),
+    (["verify-catalog", "--rows", "T24", "--timing"], 0, re.compile(r"time: \d+\.\d\ds")),
+])
+def test_refusals_and_the_catalog_timing_line(capsys, argv, code, last_line):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    lines = (captured.out if code == 0 else captured.err).splitlines()
+    assert got == code
+    if isinstance(last_line, str):
+        assert lines[-1] == last_line
+    else:
+        assert last_line.fullmatch(lines[-1])
+
+
 def test_stdout_determinism(capsys):
     argv = ["enumerate", "--family", "Mk", "--k", "2"]
     _, first, _ = run(capsys, *argv)
@@ -271,6 +295,20 @@ def test_a_table_that_does_not_fit_in_memory_is_an_error_line():
     # without verification nothing builds the table
     proc = subprocess.run(argv + ["--verify", "none"], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("argv", [
+    # an n this large spells a power relator of 10^8 letters
+    ["enumerate", "--family", "Lk", "--k", "1", "--N", "2,99999999"],
+    ["verify-catalog", "--rows", "Lk-odd", "--k-range=1:1", "--n-range", "99999999:99999999"],
+    # a k this large spells a relation text of 6 * 10^8 characters
+    ["enumerate", "--family", "Mk", "--k", "99999999", "--verify", "none"],
+])
+def test_running_out_of_memory_is_an_error_line(argv):
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 # --- verify-catalog --------------------------------------------------------------

@@ -21,7 +21,8 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        # warnings are errors, as in the tier-1 run
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -45,7 +45,6 @@ from nquandles.quandle import (
     export_json,
     orbits,
     verify_all,
-    verify_axioms,
 )
 from nquandles.quandle import Expression
 from nquandles.words import concat
@@ -1060,16 +1059,6 @@ def test_a_sealed_quandle_spells_no_witness_until_one_is_read(monkeypatch):
     export_dot(q)
     export_json(q)
     assert calls == [206]
-
-
-def test_verify_axioms_reports_a_wrong_tree_witness():
-    q = enumerate_quandle(family("Mk", k=6)).quandle
-    words = list(q.witnesses)
-    words[7] = words[8]
-    q.__dict__["witnesses"] = tuple(words)
-    report = verify_axioms(q)
-    assert report.failures == [
-        f"witness: {q.element_name(8)} names element 8, not 7"]
 
 
 UNFOLDED_TABLES = Path(__file__).parent / "data" / "unfolded_tables.json"

@@ -165,6 +165,28 @@ def test_malformed_relation_words_refused(word):
         Presentation(("a", "b"), (1, 1), None, (PrimaryRelation(0, word, 1),))
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Presentation((), (), None, ()),
+                 "a presentation needs at least one generator", id="no-generators"),
+    pytest.param(lambda: Presentation(("a", "a"), (1, 1), None, ()),
+                 "duplicate generator names", id="duplicate-names"),
+    pytest.param(lambda: Presentation(("a", "b'"), (1, 1), None, ()),
+                 "bad generator name \"b'\"", id="bad-name"),
+    pytest.param(lambda: Presentation(("a", "b"), (1,), None, ()),
+                 "component_of must assign every generator", id="short-component-of"),
+    pytest.param(lambda: Presentation(("a", "b"), (1, 1), None, (PrimaryRelation(0, (), 2),)),
+                 "relation references unknown generator", id="unknown-target"),
+    pytest.param(lambda: builtin_family("T24").n_of_generator(0),
+                 "presentation has no n-values", id="n-of-generator-without-n"),
+])
+def test_hand_built_presentations_are_refused(build, message):
+    # no text reaches these checks: parse_presentation refuses it
+    # first, with a position
+    with pytest.raises(PresentationError) as err:
+        build()
+    assert err.value.args == (message,)
+
+
 def test_component_numbering_must_be_contiguous():
     with pytest.raises(PresentationError):
         Presentation(("a", "b"), (1, 3), None, ())

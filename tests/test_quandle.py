@@ -355,6 +355,21 @@ def test_verify_axioms_rejects_tampered_actions(catalog_quandles):
     assert rejected >= 300
 
 
+def test_verify_all_rejects_tampered_quandles_that_break_only_their_relations(
+        catalog_quandles):
+    # a swap can leave a quandle that passes the axioms but is not one
+    # of its presentation: only the presentation's relations show that
+    passed_axioms = [bad for _, _, _, _, bad in tamperings(catalog_quandles)
+                     if verify_axioms(bad)]
+    assert len(passed_axioms) == 8
+    reports = [verify_all(bad) for bad in passed_axioms]
+    assert not any(reports)
+    assert all(sum(f.startswith("relation: ") for f in r.failures) == 1 for r in reports)
+    # four of them break nothing else
+    assert sum(len(r.failures) == 1 for r in reports) == 4
+    assert reports[-1].failures == ["relation: a^[c b]=a ends at 3, not 0"]
+
+
 SELF_DISTRIBUTIVITY = re.compile(
     r"self-distributivity: \((\d+)>(\d+)\)>(\d+) = (\d+) but "
     r"\(\d+>\d+\)>\(\d+>\d+\) = (\d+)$")

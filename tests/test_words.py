@@ -13,7 +13,6 @@ from nquandles.quandle import Expression, expression_str
 from nquandles.words import (
     concat,
     invert,
-    power,
     reduce,
     word_str,
 )
@@ -82,19 +81,6 @@ def test_concat_cancels_across_seams():
     assert concat((a, b), (B, c)) == (a, c)
     assert concat() == ()
     assert concat((a,), (), (b,)) == (a, b)
-
-
-def test_power():
-    w = (a, b)
-    assert power(w, 0) == ()
-    assert power(w, 1) == w
-    assert power(w, 3) == concat(w, w, w)
-    assert power(w, -1) == invert(w)
-    assert power(w, -2) == concat(invert(w), invert(w))
-    # a single generator to a negative power is the inverse letter repeated
-    assert power((b,), -3) == (B,) * 3
-    # self-cancelling word stays trivial at any power
-    assert power((a, A), 5) == ()
 
 
 def test_expression_str_single_char_names_concatenate():
