@@ -245,10 +245,7 @@ def parse_presentation(text: str) -> Presentation:
             raise ParseError(str(exc), line_no, col) from None
         relations.append(PrimaryRelation(index[base], word, index[target]))
 
-    try:
-        return Presentation(tuple(gens), component_of, n_values, tuple(relations))
-    except PresentationError as exc:
-        raise ParseError(str(exc), 1) from None
+    return Presentation(tuple(gens), component_of, n_values, tuple(relations))
 
 
 def print_presentation(p: Presentation) -> str:

@@ -31,7 +31,7 @@ searches, since every column is conjugate to a generator's action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -510,9 +510,10 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     only over images of q1's generators, pruned by orbit size and point
     symmetry cycle type (both read from generator actions) and, when q1
     carries its defining relations, by checking each relation as soon as
-    all its generators are assigned.  Neither table is built: the
-    columns of q2 the search reads are built one at a time along q2's
-    generator tree.
+    all its generators are assigned.  Generators are assigned in order
+    of their number of candidate images, fewest first, ties by index.
+    Neither table is built: the columns of q2 the search reads are built
+    one at a time along q2's generator tree, and each is kept.
     """
     if q1.size != q2.size:
         return False
@@ -529,38 +530,23 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
         alike = [o for o, other in enumerate(kinds2) if other == kind]
         candidates[g] = np.flatnonzero(np.isin(orbit_of2, alike)).tolist()
 
-    # Order generators greedily, each next one making the most pending
-    # relations checkable (ties: fewest candidates, then lowest index),
-    # and check each relation at the depth that assigns the last
-    # generator it names.
-    pending = [(r, {r.base, r.target} | {c >> 1 for c in r.word})
-               for r in q1.relations]
-    order: list[int] = []
-    checks_at: list[list[PrimaryRelation]] = []
-    assigned: set[int] = set()
-    while len(order) < len(gens):
-        def coverage(g: int) -> tuple[int, int]:
-            with_g = assigned | {g}
-            return (sum(support <= with_g for _, support in pending),
-                    -len(candidates[g]))
-        best = max((g for g in gens if g not in assigned), key=coverage)
-        order.append(best)
-        assigned.add(best)
-        checks_at.append([r for r, support in pending if support <= assigned])
-        pending = [(r, support) for r, support in pending if not support <= assigned]
+    # each relation is checked at the depth that assigns the last
+    # generator it names
+    order = sorted(gens, key=lambda g: len(candidates[g]))
+    depth_of = {g: d for d, g in enumerate(order)}
+    checks_at: list[list[PrimaryRelation]] = [[] for _ in gens]
+    for r in q1.relations:
+        named = {r.base, r.target} | {c >> 1 for c in r.word}
+        checks_at[max(depth_of[g] for g in named)].append(r)
 
     images: list[int | None] = [None] * len(gens)
     column2 = _column_builder(q2)
-    inverse_columns: dict[int, np.ndarray] = {}
     tree = _generator_tree(q1)
 
+    @cache
     def column(e: int, bit: int) -> np.ndarray:
         # each candidate image's column is inverted once per search
-        if not bit:
-            return column2(e)
-        if e not in inverse_columns:
-            inverse_columns[e] = _inverse_column(column2(e))
-        return inverse_columns[e]
+        return _inverse_column(column2(e)) if bit else column2(e)
 
     def dfs(depth: int) -> bool:
         if depth == len(order):

@@ -4,7 +4,9 @@ for its m components.  No run may break a sealing postcondition, and
 every finite result must pass the full verification.  At N all 2s and
 all 3s, each finite result must also be isomorphic to the results of
 the word rotated by one letter and of the word with sigma_1 and sigma_2
-swapped, and its mirror image must give a quandle of the same size."""
+swapped, and its mirror image must give a quandle of the same size.
+Each finite result must also be isomorphic to those of its Markov
+stabilizations on four strands."""
 
 from itertools import product
 
@@ -45,9 +47,9 @@ def test_three_strand_words_of_at_most_four_letters():
     assert (runs, finite) == (476, 122)
 
 
-def uniform(word, n):
-    """The closed 3-braid ``word`` enumerated with n on every component."""
-    p = braid_presentation(word, 3)
+def uniform(word, n, strands=3):
+    """The closed braid ``word`` enumerated with n on every component."""
+    p = braid_presentation(word, strands)
     return enumerate_quandle(augment_n(p, (n,) * len(set(p.component_of))), LIMITS)
 
 
@@ -70,3 +72,20 @@ def test_finite_results_are_invariant_under_rotation_flip_and_mirror():
             mirror = uniform(mirrored, n)
             assert mirror.finite and mirror.quandle.size == out.quandle.size, (word, n)
     assert finite == 106
+
+
+def test_finite_results_are_invariant_under_markov_stabilization():
+    # w s_3 and w s_3' on four strands close the same link as w on three
+    pairs = 0
+    for word in braid_words(3, 4):
+        for n in (2, 3):
+            out = uniform(word, n)
+            if not out.finite:
+                continue
+            for letter in (3, -3):
+                stabilized = uniform(word + (letter,), n, strands=4)
+                assert stabilized.finite, (word, letter, n)
+                assert is_isomorphic(out.quandle, stabilized.quandle), (word, letter, n)
+                assert is_isomorphic(stabilized.quandle, out.quandle), (word, letter, n)
+                pairs += 1
+    assert pairs == 212
