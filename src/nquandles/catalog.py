@@ -15,7 +15,7 @@ import ast
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -39,9 +39,9 @@ class CatalogEntry:
     provenance: str
     notes: str
 
-    @property
+    @cached_property
     def exact_values(self) -> dict[tuple[int, ...], int] | None:
-        """Parsed exact-value list, or None for a closed-form row."""
+        """Exact-value list, parsed on first read; None for a closed-form row."""
         if "=" not in self.expected:
             return None
         out: dict[tuple[int, ...], int] = {}
@@ -83,7 +83,7 @@ def _eval_formula(text: str, env: Mapping[str, int]) -> int:
     return ev(_parse_formula(text))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _parse_formula(text: str) -> ast.Expression:
     """Parsed once per formula text: a sweep evaluates each many times."""
     return ast.parse(text, mode="eval")
@@ -112,14 +112,10 @@ def load_catalog() -> list[CatalogEntry]:
     return entries
 
 
-_CATALOG: list[CatalogEntry] | None = None
-
-
+@cache
 def catalog() -> list[CatalogEntry]:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = load_catalog()
-    return _CATALOG
+    """The bundled rows, loaded on first call."""
+    return load_catalog()
 
 
 def find_row(row_id: str) -> CatalogEntry:

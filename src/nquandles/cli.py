@@ -153,8 +153,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.N is not None:
         p = augment_n(p, args.N)
     if p.n_values is None:
-        print("error: presentation has no N values; pass --N", file=sys.stderr)
-        return 1
+        raise PresentationError("presentation has no N values; pass --N")
     limits = EnumerationLimits(max_vertices=args.max_vertices,
                                max_steps=args.max_steps)
     outcome = enumerate_quandle(p, limits)
@@ -241,15 +240,13 @@ def cmd_verify_catalog(args: argparse.Namespace) -> int:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     if args.braid is not None and args.strands is None:
-        print("error: --braid needs --strands", file=sys.stderr)
-        return 1
+        raise PresentationError("--braid needs --strands")
     if args.braid is not None and args.strands > DEFAULT_MAX_VERTICES:
         raise PresentationError(f"{args.strands} strands exceed the vertex cap "
                                 f"{DEFAULT_MAX_VERTICES}: each strand needs a vertex")
     if args.to == "diagram":
         if args.N is not None:
-            print("error: --N only applies to presentation output", file=sys.stderr)
-            return 1
+            raise PresentationError("--N only applies to presentation output")
         diagram = (closed_braid_diagram(args.braid, args.strands) if args.braid is not None
                    else parse_diagram(_read_text(args.diagram)))
         _write_or_print(print_diagram(diagram), args.output)

@@ -67,10 +67,11 @@ def expression_str(expr: Expression, names: Sequence[str]) -> str:
 class FiniteQuandle:
     """Immutable finite quandle with generator action tables.
 
-    action[g][x] is x^g; inverse_action[g][x] = x^(g') is derived from
-    it.  Elements are 0-based; generator_element maps a generator index
-    to the element representing it.  witnesses[x] names element x and
-    is derived from those two fields.  relations carries the
+    action[g][x] is x^g; ``arrays`` (the actions and their inverses as
+    numpy arrays) and inverse_action[g][x] = x^(g') are derived from it
+    once.  Elements are 0-based; generator_element maps a generator
+    index to the element representing it.  witnesses[x] names element
+    x and is derived from those two fields.  relations carries the
     defining primary relations when the quandle came out of an
     enumeration (used to prune isomorphism searches); hand-built tables
     may leave it empty.
@@ -114,11 +115,19 @@ class FiniteQuandle:
         return tuple(words)
 
     @cached_property
-    def inverse_action(self) -> tuple[tuple[int, ...], ...]:
-        """x^(g') per generator g, derived from action on first read:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generator actions A[g] as one read-only array in the
+        table's dtype, and their inverses A'[g], derived on first read:
         the sort order of a permutation's values is its inverse."""
-        act = np.asarray(self.action).reshape(-1, self.size)
-        return tuple(map(tuple, np.argsort(act, axis=1).tolist()))
+        act = np.asarray(self.action, dtype=_table_dtype(self.size)).reshape(-1, self.size)
+        inv = np.argsort(act, axis=1)
+        act.flags.writeable = inv.flags.writeable = False
+        return act, inv
+
+    @cached_property
+    def inverse_action(self) -> tuple[tuple[int, ...], ...]:
+        """x^(g') per generator g: ``arrays``' inverses as tuples."""
+        return tuple(map(tuple, self.arrays[1].tolist()))
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -177,16 +186,9 @@ def _table_dtype(size: int) -> type[np.signedinteger]:
     return np.int16 if size < 1 << 15 else np.int32
 
 
-def _actions(q: FiniteQuandle) -> tuple[np.ndarray, np.ndarray]:
-    """The generator actions A[g], in the table's dtype, and their
-    inverses A'[g], read from the sort order of A[g]'s values."""
-    act = np.asarray(q.action, dtype=_table_dtype(q.size)).reshape(-1, q.size)
-    return act, np.argsort(act, axis=1)
-
-
 def _build_table(q: FiniteQuandle) -> np.ndarray:
     n = q.size
-    act, inv = _actions(q)
+    act, inv = q.arrays
     # cols[y] is column y of M, so each step writes one contiguous row
     try:
         cols = np.full((n, n), -1, dtype=act.dtype)
@@ -210,7 +212,7 @@ def _column_builder(q: FiniteQuandle) -> Callable[[int], np.ndarray]:
     per tree edge as in ``_build_table``.  Every column built is kept,
     so each is built at most once and all of them together hold no more
     than the table.  Only an element the generators reach has one."""
-    act, inv = _actions(q)
+    act, inv = q.arrays
     roots, edges = _generator_tree(q)
     built = {e: act[g] for g, e in roots}
     via = {z: (y, g) for y, g, z in edges}
@@ -268,9 +270,8 @@ def _first_non_automorphism(cols: np.ndarray,
     columns, so no temporary grows with size^2."""
     n = len(a)
     rows = max(1, _BAND // n)
-    values = a.astype(cols.dtype)
     for start in range(0, n, rows):
-        lhs = values.take(cols[start:start + rows])                     # (x>y)>z
+        lhs = a.take(cols[start:start + rows])                          # (x>y)>z
         rhs = cols.take(a[start:start + rows], axis=0).take(a, axis=1)  # (x>z)>(y>z)
         if not np.array_equal(lhs, rhs):
             i, x = map(int, np.argwhere(lhs != rhs)[0])
@@ -296,9 +297,8 @@ def verify_axioms(q: FiniteQuandle) -> VerificationReport:
     No element name is read: each is spelled along the generator tree
     from the same actions, so it names its element by construction.
     """
-    n = q.size
-    idx = np.arange(n)
-    act = np.asarray(q.action, dtype=np.intp).reshape(-1, n)
+    idx = np.arange(q.size)
+    act = q.arrays[0]
     for g, name in enumerate(q.generator_names):
         missed = np.setdiff1d(idx, act[g])
         if missed.size:
@@ -426,7 +426,7 @@ def verify_n_relations(q: FiniteQuandle) -> VerificationReport:
     if failures:
         return VerificationReport(False, failures)
 
-    act = np.asarray(q.action, dtype=np.int32).reshape(-1, q.size)
+    act = q.arrays[0]
     idx = np.arange(q.size)
     for g, y in enumerate(q.generator_element):
         n = orbit_n[part.orbit_of[y]]
@@ -490,7 +490,7 @@ def _extends(q1: FiniteQuandle, column: _Columns,
         phi[z] = column(images[g], 0)[phi[y]]
     if (phi < 0).any() or len(np.unique(phi)) != q1.size:
         return False
-    act1 = np.asarray(q1.action).reshape(-1, q1.size)
+    act1 = q1.arrays[0]
     return all(np.array_equal(phi[act1[g]], column(images[g], 0)[phi])
                for g in range(len(q1.generator_names)))
 

@@ -131,7 +131,7 @@ def test_verify_catalog_checks_the_file_formulas(monkeypatch, capsys, row_id, ta
                                                  argv, line):
     # the checks expect what the data file says, not a formula restated in code
     rows = [replace(e, expected=tampered) if e.row_id == row_id else e for e in catalog()]
-    monkeypatch.setattr(catalog_module, "_CATALOG", rows)
+    monkeypatch.setattr(catalog_module, "catalog", lambda: rows)
     code = main(["verify-catalog", "--rows", row_id, *argv])
     out = capsys.readouterr().out
     assert code == 3
@@ -145,7 +145,7 @@ def test_verify_catalog_checks_the_file_formulas(monkeypatch, capsys, row_id, ta
 def test_a_formula_the_evaluator_cannot_read_is_refused(monkeypatch, capsys, tampered,
                                                         message):
     rows = [replace(e, expected=tampered) if e.row_id == "Mk" else e for e in catalog()]
-    monkeypatch.setattr(catalog_module, "_CATALOG", rows)
+    monkeypatch.setattr(catalog_module, "catalog", lambda: rows)
     with pytest.raises(CatalogError) as err:
         expected_cardinality("Mk", (2, 3), k=1)
     assert err.value.args == (message,)

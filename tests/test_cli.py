@@ -547,6 +547,17 @@ def test_convert_n_only_for_presentations(capsys):
     assert "--N" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--family", "T24"], "presentation has no N values; pass --N"),
+    (["convert", "--braid", "1,1,1"], "--braid needs --strands"),
+    (["convert", "--braid", "1,1,1", "--strands", "2", "--to", "diagram", "--N", "2"],
+     "--N only applies to presentation output"),
+])
+def test_a_refused_option_combination_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # --- installed entry point ----------------------------------------------------------
 
 def test_console_script_runs():
