@@ -19,12 +19,12 @@ from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .presentations import Presentation, augment_n, builtin_family
+from .presentations import Presentation, PresentationError, augment_n, builtin_family
 
 _DATA_PATH = Path(__file__).parent / "data" / "cardinalities.txt"
 
 
-class CatalogError(KeyError):
+class CatalogError(PresentationError):
     """Unknown row, N tuple outside a row, or out-of-scope request."""
 
 

@@ -9,7 +9,8 @@ arc) into a generator presentation, or either into a diagram file.
 
 Exit codes: 0 success, 1 bad input, I/O failure or out of memory,
 2 usage error, 3 verification or catalog mismatch, 4 enumeration cap
-exceeded.
+exceeded.  Refused input, any ``PresentationError`` or ``OSError``, is
+one ``error:`` line on stderr.
 
 Output is deterministic for a fixed command line; the single exception
 is the line emitted by ``--timing``, which begins with ``time:`` so it
@@ -23,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from .catalog import CatalogCheck, CatalogError, find_row, iter_checks
+from .catalog import CatalogError, find_row, iter_checks
 from .enumerator import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VERTICES,
@@ -31,8 +32,6 @@ from .enumerator import (
     enumerate_quandle,
 )
 from .presentations import (
-    DiagramError,
-    ParseError,
     Presentation,
     PresentationError,
     augment_n,
@@ -202,32 +201,23 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_check(check: CatalogCheck) -> tuple[bool, str]:
-    outcome = enumerate_quandle(check.presentation)
-    if not outcome.finite:
-        return False, f"exceeded {outcome.cap_kind} cap"
-    return outcome.vertices == check.expected, str(outcome.vertices)
-
-
 def cmd_verify_catalog(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    wanted = None
-    if args.rows is not None:
-        wanted = [r.strip() for r in args.rows.split(",") if r.strip()]
-        for row_id in wanted:
-            find_row(row_id)
+    # an unknown row is refused by find_row
+    wanted = None if args.rows is None else [
+        find_row(r.strip()).row_id for r in args.rows.split(",") if r.strip()]
     for k in (args.k_range.start, args.k_range.stop - 1):
         _check_k(k, DEFAULT_MAX_STEPS)
     checks = [c for c in iter_checks(k_values=args.k_range, n_values=args.n_range)
               if wanted is None or c.row_id in wanted]
     if not checks:
-        print("no checks selected")
-        return 1
+        raise CatalogError("no checks selected")
 
     failed = 0
     for check in checks:
-        ok, got = _run_check(check)
-        if ok:
+        outcome = enumerate_quandle(check.presentation)
+        got = str(outcome.vertices) if outcome.finite else f"exceeded {outcome.cap_kind} cap"
+        if outcome.finite and outcome.vertices == check.expected:
             print(f"ok   {check.row_id} {check.label}: {got}")
         else:
             failed += 1
@@ -328,12 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_attach_signed_values(argv))
     try:
         return args.func(args)
-    except (ParseError, PresentationError, DiagramError, CatalogError) as exc:
-        # CatalogError is a KeyError; str() of those keeps the quotes.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PresentationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

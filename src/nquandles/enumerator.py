@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .presentations import Presentation, PresentationError, conjugate_relations
+from .presentations import Presentation, conjugate_relations
 from .quandle import FiniteQuandle
 from .words import Word
 
@@ -627,8 +627,6 @@ def enumerate_quandle(presentation: Presentation,
     The presentation must carry n-values.  Caps turn a diverging run
     into an Exceeded outcome reporting the vertex total at the stop.
     """
-    if presentation.n_values is None:
-        raise PresentationError("enumeration needs n-values; call augment_n")
     limits = limits or EnumerationLimits()
     relators = compile_relators(presentation, limits.max_steps)
     try:

@@ -30,6 +30,9 @@ component indices (generators default to component 1 when no comp
 statement appears).  ``N`` gives one integer per component.  ``rel``
 traces word letters left to right; a trailing apostrophe marks the
 inverse letter, e.g. ``c'``.
+
+Refused input raises ``PresentationError``, or its subclass
+``ParseError`` (text, at a line and column) or ``DiagramError``.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ from .words import Word, concat, invert, reduce, word_str
 
 
 class PresentationError(ValueError):
-    """Structurally invalid presentation or family parameters."""
+    """Input the package refuses; the root of every other refusal."""
 
 
-class ParseError(ValueError):
+class ParseError(PresentationError):
     """Syntax error in presentation text, with position."""
 
     def __init__(self, message: str, line: int, column: int = 1):
@@ -57,7 +60,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-class DiagramError(ValueError):
+class DiagramError(PresentationError):
     """Inconsistent crossing data in a diagram."""
 
 
@@ -270,8 +273,6 @@ def secondary_relations(p: Presentation) -> list[UniversalRelation]:
     puts a free involution's a a last.  The words are spelled in letter
     codes and decoded into (generator, sign) pairs here.
     """
-    if p.n_values is None:
-        raise PresentationError("secondary relations need n-values; call augment_n")
     words = [(2 * gen,) * p.n_of_generator(gen) for gen in range(len(p.generator_names))]
     return [UniversalRelation(tuple([(c >> 1, -1 if c & 1 else 1) for c in word]))
             for word in words + conjugate_relations(p)]
@@ -444,8 +445,8 @@ def wirtinger(d: Diagram) -> Presentation:
     return Presentation(tuple(arcs), component_of, None, relations)
 
 
-def _braid_arcs(braid_word: Sequence[int], strands: int,
-                error: type[ValueError]) -> tuple[list, list[int], list[int], list[int]]:
+def _braid_arcs(braid_word: Sequence[int],
+                strands: int) -> tuple[list, list[int], list[int], list[int]]:
     """Walk a braid once, bottom to top, and return its arcs.
 
     ``braid_word`` lists crossings bottom to top: +i crosses the strand
@@ -456,13 +457,13 @@ def _braid_arcs(braid_word: Sequence[int], strands: int,
     under_out, sign) arc ids, the arc at the top of each position, the
     strand of each arc, and each strand's 1-based link component: the
     cycles of the strand permutation, numbered from their least strand.
-    A bad strand count or letter raises ``error``.
+    A bad strand count or letter raises ``PresentationError``.
     """
     if strands < 1:
-        raise error("need at least one strand")
-    for letter in braid_word:
+        raise PresentationError("need at least one strand")
+    for i, letter in enumerate(braid_word, 1):
         if letter == 0 or abs(letter) >= strands:
-            raise error(f"braid letter {letter} out of range")
+            raise PresentationError(f"position {i}: braid letter {letter} out of range")
     top, strand_of, crossings = list(range(strands)), list(range(strands)), []
     for letter in braid_word:
         i, out = abs(letter) - 1, len(strand_of)
@@ -493,7 +494,7 @@ def closed_braid_diagram(braid_word: Sequence[int], strands: int) -> Diagram:
     The closure identifies the top of each strand position with its
     bottom; the arcs it joins are named x0, x1, ... in arc order.
     """
-    crossings, top, strand_of, component = _braid_arcs(braid_word, strands, DiagramError)
+    crossings, top, strand_of, component = _braid_arcs(braid_word, strands)
     rep = list(range(len(strand_of)))
 
     def find(a: int) -> int:
@@ -530,8 +531,7 @@ def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
     when x^w = p) and an empty relation p = p is left out.  Words are
     letter codes (see ``words``); components are those of ``_braid_arcs``.
     """
-    crossings, top, strand_of, component = _braid_arcs(braid_word, strands,
-                                                       PresentationError)
+    crossings, top, strand_of, component = _braid_arcs(braid_word, strands)
     # one word of letter codes per arc; the arc passing under ends
     # there, so its word moves to the arc it becomes and grows in place,
     # cancelling only at the seams: cut counts the letters that cancel

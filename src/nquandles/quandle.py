@@ -85,6 +85,21 @@ class FiniteQuandle:
     n_values: tuple[int, ...]
     relations: tuple[PrimaryRelation, ...] = ()
 
+    def __post_init__(self):
+        """Refuse, naming field and generator, an entry that does not fit."""
+        g, n = len(self.generator_names), self.size
+        for attr in ("action", "generator_element", "component_of_generator"):
+            if len(getattr(self, attr)) != g:
+                raise ValueError(f"{attr} has {len(getattr(self, attr))} entries for {g} generators")
+        for name, row, e, c in zip(self.generator_names, self.action, self.generator_element,
+                                   self.component_of_generator):
+            if len(row) != n or row and not 0 <= min(row) <= max(row) < n:
+                raise ValueError(f"action of generator {name} is not {n} entries in 0..{n - 1}")
+            if not 0 <= e < n:
+                raise ValueError(f"generator_element of generator {name} is outside 0..{n - 1}")
+            if not 0 < c <= len(self.n_values):
+                raise ValueError(f"component_of_generator of generator {name} has no n-value")
+
     def element_name(self, x: int) -> str:
         return self.element_names[x]
 

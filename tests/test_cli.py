@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from nquandles.catalog import CatalogError
 from nquandles.cli import main
+from nquandles.presentations import DiagramError, ParseError, PresentationError
 
 
 def run(capsys, *argv):
@@ -389,10 +391,9 @@ def test_verify_catalog_refuses_a_k_past_the_step_cap(capsys, k_range):
 
 
 def test_verify_catalog_empty_selection(capsys):
-    code, out, _ = run(capsys, "verify-catalog", "--rows", "Mk",
-                       "--k-range", "1:0")
-    assert code == 1
-    assert "no checks selected" in out
+    code, out, err = run(capsys, "verify-catalog", "--rows", "Mk",
+                         "--k-range", "1:0")
+    assert (code, out, err) == (1, "", "error: no checks selected\n")
 
 
 # --- oversized parameters and undecodable files --------------------------------------
@@ -547,15 +548,45 @@ def test_convert_n_only_for_presentations(capsys):
     assert "--N" in err
 
 
+# files the refused inputs below read, in the working directory
+REFUSED_FILES = {
+    "bad.txt": b"gens a b\nN 0\n",
+    "bad.jsonl": b'{"arc_components": {"x": 1}}\n'
+                 b'{"over": "y", "under_in": "x", "under_out": "x", "sign": "+"}\n',
+    "latin1.txt": b"gens \xe9\n",
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["enumerate", "--family", "T24"], "presentation has no N values; pass --N"),
     (["convert", "--braid", "1,1,1"], "--braid needs --strands"),
     (["convert", "--braid", "1,1,1", "--strands", "2", "--to", "diagram", "--N", "2"],
      "--N only applies to presentation output"),
+    # one input per class main refuses: ParseError, DiagramError,
+    # CatalogError, PresentationError, then OSError twice
+    (["enumerate", "--file", "bad.txt"], "line 2, col 1: n-values must be positive"),
+    (["enumerate", "--diagram", "bad.jsonl", "--N", "2"],
+     "line 2: arc 'y' not in arc_components"),
+    (["verify-catalog", "--rows", "Nope"], "no catalog row 'Nope'"),
+    (["enumerate", "--family", "T99", "--N", "2"], "unknown family 'T99'"),
+    (["enumerate", "--file", "missing.txt"],
+     "[Errno 2] No such file or directory: 'missing.txt'"),
+    (["enumerate", "--file", "latin1.txt"], "latin1.txt: not UTF-8 text at byte offset 5"),
+    (["convert", "--braid", "1,5", "--strands", "2"], "position 2: braid letter 5 out of range"),
 ])
-def test_a_refused_option_combination_is_one_error_line(capsys, argv, message):
+def test_a_refused_option_combination_is_one_error_line(tmp_path, monkeypatch, capsys, argv,
+                                                        message):
+    monkeypatch.chdir(tmp_path)
+    for name, data in REFUSED_FILES.items():
+        (tmp_path / name).write_bytes(data)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("error", [ParseError, DiagramError, CatalogError])
+def test_every_input_refusal_is_a_presentation_error(error):
+    # main prints each as one error line, in one except clause
+    assert issubclass(error, PresentationError)
 
 
 # --- installed entry point ----------------------------------------------------------

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from nquandles.enumerator import TraceGraph, compile_relators, enumerate_quandle
 from nquandles.presentations import (
     Crossing,
     Diagram,
@@ -178,6 +179,15 @@ def test_malformed_relation_words_refused(word):
                  "relation references unknown generator", id="unknown-target"),
     pytest.param(lambda: builtin_family("T24").n_of_generator(0),
                  "presentation has no n-values", id="n-of-generator-without-n"),
+    # every library reader of the N tuple is refused by n_of_generator
+    pytest.param(lambda: enumerate_quandle(builtin_family("T24")),
+                 "presentation has no n-values", id="enumerate-without-n"),
+    pytest.param(lambda: TraceGraph(builtin_family("T24")),
+                 "presentation has no n-values", id="trace-graph-without-n"),
+    pytest.param(lambda: compile_relators(builtin_family("T24"), 100),
+                 "presentation has no n-values", id="compile-relators-without-n"),
+    pytest.param(lambda: secondary_relations(builtin_family("T24")),
+                 "presentation has no n-values", id="secondary-relations-without-n"),
 ])
 def test_hand_built_presentations_are_refused(build, message):
     # no text reaches these checks: parse_presentation refuses it
@@ -375,12 +385,14 @@ def test_closed_braid_negative_letters():
 
 
 def test_closed_braid_validation():
-    with pytest.raises(DiagramError):
-        closed_braid_diagram([0], 2)
-    with pytest.raises(DiagramError):
-        closed_braid_diagram([2], 2)
-    with pytest.raises(DiagramError):
-        closed_braid_diagram([1], 0)
+    # the refusals of braid_presentation too: both read one walk
+    for word, strands, message in (([0], 2, "position 1: braid letter 0 out of range"),
+                                   ([1, 2], 2, "position 2: braid letter 2 out of range"),
+                                   ([1], 0, "need at least one strand")):
+        for build in (closed_braid_diagram, braid_presentation):
+            with pytest.raises(PresentationError) as err:
+                build(word, strands)
+            assert err.value.args == (message,)
 
 
 def test_diagram_print_parse_round_trip():

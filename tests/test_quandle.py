@@ -651,6 +651,31 @@ def test_dihedral_quandle_from_its_actions_alone(q):
         FiniteQuandle(**fields, inverse_action=r.inverse_action)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"action": ((0, 1),)}, "action has 1 entries for 2 generators"),
+    ({"generator_element": (0,)}, "generator_element has 1 entries for 2 generators"),
+    ({"component_of_generator": (1, 1, 1)},
+     "component_of_generator has 3 entries for 2 generators"),
+    ({"action": ((0, 1), (0,))}, "action of generator b is not 2 entries in 0..1"),
+    ({"action": ((0, 2), (0, 1))}, "action of generator a is not 2 entries in 0..1"),
+    ({"action": ((0, 1), (40000, 1))}, "action of generator b is not 2 entries in 0..1"),
+    ({"action": ((-1, 1), (0, 1))}, "action of generator a is not 2 entries in 0..1"),
+    ({"generator_element": (0, 2)}, "generator_element of generator b is outside 0..1"),
+    ({"component_of_generator": (1, 2)},
+     "component_of_generator of generator b has no n-value"),
+    ({"component_of_generator": (0, 1)},
+     "component_of_generator of generator a has no n-value"),
+])
+def test_a_malformed_hand_built_quandle_is_refused_when_built(change, message):
+    # the readers index with these fields unchecked, so a bad entry
+    # would surface later, as an IndexError in orbits or numpy's
+    # OverflowError past int16
+    q = tiny([[0, 1], [0, 1]], [0, 1], [1, 1], [2])
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(q, **change)
+    assert err.value.args == (message,)
+
+
 # --- exports ---------------------------------------------------------------------
 
 def test_export_dot_shape():
