@@ -2,10 +2,9 @@
 
 The data file ``data/cardinalities.txt`` keeps one row per link family
 and N shape: either a list of exact values keyed by N tuple, or a
-closed form in the parameters k, n, p, q.  Rows marked in-scope name
-the ``builtin_family`` that realizes them, with its k after a colon
-when the row fixes it ("T2k:3"), so the whole catalog can be
-re-enumerated and compared against its own expected values (see
+closed form in the parameters k, n, p, q.  A row's family column names
+the ``builtin_family`` that realizes it, if any; the in-scope rows are
+re-enumerated and compared against their own expected values (see
 ``iter_checks`` and the verify-catalog CLI command).
 """
 
@@ -196,8 +195,7 @@ def iter_checks(k_values: Sequence[int] = tuple(range(-6, 7)),
             continue
         exact = entry.exact_values
         if exact is not None:
-            name, _, k = entry.family.partition(":")
-            p = builtin_family(name, k=int(k) if k else None)
+            p = builtin_family(entry.family)
             for ns in sorted(exact):
                 yield CatalogCheck(entry.row_id, f"N={ns}", augment_n(p, ns),
                                    _value(entry, ns, {}))

@@ -32,6 +32,7 @@ from .enumerator import (
     enumerate_quandle,
 )
 from .presentations import (
+    FAMILIES,
     Presentation,
     PresentationError,
     augment_n,
@@ -261,11 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="build the finite quandle of one presentation",
     )
     source = enum.add_mutually_exclusive_group(required=True)
-    source.add_argument("--family", help="builtin family name, e.g. T24, Lk, Mk")
+    source.add_argument("--family", help=f"builtin family: {', '.join(FAMILIES)}")
     source.add_argument("--file", help="presentation text file")
     source.add_argument("--diagram", help="diagram file (JSON lines)")
+    takes_k = [name for name, torus in FAMILIES.items() if not torus or torus[1] is None]
     enum.add_argument("--k", type=int, default=None,
-                      help="parameter for T2k, Lk, Mk")
+                      help=f"parameter for {', '.join(takes_k)}")
     enum.add_argument("--N", type=_n_tuple, default=None, metavar="N1,N2,...",
                       help="orders, one per link component")
     enum.add_argument("--max-vertices", type=_cap, default=DEFAULT_MAX_VERTICES)

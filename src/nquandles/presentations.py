@@ -13,9 +13,9 @@ generator per arc (see ``wirtinger``), and closed braid words, with one
 generator per strand (see ``braid_presentation``).  Both
 ``closed_braid_diagram`` and ``braid_presentation`` read the one walk
 of a braid word in ``_braid_arcs``, which fixes the crossing
-convention.  A library of named presentations used throughout the test
-suite and catalog lives in ``builtin_family``; every family in it but
-the twist knots is a closed braid.
+convention.  ``builtin_family`` builds the named links of ``FAMILIES``:
+torus links T(p, q), with or without their braid axis, spelled by
+``torus_braid``, and the twist knots plus axis, Mk.
 
 Text format, one statement per line (';' also separates statements,
 '#' starts a comment):
@@ -578,53 +578,51 @@ def _family_mk(k: int) -> Presentation:
         f"rel a^[c' a c {tail}]=b\n")
 
 
-_BRAIDS = {
-    "trefoil": ((1,) * 3, 2),
-    "hopf": ((1,) * 2, 2),
-    "T24": ((1,) * 4, 2),
-    "T26": ((1,) * 6, 2),
-    "T28": ((1,) * 8, 2),
-    "T210": ((1,) * 10, 2),
-    "T33": ((1, 2) * 3, 3),
-    "T34": ((1, 2) * 4, 3),
-    "T35": ((1, 2) * 5, 3),
+def torus_braid(p: int, q: int, axis: bool = False) -> tuple[tuple[int, ...], int]:
+    """Braid word and strand count of the torus link T(p, q):
+    (s_1 ... s_(p-1))^q on p strands, mirrored for q < 0.  The braid axis
+    adds s_p ... s_1 s_1 ... s_p on one strand more."""
+    sign = 1 if q > 0 else -1
+    word = tuple(sign * i for i in range(1, p)) * abs(q)
+    if axis:
+        return word + tuple(range(p, 0, -1)) + tuple(range(1, p + 1)), p + 1
+    return word, p
+
+
+# every --family name: (p, q) for the torus link T(p, q), (p, q, True)
+# for T(p, q) plus its braid axis, a q of None taking k, and None for Mk
+FAMILIES: dict[str, tuple | None] = {
+    "hopf": (2, 2), "trefoil": (2, 3), "T24": (2, 4), "T25": (2, 5), "T26": (2, 6),
+    "T28": (2, 8), "T210": (2, 10), "T33": (3, 3), "T34": (3, 4), "T35": (3, 5),
+    "T24C": (2, 4, True), "T23B": (3, 2, True), "T2k": (2, None), "Lk": (2, None, True),
+    "Mk": None,
 }
-
-
-def _with_axis(word: tuple[int, ...], strands: int) -> tuple[tuple[int, ...], int]:
-    """The closed braid plus its axis: word s_n ... s_1 s_1 ... s_n on
-    one strand more."""
-    return word + tuple(range(strands, 0, -1)) + tuple(range(1, strands + 1)), strands + 1
 
 
 def builtin_family(family: str, k: int | None = None,
                    n_values: Sequence[int] | None = None) -> Presentation:
-    """Named presentations.
+    """Presentation of a ``FAMILIES`` name.
 
-    Fixture families (no parameter): T24, T26, T28, T210, T24C, T33,
-    T34, T35, trefoil, hopf.  Parameterized: T2k (torus link T(2,k), k
-    nonzero), Lk (T(2,k) plus its axis, k nonzero), Mk (twist knot plus
-    axis, any k).  All but Mk are closed braids given by their braid
-    word (T2k is s_1^k, T24C is T(2,4) plus its axis) and presented by
-    ``braid_presentation``.  ``n_values``, when given, is attached with
-    ``augment_n``; T24C defaults to N = (2, 3, 2) and Mk to N = (2, 3).
+    A torus link is presented by ``braid_presentation`` from its
+    ``torus_braid``; T2k and Lk take it at q = k, k nonzero.  Mk takes
+    any k.  ``n_values``, when given, is attached with ``augment_n``;
+    T24C defaults to N = (2, 3, 2) and Mk to N = (2, 3).
     """
-    if (family in ("T2k", "Lk", "Mk")) != (k is not None):
+    if family not in FAMILIES:
+        raise PresentationError(f"unknown family {family!r}")
+    torus = FAMILIES[family]
+    if (torus is None or torus[1] is None) != (k is not None):
         raise PresentationError(
             f"family {family} {'needs' if k is None else 'takes no'} k")
-    if family == "Mk":
+    if torus is None:
         p = _family_mk(k)
-    elif family in ("T2k", "Lk"):
+    else:
+        strands, q, *axis = torus
         if k == 0:
             raise PresentationError(f"k must be nonzero for {family}")
-        braid = ((1 if k > 0 else -1,) * abs(k), 2)
-        p = braid_presentation(*(_with_axis(*braid) if family == "Lk" else braid))
-    elif family == "T24C":
-        p = augment_n(braid_presentation(*_with_axis(*_BRAIDS["T24"])), (2, 3, 2))
-    elif family in _BRAIDS:
-        p = braid_presentation(*_BRAIDS[family])
-    else:
-        raise PresentationError(f"unknown family {family!r}")
+        p = braid_presentation(*torus_braid(strands, q or k, *axis))
+        if family == "T24C":
+            p = augment_n(p, (2, 3, 2))
 
     if n_values is not None:
         p = augment_n(p, n_values)

@@ -10,6 +10,7 @@ indices of the N-quandle's group; and the catalog's sizes, which both
 routes must reproduce."""
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from sympy.combinatorics.free_groups import free_group
 from nquandles.catalog import catalog, iter_checks
 from nquandles.enumerator import enumerate_quandle
 from nquandles.presentations import (
-    _BRAIDS,
+    FAMILIES,
     Presentation,
     PrimaryRelation,
     augment_n,
@@ -32,13 +33,18 @@ from nquandles.presentations import (
 from nquandles.quandle import is_isomorphic, orbits
 from nquandles.words import concat, invert
 
-TWO_STRAND = {"trefoil": 3, "hopf": 2, "T24": 4, "T26": 6, "T28": 8, "T210": 10}
+# the builtin torus families with a fixed q
+FIXED = [name for name, torus in FAMILIES.items() if torus and torus[1] is not None]
+TWO_STRAND = {"trefoil": 3, "hopf": 2, "T24": 4, "T25": 5, "T26": 6, "T28": 8, "T210": 10}
 
 
 def family_braid(name, k=None):
     """Braid word and strand count of a closed-braid family, spelled from
     the link it names: T(2,q) is s_1^q, T(3,q) is (s_1 s_2)^q, and an
-    axis adds s_2 s_1 s_1 s_2 on a third strand."""
+    axis adds s_2 s_1 s_1 s_2 on a third strand, or s_3 s_2 s_1 s_1 s_2 s_3
+    on a fourth (T23B, the trefoil as T(3,2) plus its axis)."""
+    if name == "T23B":
+        return [1, 2, 1, 2, 3, 2, 1, 1, 2, 3], 4
     if name in ("T2k", "Lk"):
         word = [1 if k > 0 else -1] * abs(k)
     elif name in ("T24C", *TWO_STRAND):
@@ -55,13 +61,19 @@ def braid_checks():
     rows = {entry.row_id: entry for entry in catalog()}
     out = []
     for check in iter_checks():
-        name, _, arg = rows[check.row_id].family.partition(":")
+        name = rows[check.row_id].family
         if name == "Mk":
             continue
         match = re.match(r"k=(-?\d+) ", check.label)
-        k = int(arg) if arg else int(match.group(1)) if match else None
-        out.append((check, name, k))
+        out.append((check, name, int(match.group(1)) if match else None))
     return out
+
+
+def test_every_fixed_torus_family_is_its_braid():
+    assert len(FIXED) == 12
+    for name in FIXED:
+        p = replace(builtin_family(name), n_values=None)  # T24C has a default N
+        assert p == braid_presentation(*family_braid(name)), name
 
 
 def test_every_braid_family_matches_its_wirtinger_presentation():
@@ -173,7 +185,8 @@ def concat_braid_presentation(braid_word, strands):
 
 
 def test_seam_joins_match_the_concat_words():
-    cases = [*_BRAIDS.values(), ((1, -2, 1, -2, -1, 2), 3), ((2, 3, -1, 2, -3, -3, 1, 2), 4)]
+    cases = [family_braid(name) for name in FIXED]
+    cases += [((1, -2, 1, -2, -1, 2), 3), ((2, 3, -1, 2, -3, -3, 1, 2), 4)]
     cases += [family_braid(name, k) for name in ("T2k", "Lk") for k in range(-40, 41) if k]
     for word, strands in cases:
         assert braid_presentation(word, strands) == concat_braid_presentation(word, strands)

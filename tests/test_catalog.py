@@ -14,6 +14,7 @@ from nquandles.catalog import (
 )
 from nquandles.cli import main
 from nquandles.enumerator import enumerate_quandle
+from nquandles.presentations import FAMILIES, builtin_family
 
 
 def test_catalog_shape():
@@ -24,6 +25,23 @@ def test_catalog_shape():
     for e in entries:
         assert e.provenance in ("closed-form", "tabulated")
         assert e.in_repo_scope in (True, False)
+
+
+def test_every_family_column_names_a_builtin_family_of_its_n_shape():
+    named = []
+    for entry in catalog():
+        if not entry.family:
+            assert not entry.in_repo_scope, entry.row_id
+            continue
+        assert entry.family in FAMILIES, entry.row_id
+        torus = FAMILIES[entry.family]
+        takes_k = not torus or torus[1] is None
+        k = (2 if entry.row_id.endswith("-even") else 3) if takes_k else None
+        components = max(builtin_family(entry.family, k=k).component_of)
+        for shape in catalog_module._shapes(entry.n_shape):
+            assert len(shape) == components, (entry.row_id, shape)
+        named.append(entry.row_id)
+    assert len(named) == 16 and "T23B" in named
 
 
 def test_catalog_reloads_cleanly():
@@ -155,8 +173,8 @@ def test_a_formula_the_evaluator_cannot_read_is_refused(monkeypatch, capsys, tam
 
 @pytest.mark.parametrize("row, value", [
     # a closed form may negate: unary minus
-    ("X | link | (n) | -n+3*n | in | T2k:3 | closed-form | notes", 6),
-    ("X | link | (n) | n | in | T2k:3 | closed-form", "catalog row needs 8 columns: "),
+    ("X | link | (n) | -n+3*n | in | trefoil | closed-form | notes", 6),
+    ("X | link | (n) | n | in | trefoil | closed-form", "catalog row needs 8 columns: "),
 ])
 def test_data_file_rows(tmp_path, monkeypatch, row, value):
     data = tmp_path / "cardinalities.txt"

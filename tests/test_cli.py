@@ -9,7 +9,13 @@ import pytest
 
 from nquandles.catalog import CatalogError
 from nquandles.cli import main
-from nquandles.presentations import DiagramError, ParseError, PresentationError
+from nquandles.presentations import (
+    FAMILIES,
+    DiagramError,
+    ParseError,
+    PresentationError,
+    builtin_family,
+)
 
 
 def run(capsys, *argv):
@@ -57,6 +63,18 @@ def test_enumerate_missing_n(capsys):
     code, out, err = run(capsys, "enumerate", "--family", "T24")
     assert code == 1
     assert "no N values" in err
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_enumerate_every_builtin_family_at_n_all_2(capsys, family):
+    # the fuzz draws these names too, but reaches only a few of them
+    torus = FAMILIES[family]
+    k = 3 if not torus or torus[1] is None else None
+    components = max(builtin_family(family, k=k).component_of)
+    code, out, err = run(capsys, "enumerate", "--family", family,
+                         *(["--k", str(k)] if k else []), "--N", ",".join(["2"] * components))
+    assert (code, err) == (0, "")
+    assert "verify axioms: ok" in out
 
 
 def test_enumerate_unknown_family(capsys):
@@ -573,6 +591,7 @@ REFUSED_FILES = {
      "[Errno 2] No such file or directory: 'missing.txt'"),
     (["enumerate", "--file", "latin1.txt"], "latin1.txt: not UTF-8 text at byte offset 5"),
     (["convert", "--braid", "1,5", "--strands", "2"], "position 2: braid letter 5 out of range"),
+    (["enumerate", "--family", "T99", "--k", "3", "--N", "2"], "unknown family 'T99'"),
 ])
 def test_a_refused_option_combination_is_one_error_line(tmp_path, monkeypatch, capsys, argv,
                                                         message):

@@ -12,6 +12,7 @@ catalog holds a value for against that value.
 on the path, to run larger grids than the two tests here.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -24,18 +25,30 @@ from nquandles import (
     expected_cardinality,
     verify_all,
 )
-from nquandles.catalog import CatalogError
-from nquandles.presentations import _with_axis
+from nquandles.catalog import CatalogError, catalog
+from nquandles.presentations import FAMILIES, torus_braid
 
 LIMITS = EnumerationLimits(max_vertices=2_000)
 
-# the tabulated catalog row of T(p, q); T(2, q) is also row T2k at k = q
-ROWS = {(2, 3): "T23", (3, 2): "T23", (2, 4): "T24", (2, 5): "T25",
-        (2, 6): "T26", (2, 8): "T28", (3, 3): "T33", (3, 4): "T34", (3, 5): "T35"}
-# the same with the braid axis; T(2, q) plus axis is also row Lk at k = q.
-# T23B is the trefoil as T(3, 2) with its 3-braid axis: T(2, 3) with its
-# 2-braid axis is another link, with 8 elements at N = (2, 2), not 18.
-AXIS_ROWS = {(2, 4): "T24C", (3, 2): "T23B"}
+
+def torus_rows():
+    """(p, q, axis) -> the catalog rows of T(p, q), plus its braid axis
+    when ``axis``, read from each row's builtin family.  Without the axis
+    T(p, q) is T(q, p).  A family that takes k is keyed by q = None: its
+    rows hold T(p, q) at k = q, and the N shape of each parity row fits
+    only its own component count.  T23B is the trefoil as T(3, 2) with its
+    3-braid axis; T(2, 3) with its 2-braid axis is another link, Lk at k = 3."""
+    rows = defaultdict(list)
+    for entry in catalog():
+        if FAMILIES.get(entry.family):
+            p, q, *axis = FAMILIES[entry.family]
+            rows[p, q, bool(axis)].append(entry.row_id)
+            if q is not None and not axis and q != p:
+                rows[q, p, False].append(entry.row_id)
+    return dict(rows)
+
+
+ROWS = torus_rows()
 
 
 def predicted_finite(p, q, ns, axis=False):
@@ -49,10 +62,8 @@ def predicted_finite(p, q, ns, axis=False):
 
 
 def catalog_values(p, q, ns, axis=False):
-    table = AXIS_ROWS if axis else ROWS
-    rows = [(table[p, q], {})] if (p, q) in table else []
-    if p == 2:
-        rows.append(("Lk" if axis else "T2k", {"k": q}))
+    rows = [(row_id, {}) for row_id in ROWS.get((p, q, axis), [])]
+    rows += [(row_id, {"k": q}) for row_id in ROWS.get((p, None, axis), [])]
     for row_id, params in rows:
         try:
             yield expected_cardinality(row_id, ns, **params)
@@ -68,8 +79,7 @@ def grid(ps, qs, n_max, axis=False):
     must stop at the vertex cap.  Returns (finite, capped, matched)."""
     finite = capped = matched = 0
     for p, q in product(ps, qs):
-        word = (*range(1, p),) * q
-        presentation = braid_presentation(*(_with_axis(word, p) if axis else (word, p)))
+        presentation = braid_presentation(*torus_braid(p, q, axis))
         components = gcd(p, q) + axis
         assert len(set(presentation.component_of)) == components
         for ns in product(range(1, n_max + 1), repeat=components):

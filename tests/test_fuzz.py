@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from nquandles.cli import main
 from nquandles.presentations import (
+    FAMILIES,
     Crossing,
     Diagram,
     DiagramError,
@@ -164,8 +165,7 @@ def command_lines(draw, path):
         source = draw(st.sampled_from(["--family", "--file", "--diagram"]))
         argv = [command, source]
         if source == "--family":
-            argv.append(draw(st.sampled_from(["T24", "trefoil", "hopf", "T2k", "Lk", "Mk",
-                                              "T99"])))
+            argv.append(draw(st.sampled_from([*FAMILIES, "T99"])))
             argv += draw(st.sampled_from([[], ["--k", "3"], ["--k", "-4"], ["--k", "0"]]))
         else:
             argv.append(path)
