@@ -1,9 +1,9 @@
 """Catalog of known finite N-quandle cardinalities.
 
-The data file ``data/cardinalities.txt`` keeps one row per link family
-and N shape: either a list of exact values keyed by N tuple, or a
-closed form in the parameters k, n, p, q.  A row's family column names
-the ``builtin_family`` that realizes it, if any; the in-scope rows are
+The data file ``data/cardinalities.txt`` keeps one row per link family:
+either a list of exact values keyed by N tuple, or a closed form in the
+parameters k, n, p, q.  A row's family column names the
+``builtin_family`` that realizes it, if any; exactly those rows are
 re-enumerated and compared against their own expected values (see
 ``iter_checks`` and the verify-catalog CLI command).
 """
@@ -18,13 +18,13 @@ from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .presentations import Presentation, PresentationError, augment_n, builtin_family
+from .presentations import FAMILIES, Presentation, PresentationError, augment_n, builtin_family
 
 _DATA_PATH = Path(__file__).parent / "data" / "cardinalities.txt"
 
 
 class CatalogError(PresentationError):
-    """Unknown row, N tuple outside a row, or out-of-scope request."""
+    """Unknown row, or an N tuple or parameter the row holds no value for."""
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class CatalogEntry:
     link: str
     n_shape: str
     expected: str
-    in_repo_scope: bool
     family: str
-    provenance: str
     notes: str
 
     @cached_property
@@ -95,19 +93,9 @@ def load_catalog() -> list[CatalogEntry]:
         if not line or line.startswith("#"):
             continue
         cols = [c.strip() for c in line.split("|")]
-        if len(cols) != 8:
-            raise ValueError(f"catalog row needs 8 columns: {line!r}")
-        row_id, link, n_shape, expected, scope, family, provenance, notes = cols
-        entries.append(CatalogEntry(
-            row_id=row_id,
-            link=link,
-            n_shape=n_shape,
-            expected=expected,
-            in_repo_scope=scope == "in",
-            family=family,
-            provenance=provenance,
-            notes=notes,
-        ))
+        if len(cols) != 6:
+            raise ValueError(f"catalog row needs 6 columns: {line!r}")
+        entries.append(CatalogEntry(*cols))
     return entries
 
 
@@ -131,44 +119,45 @@ def _shapes(n_shape: str) -> list[tuple[int | str, ...]]:
             for alt in n_shape.split(" or ")]
 
 
-def _bind_shape(entry: CatalogEntry, ns: tuple[int, ...]) -> dict[str, int]:
-    """The parameters ``ns`` binds in the first of the row's N shapes it
-    fits, e.g. {"n": 5} for (2, 5) against (2,n); CatalogError when it
-    fits none."""
-    for shape in _shapes(entry.n_shape):
-        if len(shape) == len(ns) and all(
-                isinstance(s, str) or s == n for s, n in zip(shape, ns)):
-            return {s: n for s, n in zip(shape, ns) if isinstance(s, str)}
-    raise CatalogError(f"row {entry.row_id} has N of shape {entry.n_shape}, not N={ns}")
-
-
 def expected_cardinality(row_id: str, n_values: Sequence[int],
                          **params: int) -> int:
     """Expected size for a catalog row at the given N and parameters.
 
-    ``row_id`` may also name a parity-split family bare ("T2k", "Lk");
-    the parity of k picks the row.  Raises CatalogError when the row is
-    unknown or holds no value for the N tuple: an exact row lists its N
-    tuples, a closed form takes N of the shapes in its N column, and a
-    parameter of the shape (n in "(2,n)") is read from its position.
+    Raises CatalogError when the row is unknown or holds no value for the
+    N tuple: an exact row lists its N tuples, a closed form takes N of the
+    shapes in its N column, and a parameter of the shape (n in "(2,n)") is
+    read from its position.  A row that names a family and lists several
+    shapes takes only those with one entry per component of the family's
+    link at k.
     """
-    ns = tuple(int(n) for n in n_values)
-    if row_id in ("T2k", "Lk"):
-        if "k" not in params:
-            raise CatalogError(f"{row_id} needs k")
-        row_id = f"{row_id}-{'odd' if params['k'] % 2 else 'even'}"
-    return _value(find_row(row_id), ns, params)
+    entry = find_row(row_id)
+    shapes = _shapes(entry.n_shape)
+    if len(shapes) > 1 and entry.family in FAMILIES:
+        try:
+            link = builtin_family(entry.family, k=params.get("k"))
+        except PresentationError as exc:
+            raise CatalogError(f"row {row_id}: {exc}") from None
+        shapes = [s for s in shapes if len(s) == max(link.component_of)]
+    return _value(entry, tuple(int(n) for n in n_values), params, shapes)
 
 
-def _value(entry: CatalogEntry, ns: tuple[int, ...], params: Mapping[str, int]) -> int:
-    """The row's value at N tuple ``ns``: its exact entry, or its
-    closed form under ``params`` and the parameters ``ns`` binds."""
+def _value(entry: CatalogEntry, ns: tuple[int, ...], params: Mapping[str, int],
+           shapes: Sequence[tuple[int | str, ...]]) -> int:
+    """The row's value at N tuple ``ns``: its exact entry, or its closed
+    form under ``params`` and the parameters ``ns`` binds in the first of
+    ``shapes`` it fits, e.g. {"n": 5} for (2, 5) against (2,n)."""
     exact = entry.exact_values
     if exact is not None:
         if ns not in exact:
             raise CatalogError(f"row {entry.row_id} has no value for N={ns}")
         return exact[ns]
-    return _eval_formula(entry.expected, {**params, **_bind_shape(entry, ns)})
+    for shape in shapes:
+        if len(shape) == len(ns) and all(
+                isinstance(s, str) or s == n for s, n in zip(shape, ns)):
+            bound = {s: n for s, n in zip(shape, ns) if isinstance(s, str)}
+            return _eval_formula(entry.expected, {**params, **bound})
+    shown = " or ".join(f"({','.join(map(str, s))})" for s in shapes)
+    raise CatalogError(f"row {entry.row_id} has N of shape {shown}, not N={ns}")
 
 
 @dataclass(frozen=True)
@@ -184,29 +173,30 @@ class CatalogCheck:
 
 def iter_checks(k_values: Sequence[int] = tuple(range(-6, 7)),
                 n_values: Sequence[int] = (2, 3, 4, 5)) -> Iterator[CatalogCheck]:
-    """Executable checks for every in-scope row: its ``builtin_family``
-    enumerated at each N, expecting the row's own value.  Exact rows
-    yield one check per recorded N tuple; closed-form rows sweep k over
-    ``k_values`` (filtered to the parity of an -odd or -even row, which
-    also excludes zero) and the n of their N shape over ``n_values``.
+    """Executable checks for every row that names a ``FAMILIES`` entry:
+    its ``builtin_family`` enumerated at each N, expecting the row's own
+    value.  Exact rows yield one check per recorded N tuple.  Closed-form
+    rows build their link once for each k of ``k_values``, except k = 0
+    for a torus family T(p, k); then, for each N shape in the order
+    listed, they sweep the k whose link has one component per entry of
+    the shape, and the n of the shape over ``n_values``.
     """
     for entry in catalog():
-        if not entry.in_repo_scope:
+        if entry.family not in FAMILIES:
             continue
         exact = entry.exact_values
         if exact is not None:
             p = builtin_family(entry.family)
-            for ns in sorted(exact):
-                yield CatalogCheck(entry.row_id, f"N={ns}", augment_n(p, ns),
-                                   _value(entry, ns, {}))
+            for ns, value in sorted(exact.items()):
+                yield CatalogCheck(entry.row_id, f"N={ns}", augment_n(p, ns), value)
             continue
-        parity = entry.row_id.rpartition("-")[2]
-        (shape,) = _shapes(entry.n_shape)
-        for k in k_values:
-            if parity in ("odd", "even") and (k == 0 or k % 2 != (parity == "odd")):
-                continue
-            p = builtin_family(entry.family, k=k)
-            for n in (n_values if "n" in shape else (None,)):
-                ns = tuple(n if s == "n" else s for s in shape)
-                yield CatalogCheck(entry.row_id, f"k={k} N={ns}", augment_n(p, ns),
-                                   _value(entry, ns, {"k": k}))
+        links = [(k, builtin_family(entry.family, k=k)) for k in k_values
+                 if k or FAMILIES[entry.family] is None]
+        for shape in _shapes(entry.n_shape):
+            for k, p in links:
+                if max(p.component_of) != len(shape):
+                    continue
+                for n in (n_values if "n" in shape else (None,)):
+                    ns = tuple(n if s == "n" else s for s in shape)
+                    yield CatalogCheck(entry.row_id, f"k={k} N={ns}", augment_n(p, ns),
+                                       _value(entry, ns, {"k": k}, [shape]))

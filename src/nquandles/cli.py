@@ -118,6 +118,10 @@ def _read_text(path: str) -> str:
         raise OSError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
 
 
+# the --family names that take --k: Mk, and the torus families whose q is k
+_TAKES_K = [name for name, torus in FAMILIES.items() if not torus or torus[1] is None]
+
+
 def _check_k(k: int, max_steps: int) -> None:
     """Refuse a family parameter before its words are built: every
     family's relation words grow with |k|, and each universal relation
@@ -129,7 +133,9 @@ def _check_k(k: int, max_steps: int) -> None:
 
 def _load_presentation(args: argparse.Namespace) -> Presentation:
     if args.family is not None:
-        if args.k is not None:
+        # builtin_family refuses an unknown name, or a k its family does
+        # not take, before it spells a word
+        if args.k is not None and args.family in _TAKES_K:
             _check_k(args.k, args.max_steps)
         return builtin_family(args.family, k=args.k)
     if args.k is not None:
@@ -265,9 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--family", help=f"builtin family: {', '.join(FAMILIES)}")
     source.add_argument("--file", help="presentation text file")
     source.add_argument("--diagram", help="diagram file (JSON lines)")
-    takes_k = [name for name, torus in FAMILIES.items() if not torus or torus[1] is None]
     enum.add_argument("--k", type=int, default=None,
-                      help=f"parameter for {', '.join(takes_k)}")
+                      help=f"parameter for {', '.join(_TAKES_K)}")
     enum.add_argument("--N", type=_n_tuple, default=None, metavar="N1,N2,...",
                       help="orders, one per link component")
     enum.add_argument("--max-vertices", type=_cap, default=DEFAULT_MAX_VERTICES)
@@ -288,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="enumerate every catalog row and compare cardinalities",
     )
     vc.add_argument("--rows", default=None,
-                    help="comma separated row ids (default: all in-scope rows)")
+                    help="comma separated row ids (default: every row that names a family)")
     vc.add_argument("--k-range", type=_int_range, default=range(-6, 7),
                     metavar="A:B", help="k sweep for parameterized rows")
     vc.add_argument("--n-range", type=_int_range, default=range(2, 6),

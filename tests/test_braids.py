@@ -78,7 +78,7 @@ def test_every_fixed_torus_family_is_its_braid():
 
 def test_every_braid_family_matches_its_wirtinger_presentation():
     checks = braid_checks()
-    assert len(checks) == 79
+    assert len(checks) == 80
     for check, name, k in checks:
         assert check.presentation == augment_n(builtin_family(name, k=k),
                                                check.presentation.n_values)

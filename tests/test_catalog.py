@@ -1,11 +1,12 @@
 """The bundled cardinality table and its executable checks."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from nquandles import catalog as catalog_module
 from nquandles.catalog import (
+    CatalogEntry,
     CatalogError,
     catalog,
     expected_cardinality,
@@ -19,29 +20,29 @@ from nquandles.presentations import FAMILIES, builtin_family
 
 def test_catalog_shape():
     entries = catalog()
-    assert len(entries) == 19
-    ids = [e.row_id for e in entries]
-    assert len(set(ids)) == 19
-    for e in entries:
-        assert e.provenance in ("closed-form", "tabulated")
-        assert e.in_repo_scope in (True, False)
+    assert len(entries) == 17
+    assert len({e.row_id for e in entries}) == 17
+    assert [f.name for f in fields(CatalogEntry)] == [
+        "row_id", "link", "n_shape", "expected", "family", "notes"]
 
 
 def test_every_family_column_names_a_builtin_family_of_its_n_shape():
+    # a row lists one N shape per component count its link takes, so the
+    # built link's count picks the shape
     named = []
     for entry in catalog():
         if not entry.family:
-            assert not entry.in_repo_scope, entry.row_id
             continue
         assert entry.family in FAMILIES, entry.row_id
         torus = FAMILIES[entry.family]
         takes_k = not torus or torus[1] is None
-        k = (2 if entry.row_id.endswith("-even") else 3) if takes_k else None
-        components = max(builtin_family(entry.family, k=k).component_of)
-        for shape in catalog_module._shapes(entry.n_shape):
-            assert len(shape) == components, (entry.row_id, shape)
+        ks = [k for k in range(-6, 7) if k] if takes_k else [None]
+        counts = {max(builtin_family(entry.family, k=k).component_of) for k in ks}
+        lengths = [len(shape) for shape in catalog_module._shapes(entry.n_shape)]
+        assert set(lengths) <= counts, (entry.row_id, lengths, counts)
+        assert len(set(lengths)) == len(lengths), entry.row_id
         named.append(entry.row_id)
-    assert len(named) == 16 and "T23B" in named
+    assert len(named) == 14 and "T23B" in named
 
 
 def test_catalog_reloads_cleanly():
@@ -73,6 +74,8 @@ def test_expected_cardinality_formula_rows():
     assert expected_cardinality("Mk", (2, 3), k=-3) == 134
     with pytest.raises(CatalogError):
         expected_cardinality("Lk", (2, 2))  # k missing
+    with pytest.raises(CatalogError):
+        expected_cardinality("T2k", (2, 2), k=0)  # T(2,0) is not built
 
 
 @pytest.mark.parametrize("row_id, ns, params", [
@@ -81,6 +84,10 @@ def test_expected_cardinality_formula_rows():
     ("Lk", (7,), {"k": 3}),         # odd k: N = (2, n)
     ("Lk", (3, 5), {"k": 3}),
     ("Lpq", (2, 2, 2), {"p": 3, "q": 2}),
+    # a shape the row lists, but for the other component count
+    ("T2k", (2, 2), {"k": 3}),
+    ("Lk", (2, 5), {"k": 2}),
+    ("Lk", (2, 2, 5), {"k": 3}),
 ])
 def test_expected_cardinality_refuses_n_outside_the_row_shape(row_id, ns, params):
     with pytest.raises(CatalogError, match="N of shape"):
@@ -96,9 +103,10 @@ def test_expected_cardinality_reads_n_from_its_shape_position():
 
 
 def test_expected_cardinality_out_of_scope_rows_still_answer():
-    # the table records values beyond what the enumerator families cover
-    assert expected_cardinality("T23B", (2, 2)) == 18
+    # rows that name no family are never swept but still answer
     assert expected_cardinality("Lpq", (2, 2), p=3, q=2, k=1) > 0
+    assert expected_cardinality("LkpqC", (2, 2, 2), k=1, p=1, q=2) == 8
+    assert expected_cardinality("T23B", (2, 2)) == 18
 
 
 def test_expected_cardinality_unknown_row():
@@ -108,7 +116,7 @@ def test_expected_cardinality_unknown_row():
 
 def test_iter_checks_default_count():
     checks = list(iter_checks())
-    assert len(checks) == 92
+    assert len(checks) == 93
     for c in checks:
         assert c.presentation.n_values is not None
         assert c.expected >= 1
@@ -118,13 +126,19 @@ def test_iter_checks_default_count():
 
 
 def test_iter_checks_narrow_sweep():
-    checks = list(iter_checks(k_values=(1, 2), n_values=(2,)))
-    rows = {c.row_id for c in checks}
-    assert "T2k-odd" in rows and "T2k-even" in rows
-    assert "Lk-odd" in rows and "Lk-even" in rows
-    # out-of-scope rows never yield checks
-    assert "T23B" not in rows
-    assert "Lpq" not in rows
+    checks = list(iter_checks(k_values=(0, 1, 2), n_values=(2,)))
+    labels = {}
+    for c in checks:
+        labels.setdefault(c.row_id, []).append(c.label)
+    # a row's N shapes are swept in the order listed, each at the k
+    # whose link has one component per entry
+    assert labels["T2k"] == ["k=1 N=(2,)", "k=2 N=(2, 2)"]
+    assert labels["Lk"] == ["k=1 N=(2, 2)", "k=2 N=(2, 2, 2)"]
+    # T(2,k) needs k nonzero; Mk takes any k
+    assert labels["Mk"] == ["k=0 N=(2, 3)", "k=1 N=(2, 3)", "k=2 N=(2, 3)"]
+    # every row that names a family is swept, and only those
+    assert labels["T23B"] == ["N=(2, 2)"]
+    assert list(labels) == [e.row_id for e in catalog() if e.family]
 
 
 def test_iter_checks_expected_values_hold():
@@ -139,9 +153,9 @@ def test_iter_checks_expected_values_hold():
 
 @pytest.mark.parametrize("row_id, tampered, argv, line", [
     ("Mk", "18*abs(2*k-1)+9", ["--k-range", "1:1"], "FAIL Mk k=1 N=(2, 3): want 27 got 26"),
-    ("Lk-odd", "n*abs(k)+3", ["--k-range", "1:1", "--n-range", "2:2"],
-     "FAIL Lk-odd k=1 N=(2, 2): want 5 got 4"),
-    ("T2k-even", "abs(k)+1", ["--k-range", "2:2"], "FAIL T2k-even k=2 N=(2, 2): want 3 got 2"),
+    ("Lk", "n*abs(k)+3", ["--k-range", "1:1", "--n-range", "2:2"],
+     "FAIL Lk k=1 N=(2, 2): want 5 got 4"),
+    ("T2k", "abs(k)+1", ["--k-range", "2:2"], "FAIL T2k k=2 N=(2, 2): want 3 got 2"),
     # an N past the default step cap stops at its power's first scan
     ("T23", "(1000000000)=4", [], "FAIL T23 N=(1000000000,): want 4 got exceeded steps cap"),
 ])
@@ -173,8 +187,8 @@ def test_a_formula_the_evaluator_cannot_read_is_refused(monkeypatch, capsys, tam
 
 @pytest.mark.parametrize("row, value", [
     # a closed form may negate: unary minus
-    ("X | link | (n) | -n+3*n | in | trefoil | closed-form | notes", 6),
-    ("X | link | (n) | n | in | trefoil | closed-form", "catalog row needs 8 columns: "),
+    ("X | link | (n) | -n+3*n | trefoil | notes", 6),
+    ("X | link | (n) | n | trefoil", "catalog row needs 6 columns: "),
 ])
 def test_data_file_rows(tmp_path, monkeypatch, row, value):
     data = tmp_path / "cardinalities.txt"
@@ -186,4 +200,4 @@ def test_data_file_rows(tmp_path, monkeypatch, row, value):
         assert err.value.args == (value + repr(row),)
     else:
         (entry,) = load_catalog()
-        assert catalog_module._value(entry, (3,), {}) == value
+        assert catalog_module._value(entry, (3,), {}, [("n",)]) == value

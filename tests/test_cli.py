@@ -321,7 +321,7 @@ def test_a_table_that_does_not_fit_in_memory_is_an_error_line():
 @pytest.mark.parametrize("argv", [
     # an n this large spells a power relator of 10^8 letters
     ["enumerate", "--family", "Lk", "--k", "1", "--N", "2,99999999"],
-    ["verify-catalog", "--rows", "Lk-odd", "--k-range=1:1", "--n-range", "99999999:99999999"],
+    ["verify-catalog", "--rows", "Lk", "--k-range=1:1", "--n-range", "99999999:99999999"],
     # a k this large spells a relation text of 6 * 10^8 characters
     ["enumerate", "--family", "Mk", "--k", "99999999", "--verify", "none"],
 ])
@@ -335,13 +335,13 @@ def test_running_out_of_memory_is_an_error_line(argv):
 
 # sha256 of the default sweep's stdout: any change to a check's label,
 # order, value or result shows here.
-DEFAULT_SWEEP_DIGEST = "349163377a7c823d70b83484d96856663c0152a1ab955b896f55397a9af5d82e"
+DEFAULT_SWEEP_DIGEST = "f7d8cd19b82cf507788947a54fd62d157532b1cffadbcdbe6eb13959db870ecd"
 
 
 def test_verify_catalog_default_sweep_stdout_is_pinned(capsys):
     code, out, _ = run(capsys, "verify-catalog")
     assert code == 0
-    assert out.splitlines()[-1] == "checks: 92 total, 92 ok, 0 failed"
+    assert out.splitlines()[-1] == "checks: 93 total, 93 ok, 0 failed"
     assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_SWEEP_DIGEST
 
 
@@ -592,6 +592,14 @@ REFUSED_FILES = {
     (["enumerate", "--file", "latin1.txt"], "latin1.txt: not UTF-8 text at byte offset 5"),
     (["convert", "--braid", "1,5", "--strands", "2"], "position 2: braid letter 5 out of range"),
     (["enumerate", "--family", "T99", "--k", "3", "--N", "2"], "unknown family 'T99'"),
+    # the name, and a k its family does not take, are refused before the
+    # k is held against the step cap
+    (["enumerate", "--family", "T99", "--k", "3", "--N", "2", "--max-steps", "2"],
+     "unknown family 'T99'"),
+    (["enumerate", "--family", "T24", "--k", "3", "--N", "2", "--max-steps", "2"],
+     "family T24 takes no k"),
+    # T2k and Lk are one row each; their parity rows are gone
+    (["verify-catalog", "--rows", "T2k-odd"], "no catalog row 'T2k-odd'"),
 ])
 def test_a_refused_option_combination_is_one_error_line(tmp_path, monkeypatch, capsys, argv,
                                                         message):

@@ -35,9 +35,10 @@ def torus_rows():
     """(p, q, axis) -> the catalog rows of T(p, q), plus its braid axis
     when ``axis``, read from each row's builtin family.  Without the axis
     T(p, q) is T(q, p).  A family that takes k is keyed by q = None: its
-    rows hold T(p, q) at k = q, and the N shape of each parity row fits
-    only its own component count.  T23B is the trefoil as T(3, 2) with its
-    3-braid axis; T(2, 3) with its 2-braid axis is another link, Lk at k = 3."""
+    rows hold T(p, q) at k = q, and of a row's N shapes only the one with
+    T(p, q)'s component count answers.  T23B is the trefoil as T(3, 2)
+    with its 3-braid axis; T(2, 3) with its 2-braid axis is another link,
+    Lk at k = 3."""
     rows = defaultdict(list)
     for entry in catalog():
         if FAMILIES.get(entry.family):

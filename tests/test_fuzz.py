@@ -10,6 +10,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,6 +155,10 @@ JUNK = st.just([]) | st.lists(st.sampled_from([
     "--strands"]), max_size=2)
 INPUT_TEXT = (PRESENTATION_TEXT | DIAGRAM_TEXT | presentations().map(print_presentation)
               | diagrams().map(print_diagram))
+FAMILY_NAMES = [*FAMILIES, "T99"]
+K_OPTIONS = [[], ["--k", "3"], ["--k", "-4"], ["--k", "0"]]
+# T2k-odd is a retired row id, now refused like any unknown one
+ROW_IDS = ["T24", "T2k", "T23B", "Mk", "T2k-odd", "nope", ""]
 
 
 @st.composite
@@ -165,8 +170,8 @@ def command_lines(draw, path):
         source = draw(st.sampled_from(["--family", "--file", "--diagram"]))
         argv = [command, source]
         if source == "--family":
-            argv.append(draw(st.sampled_from([*FAMILIES, "T99"])))
-            argv += draw(st.sampled_from([[], ["--k", "3"], ["--k", "-4"], ["--k", "0"]]))
+            argv.append(draw(st.sampled_from(FAMILY_NAMES)))
+            argv += draw(st.sampled_from(K_OPTIONS))
         else:
             argv.append(path)
         argv += draw(st.sampled_from([[], ["--N", draw(N_LIST)]]))
@@ -180,7 +185,7 @@ def command_lines(draw, path):
         argv += ["--to", draw(st.sampled_from(["presentation", "diagram"]))]
         argv += draw(st.sampled_from([[], ["--N", draw(N_LIST)]])) + draw(JUNK)
     elif command == "verify-catalog":
-        argv = [command, "--rows", draw(st.sampled_from(["T24", "T2k-odd", "Mk", "nope", ""])),
+        argv = [command, "--rows", draw(st.sampled_from(ROW_IDS)),
                 "--k-range", draw(st.sampled_from(["-2:2", "1", "3:1", "x"])),
                 "--n-range", draw(st.sampled_from(["2:3", "2", "4:2"]))] + draw(JUNK)
     else:
@@ -188,12 +193,7 @@ def command_lines(draw, path):
     return argv
 
 
-@settings(FUZZ, max_examples=80)
-@given(st.data())
-def test_main_exits_with_a_documented_code_and_no_traceback(tmp_path_factory, data):
-    path = tmp_path_factory.getbasetemp() / "input.txt"
-    path.write_text(data.draw(INPUT_TEXT))
-    argv = data.draw(command_lines(str(path)))
+def assert_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -202,3 +202,28 @@ def test_main_exits_with_a_documented_code_and_no_traceback(tmp_path_factory, da
             code = exc.code
     assert code in (0, 1, 2, 3, 4), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    return code
+
+
+@settings(FUZZ, max_examples=80)
+@given(st.data())
+def test_main_exits_with_a_documented_code_and_no_traceback(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "input.txt"
+    path.write_text(data.draw(INPUT_TEXT))
+    assert_documented_exit(data.draw(command_lines(str(path))))
+
+
+# the draws above reach only a few of these names, so each one runs here
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_every_family_name_exits_with_a_documented_code(family):
+    for k in K_OPTIONS:
+        for n in ([], ["--N", "2"], ["--N", "2,2"], ["--N", "2,3,2"]):
+            assert_documented_exit(["enumerate", "--family", family, *k, *n, "--verify", "full",
+                                    "--max-vertices", "2000", "--max-steps", "2000"])
+
+
+@pytest.mark.parametrize("rows", ROW_IDS)
+def test_every_row_id_exits_with_a_documented_code(rows):
+    code = assert_documented_exit(["verify-catalog", "--rows", rows, "--k-range=-2:2",
+                                   "--n-range", "2:3"])
+    assert code == (0 if rows in ("T24", "T2k", "T23B", "Mk") else 1)

@@ -324,7 +324,7 @@ def tampered(q, g, x1, x2):
 
 
 def test_verify_axioms_agrees_with_cubic_oracle_on_catalog(catalog_quandles):
-    assert len(catalog_quandles) == 92
+    assert len(catalog_quandles) == 93
     assert max(q.size for q in catalog_quandles) == 242
     for q in catalog_quandles:
         assert bool(verify_axioms(q)) == cubic_oracle(q) is True
@@ -361,13 +361,16 @@ def test_verify_all_rejects_tampered_quandles_that_break_only_their_relations(
     # of its presentation: only the presentation's relations show that
     passed_axioms = [bad for _, _, _, _, bad in tamperings(catalog_quandles)
                      if verify_axioms(bad)]
-    assert len(passed_axioms) == 8
+    # the swaps come from one seeded stream, so a quandle added to the
+    # sweep moves those drawn after it
+    assert len(passed_axioms) == 7
     reports = [verify_all(bad) for bad in passed_axioms]
     assert not any(reports)
     assert all(sum(f.startswith("relation: ") for f in r.failures) == 1 for r in reports)
-    # four of them break nothing else
-    assert sum(len(r.failures) == 1 for r in reports) == 4
-    assert reports[-1].failures == ["relation: a^[c b]=a ends at 3, not 0"]
+    # two of them break nothing else
+    assert [r.failures for r in reports if len(r.failures) == 1] == [
+        ["relation: a^[b' a' b' c b a]=b ends at 4, not 1"],
+        ["relation: a^[b' a' b' c b]=a ends at 3, not 0"]]
 
 
 SELF_DISTRIBUTIVITY = re.compile(
@@ -445,12 +448,13 @@ def test_exports_golden_digest(catalog_quandles):
     # the closed-braid families name their elements after the strands.
     # Re-pinned when sealing numbered the elements along the generator
     # tree instead of by vertex label, which relabels them and keeps each
-    # element's name
+    # element's name.  Re-pinned when T23B joined the sweep; the other 92
+    # quandles still give ba9fb758
     digest = hashlib.sha256()
     for q in catalog_quandles:
         digest.update((export_dot(q) + export_json(q)).encode())
     assert digest.hexdigest() == (
-        "ba9fb758fea58853b7e496a1a3324befcc181f32d0727a3eb0f8fd0c4105d527")
+        "d34994c47866a74acd6c6ea4d48b486fdf8c6746315748d8f771b9b3e4e89ff0")
 
 
 def test_verify_n_relations_pass():
@@ -506,7 +510,7 @@ def full_table_n_relations(q):
 
 
 def test_verify_n_relations_agrees_with_full_table_on_catalog(catalog_quandles):
-    assert len(catalog_quandles) == 92
+    assert len(catalog_quandles) == 93
     for q in catalog_quandles:
         assert bool(verify_n_relations(q)) == full_table_n_relations(q) is True
 
