@@ -35,8 +35,8 @@ step caps make the infinite case observable as an Exceeded outcome,
 and the counters of ``EnumerationStats`` say how far either kind of
 run got.  As in a Todd-Coxeter coset table, the edges are kept in one
 flat row per letter code, the codes that spell every relation word,
-indexed by vertex label.  Relators are compiled once per run
-(``compile_relators``), shared by the scans and the sealing audit, and
+indexed by vertex label.  Relators are compiled once per graph
+(``TraceGraph.relators``), shared by the scans and the sealing audit, and
 scanned from both ends, as in the HLT strategy of coset enumeration, so
 a vertex is made only for a letter that neither scan could read.  A
 generator a with n = 2 acts as an involution, x^(a') = x^a, since
@@ -233,6 +233,7 @@ class TraceGraph:
                  limits: EnumerationLimits = EnumerationLimits()):
         self.presentation = presentation
         self.limits = limits
+        self.relators = compile_relators(presentation, limits.max_steps)
         g = len(presentation.generator_names)
         self.ngens = g
         self.rows: list[list[int]] = []
@@ -472,19 +473,19 @@ class TraceGraph:
         self.steps, self.unions = steps, unions
 
 
-def run_schedule(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
+def run_schedule(graph: TraceGraph) -> FiniteQuandle:
     """Step 5, ended by step 6: sweep live vertices in label order,
     scanning every universal relation at each and collapsing after each
     scan that schedules an identification, and return the sealed quandle.
 
     Expects the primary relations already scanned (steps 1 to 4) and
-    collapsed, and ``relators`` compiled for the graph's presentation
-    and step cap; each universal relator is bound to the graph's rows
-    once per call, before the sweep starts.  A cursor visits each label
-    once, including the labels created during the sweep; a vertex
-    merged away mid-sweep continues as its representative.  A survivor
-    behind the cursor is not scanned again: a relation that closes at a
-    vertex still closes at its class after any later identification.
+    collapsed; each universal relator of ``graph.relators`` is bound to
+    the graph's rows once per call, before the sweep starts.  A cursor
+    visits each label once, including the labels created during the
+    sweep; a vertex merged away mid-sweep continues as its
+    representative.  A survivor behind the cursor is not scanned again:
+    a relation that closes at a vertex still closes at its class after
+    any later identification.
 
     The sweep counts the live vertices it processes in windows of
     ``_QUIET_WINDOW``.  A window that made no vertex and merged none
@@ -498,8 +499,8 @@ def run_schedule(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     failed audits stay few.  Past the last label the seal runs once
     more, and its errors propagate.
     """
-    universals = [graph.bind(codes) for codes in relators.universal]
-    overrun = relators.overrun
+    universals = [graph.bind(codes) for codes in graph.relators.universal]
+    overrun = graph.relators.overrun
     parent, scan, pending = graph.parent, graph.scan, graph.pending
     window = left = _QUIET_WINDOW
     mark = graph.created + graph.unions
@@ -519,15 +520,15 @@ def run_schedule(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
         if not left:
             if graph.created + graph.unions == mark:
                 try:
-                    return _seal(graph, relators)
+                    return _seal(graph)
                 except EnumerationInternalError:
                     window *= 2
             left = window
             mark = graph.created + graph.unions
-    return _seal(graph, relators)
+    return _seal(graph)
 
 
-def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
+def _seal(graph: TraceGraph) -> FiniteQuandle:
     """Step 6: number the live labels along the generator tree, read
     the row of each letter code into an action table over them, and
     check the postconditions on those tables: every edge defined, each
@@ -538,7 +539,7 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
     table, and its bijection check is the x^(a a) = x that its power a^2
     would check where it is not scanned.
 
-    The walk is ``quandle._generator_tree``'s, on the forward rows, and
+    The walk is ``FiniteQuandle.tree``'s, on the forward rows, and
     canonical: a generated quandle has one isomorphism fixing each
     generator's element.  Labels it misses are numbered after it.
 
@@ -594,13 +595,13 @@ def _seal(graph: TraceGraph, relators: Relators) -> FiniteQuandle:
             f"generator {int(undone.any(axis=1).argmax())} is not a bijection "
             "with its inverse edges")
     generator_element = tuple([index[graph.find(j)] for j in range(graph.ngens)])
-    for base, codes, target in relators.primary:
+    for base, codes, target in graph.relators.primary:
         x = generator_element[base]
         for c in codes:
             x = tables[c][x]
         if x != generator_element[target]:
             raise EnumerationInternalError("primary relation does not close")
-    for codes in relators.universal:
+    for codes in graph.relators.universal:
         perm = identity
         for c in codes:
             perm = moves[c].take(perm)
@@ -627,14 +628,12 @@ def enumerate_quandle(presentation: Presentation,
     The presentation must carry n-values.  Caps turn a diverging run
     into an Exceeded outcome reporting the vertex total at the stop.
     """
-    limits = limits or EnumerationLimits()
-    relators = compile_relators(presentation, limits.max_steps)
     try:
-        graph = TraceGraph(presentation, limits)
-        for base, codes, target in relators.primary:
+        graph = TraceGraph(presentation, limits or EnumerationLimits())
+        for base, codes, target in graph.relators.primary:
             graph.scan(graph.find(base), graph.bind(codes), graph.find(target))
             graph.collapse()
-        quandle = run_schedule(graph, relators)
+        quandle = run_schedule(graph)
     except _CapExceeded as exc:
         return EnumerationOutcome(None, exc.kind, exc.stats)
     return EnumerationOutcome(quandle, None, graph.stats())

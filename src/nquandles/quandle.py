@@ -53,6 +53,10 @@ class Expression:
     word: tuple[tuple[int, int], ...]
 
 
+# roots (generator, element) and child -> (parent, generator)
+_Tree = tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]
+
+
 def expression_str(expr: Expression, names: Sequence[str]) -> str:
     """Render a^w, a bare base when the word is empty: x' marks an
     inverse, and the letters run together when every name is one
@@ -70,11 +74,11 @@ class FiniteQuandle:
     action[g][x] is x^g; ``arrays`` (the actions and their inverses as
     numpy arrays) and inverse_action[g][x] = x^(g') are derived from it
     once.  Elements are 0-based; generator_element maps a generator
-    index to the element representing it.  witnesses[x] names element
-    x and is derived from those two fields.  relations carries the
-    defining primary relations when the quandle came out of an
-    enumeration (used to prune isomorphism searches); hand-built tables
-    may leave it empty.
+    index to the element representing it.  ``tree`` and witnesses[x],
+    the name of element x, are derived from those two fields.
+    relations carries the defining primary relations when the quandle
+    came out of an enumeration (used to prune isomorphism searches);
+    hand-built tables may leave it empty.
     """
 
     size: int
@@ -120,14 +124,39 @@ class FiniteQuandle:
         is positive, as long as its element's depth, and made of one
         letter object per generator.  None for an element no generator
         reaches."""
-        roots, edges = _generator_tree(self)
+        roots, via = self.tree
         letters = [(g, 1) for g in range(len(self.action))]
         words: list = [None] * self.size
         for g, e in roots:
             words[e] = Expression(g, ())
-        for y, g, z in edges:
+        for z, (y, g) in via.items():
             words[z] = Expression(words[y].base, words[y].word + (letters[g],))
         return tuple(words)
+
+    @cached_property
+    def tree(self) -> _Tree:
+        """Breadth-first spanning forest over the generators' action
+        edges, walked on first use: the roots (generator, element), one
+        per distinct generator element in generator order, and a map
+        child -> (parent, generator), child = parent^generator, in
+        discovery order.  Each element the generators reach is one of
+        them."""
+        seen = [False] * self.size
+        roots = []
+        for g, e in enumerate(self.generator_element):
+            if not seen[e]:
+                seen[e] = True
+                roots.append((g, e))
+        via = {}
+        queue = [e for _, e in roots]
+        for y in queue:
+            for g, act in enumerate(self.action):
+                z = act[y]
+                if not seen[z]:
+                    seen[z] = True
+                    via[z] = (y, g)
+                    queue.append(z)
+        return roots, via
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,36 +195,6 @@ class VerificationReport:
         return self.ok
 
 
-# roots (generator, element) and edges (parent, generator, child)
-_Tree = tuple[list[tuple[int, int]], list[tuple[int, int, int]]]
-
-
-def _generator_tree(q: FiniteQuandle) -> _Tree:
-    """Breadth-first spanning forest over the generators' action edges.
-
-    Returns the roots (generator, element), one per distinct generator
-    element in generator order, and the tree edges (parent, generator,
-    child), child = parent^generator, in discovery order; every element
-    the generators reach is a root or the child of exactly one edge.
-    """
-    seen = [False] * q.size
-    roots = []
-    for g, e in enumerate(q.generator_element):
-        if not seen[e]:
-            seen[e] = True
-            roots.append((g, e))
-    edges = []
-    queue = [e for _, e in roots]
-    for y in queue:
-        for g, act in enumerate(q.action):
-            z = act[y]
-            if not seen[z]:
-                seen[z] = True
-                edges.append((y, g, z))
-                queue.append(z)
-    return roots, edges
-
-
 def _table_dtype(size: int) -> type[np.signedinteger]:
     """int16 while every element and the -1 of an unbuilt column fit."""
     return np.int16 if size < 1 << 15 else np.int32
@@ -210,10 +209,10 @@ def _build_table(q: FiniteQuandle) -> np.ndarray:
     except MemoryError:
         raise MemoryError(f"the operation table of {n} elements needs {n * n * act.itemsize} "
                           "bytes, more than could be allocated") from None
-    roots, edges = _generator_tree(q)
+    roots, via = q.tree
     for g, e in roots:
         cols[e] = act[g]
-    for y, g, z in edges:
+    for z, (y, g) in via.items():
         # x > z = ((x >' g) > y) > g, gathered over x
         cols[z] = act[g].take(cols[y].take(inv[g]))
     table = cols.T
@@ -228,9 +227,8 @@ def _column_builder(q: FiniteQuandle) -> Callable[[int], np.ndarray]:
     so each is built at most once and all of them together hold no more
     than the table.  Only an element the generators reach has one."""
     act, inv = q.arrays
-    roots, edges = _generator_tree(q)
+    roots, via = q.tree
     built = {e: act[g] for g, e in roots}
-    via = {z: (y, g) for y, g, z in edges}
 
     def column(e: int) -> np.ndarray:
         # iterative: a tree can be thousands of edges deep
@@ -492,16 +490,15 @@ def _orbit_kinds(q: FiniteQuandle) -> list[tuple[int, tuple[int, ...]]]:
 _Columns = Callable[[int, int], np.ndarray]
 
 
-def _extends(q1: FiniteQuandle, column: _Columns,
-             images: Sequence[int], tree: _Tree) -> bool:
+def _extends(q1: FiniteQuandle, column: _Columns, images: Sequence[int]) -> bool:
     """Extend generator images to all of q1 along its generator tree,
     phi(y^g) = phi(y) > phi(g) in the target's table; True when the
     result is a bijective homomorphism on every generator action."""
-    roots, edges = tree
+    roots, via = q1.tree
     phi = np.full(q1.size, -1, dtype=np.int64)
     for g, e in roots:
         phi[e] = images[g]
-    for y, g, z in edges:
+    for z, (y, g) in via.items():
         phi[z] = column(images[g], 0)[phi[y]]
     if (phi < 0).any() or len(np.unique(phi)) != q1.size:
         return False
@@ -556,7 +553,6 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
 
     images: list[int | None] = [None] * len(gens)
     column2 = _column_builder(q2)
-    tree = _generator_tree(q1)
 
     @cache
     def column(e: int, bit: int) -> np.ndarray:
@@ -565,7 +561,7 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
 
     def dfs(depth: int) -> bool:
         if depth == len(order):
-            return _extends(q1, column, images, tree)  # type: ignore[arg-type]
+            return _extends(q1, column, images)  # type: ignore[arg-type]
         g = order[depth]
         for e in candidates[g]:
             images[g] = e

@@ -230,6 +230,20 @@ def test_a_cap_outside_the_machine_range_is_a_usage_error(capsys, argv, message)
     assert captured.err.splitlines()[-1] == f"nquandles enumerate: error: {message}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "trefoil", "--N", "0"],
+    ["convert", "--braid", "1,1,1", "--strands", "2", "--N", "2,0"],
+])
+def test_an_n_value_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "argument --N: N values must be positive integers")
+
+
 def test_enumerate_source_required():
     with pytest.raises(SystemExit) as err:
         main(["enumerate"])

@@ -38,7 +38,6 @@ from nquandles.presentations import (
     print_presentation,
     secondary_relations,
 )
-from nquandles import quandle
 from nquandles.quandle import (
     FiniteQuandle,
     export_dot,
@@ -66,11 +65,6 @@ def _codes(word):
     relations and witnesses spell them, letter for letter: 2*gen for
     gen, 2*gen + 1 for its inverse, whatever the generator's n."""
     return [2 * gen + (sign < 0) for gen, sign in word]
-
-
-def relators(g):
-    """The relators of g's presentation, compiled for its step cap."""
-    return compile_relators(g.presentation, g.limits.max_steps)
 
 
 def trace(g, start, word, end):
@@ -276,11 +270,12 @@ def test_a_power_past_the_step_cap_stops_where_its_scan_would(p, limits):
     spelled = Relators([(r.base, list(r.word), r.target) for r in p.relations],
                        [_codes(u.word) for u in secondary_relations(p)], None)
     g = TraceGraph(p, limits)
+    g.relators = spelled
     with pytest.raises(_CapExceeded) as exc:
         for base, codes, target in spelled.primary:
             g.scan(g.find(base), g.bind(codes), g.find(target))
             g.collapse()
-        run_schedule(g, spelled)
+        run_schedule(g)
     assert (out.cap_kind, out.stats) == (exc.value.kind, exc.value.stats)
 
 
@@ -476,7 +471,7 @@ def sweep_snapshots(p, limits):
     and after the sweep, the sweep run with ``reference_scan``, and the
     universal relators.  A sweep stopped by a cap ends the snapshots."""
     g = TraceGraph(p, limits)
-    relators = compile_relators(p, limits.max_steps)
+    relators = g.relators
     assert relators.overrun is None
     snapshots = []
     try:
@@ -598,17 +593,17 @@ def test_bound_rows_stay_the_graph_rows():
     # and an involution's two codes on one row
     for p in (p, family("T24", (2, 3)), family("Mk", k=6)):
         g = TraceGraph(p, EnumerationLimits())
-        relators = compile_relators(p, g.limits.max_steps)
+        relators = g.relators
         primary = [g.bind(codes) for _, codes, _ in relators.primary]
         bound = primary + [g.bind(codes) for codes in relators.universal]
         for (base, _, target), rel in zip(relators.primary, primary):
             g.scan(g.find(base), rel, g.find(target))
             g.collapse()
-        run_schedule(g, relators)
+        run_schedule(g)
         assert g.unions > 0 and g.created > 3
         assert_bound_to(g, bound)
         assert_rows_shared(g)
-        assert _seal(g, relators) == enumerate_quandle(p).quandle
+        assert _seal(g) == enumerate_quandle(p).quandle
 
 
 def assert_sentinel(g):
@@ -846,16 +841,16 @@ def walk_order(g):
 def test_live_accounting_after_schedule():
     p = family("T26", (2, 3))
     g = TraceGraph(p, EnumerationLimits())
-    for base, codes, target in relators(g).primary:
+    for base, codes, target in g.relators.primary:
         g.scan(g.find(base), g.bind(codes), g.find(target))
     g.collapse()
-    run_schedule(g, relators(g))
+    run_schedule(g)
     live = [v for v in range(g.created) if g.parent[v] == v]
     assert g.live_count == len(live) == 10
     assert all(g.find(v) == v for v in live)
     # the witnesses of the sealed quandle follow edges that are all
     # there, each to its own live vertex, in the order the walk met them
-    ends = [follow(g, w.base, _codes(w.word)) for w in _seal(g, relators(g)).witnesses]
+    ends = [follow(g, w.base, _codes(w.word)) for w in _seal(g).witnesses]
     assert sorted(ends) == live
     assert ends == walk_order(g)
 
@@ -868,7 +863,7 @@ def full_sweep(p):
     before the seal's audit could end it, then sealed; the quandle and
     the counters."""
     g = TraceGraph(p, EnumerationLimits())
-    rel = relators(g)
+    rel = g.relators
     for base, codes, target in rel.primary:
         g.scan(g.find(base), g.bind(codes), g.find(target))
         g.collapse()
@@ -885,7 +880,7 @@ def full_sweep(p):
                 v = g.find(v)
         if rel.overrun is not None:
             g.overrun(v, *rel.overrun)
-    return _seal(g, rel), g.stats()
+    return _seal(g), g.stats()
 
 
 @pytest.mark.parametrize("window", [enumerator._QUIET_WINDOW, 1])
@@ -896,9 +891,9 @@ def test_the_early_seal_gives_the_full_sweeps_quandle(monkeypatch, window):
     declined = []
     seal = enumerator._seal
 
-    def counted(g, rel):
+    def counted(g):
         try:
-            return seal(g, rel)
+            return seal(g)
         except EnumerationInternalError:
             declined.append(g.created)
             raise
@@ -934,7 +929,7 @@ def test_a_seal_that_fails_at_the_last_label_is_raised(monkeypatch):
     # the seal's error there leaves the run
     audits = []
 
-    def failing(g, rel):
+    def failing(g):
         audits.append(g.steps)
         raise EnumerationInternalError("audit")
 
@@ -951,10 +946,10 @@ def closed(p):
     """The finished graph of p under the default limits (steps 1 to 5),
     and its live labels in label order."""
     g = TraceGraph(p, EnumerationLimits())
-    for base, codes, target in relators(g).primary:
+    for base, codes, target in g.relators.primary:
         g.scan(g.find(base), g.bind(codes), g.find(target))
         g.collapse()
-    run_schedule(g, relators(g))
+    run_schedule(g)
     return g, [v for v in range(g.created) if g.find(v) == v]
 
 
@@ -1002,31 +997,31 @@ def sealed_graphs():
 def test_witnesses_equal_the_concat_spelling(sealed_graphs):
     assert len(sealed_graphs) == 95
     for p, g, live in sealed_graphs:
-        q = _seal(g, relators(g))
+        q = _seal(g)
         assert q.witnesses == concat_witnesses(q)
 
 
 def test_witness_words_are_freely_reduced(sealed_graphs):
     for p, g, live in sealed_graphs:
-        for w in _seal(g, relators(g)).witnesses:
+        for w in _seal(g).witnesses:
             assert all(x != (gen, -sign) for x, (gen, sign) in zip(w.word, w.word[1:])), w
 
 
 def test_witnesses_are_positive_and_as_long_as_their_tree_depth(sealed_graphs):
     for p, g, live in sealed_graphs:
-        q = _seal(g, relators(g))
+        q = _seal(g)
         assert all(sign == 1 for w in q.witnesses for _, sign in w.word)
         assert [len(w.word) for w in q.witnesses] == tree_depths(q)
     # Mk k=30's words run to 34 letters; spelled along the edges that
     # made each vertex they averaged 61 and ran to 128
     p, g, live = sealed_graphs[-2]
-    q = _seal(g, relators(g))
+    q = _seal(g)
     assert q.size == 1070 and max(len(w.word) for w in q.witnesses) == 34
 
 
 def test_witnesses_share_one_letter_object_per_letter(sealed_graphs):
     for p, g, live in sealed_graphs:
-        q = _seal(g, relators(g))
+        q = _seal(g)
         letters = {id(x) for w in q.witnesses for x in w.word}
         assert len(letters) <= len(p.generator_names)
 
@@ -1038,28 +1033,20 @@ def test_sealing_numbers_elements_along_the_generator_tree():
     qs += [mk(k).quandle for k in (6, -5, 30)]
     assert len(qs) == 96
     for q in qs:
-        roots, edges = quandle._generator_tree(q)
+        roots, via = q.tree
         assert [e for _, e in roots] == list(range(len(roots)))
-        assert [z for _, _, z in edges] == list(range(len(roots), q.size))
+        assert list(via) == list(range(len(roots), q.size))
 
 
-def test_a_sealed_quandle_spells_no_witness_until_one_is_read(monkeypatch):
-    calls = []
-
-    def tree(q):
-        calls.append(q.size)
-        return generator_tree(q)
-
-    generator_tree = quandle._generator_tree
-    monkeypatch.setattr(quandle, "_generator_tree", tree)
+def test_a_sealed_quandle_spells_no_witness_until_one_is_read():
     q = enumerate_quandle(family("Mk", k=6)).quandle
-    assert calls == []
+    assert "tree" not in vars(q) and "witnesses" not in vars(q)
     assert q.element_name(0) == "a"
     assert len(q.witnesses) == q.size == 206
-    assert calls == [206]
+    tree, witnesses = q.tree, q.witnesses
     export_dot(q)
     export_json(q)
-    assert calls == [206]
+    assert q.tree is tree and q.witnesses is witnesses
 
 
 UNFOLDED_TABLES = Path(__file__).parent / "data" / "unfolded_tables.json"
@@ -1068,8 +1055,8 @@ UNFOLDED_TABLES = Path(__file__).parent / "data" / "unfolded_tables.json"
 def along_the_tree(q):
     """q with its elements renumbered in the order its generator tree
     meets them."""
-    roots, edges = quandle._generator_tree(q)
-    order = [e for _, e in roots] + [z for _, _, z in edges]
+    roots, via = q.tree
+    order = [e for _, e in roots] + list(via)
     new = {x: i for i, x in enumerate(order)}
     return dataclasses.replace(
         q, action=tuple(tuple(new[act[x]] for x in order) for act in q.action),
@@ -1163,7 +1150,7 @@ def swap_edges(g, code, x, y):
 
 def test_seal_accepts_the_finished_graph():
     p, g, live = finished_t24()
-    q = _seal(g, relators(g))
+    q = _seal(g)
     assert q.size == 8
     assert q == enumerate_quandle(p).quandle
 
@@ -1174,7 +1161,7 @@ def test_seal_rejects_an_undefined_edge(code):
     g.rows[code][live[2]] = -1
     with pytest.raises(EnumerationInternalError,
                        match=f"generator {code >> 1} undefined at vertex {live[2]}"):
-        _seal(g, relators(g))
+        _seal(g)
 
 
 def test_seal_rejects_an_edge_to_a_merged_label():
@@ -1183,28 +1170,28 @@ def test_seal_rejects_an_edge_to_a_merged_label():
     g.rows[0][live[2]] = merged
     with pytest.raises(EnumerationInternalError,
                        match=f"generator 0 at vertex {live[2]} points at merged label {merged}"):
-        _seal(g, relators(g))
+        _seal(g)
 
 
 def test_seal_rejects_a_non_bijection():
     p, g, live = finished_t24()
     g.rows[0][live[1]] = g.rows[0][live[2]]  # two vertices, one image
     with pytest.raises(EnumerationInternalError, match="generator 0 is not a bijection"):
-        _seal(g, relators(g))
+        _seal(g)
 
 
 def test_seal_rejects_inverse_edges_that_disagree():
     p, g, live = finished_t24()
     g.rows[3][live[4]], g.rows[3][live[5]] = g.rows[3][live[5]], g.rows[3][live[4]]
     with pytest.raises(EnumerationInternalError, match="generator 1 is not a bijection"):
-        _seal(g, relators(g))
+        _seal(g)
 
 
 def test_seal_rejects_an_open_primary_relation():
     p, g, live = finished_t24()
     swap_edges(g, 0, live[0], live[1])
     with pytest.raises(EnumerationInternalError, match="primary relation"):
-        _seal(g, relators(g))
+        _seal(g)
 
 
 def test_seal_rejects_an_open_universal_relation():
@@ -1213,7 +1200,7 @@ def test_seal_rejects_an_open_universal_relation():
     p, g, live = finished_t24()
     swap_edges(g, 0, live[0], live[3])
     with pytest.raises(EnumerationInternalError, match="universal relation"):
-        _seal(g, relators(g))
+        _seal(g)
 
 
 def loop_audit(g, p):
@@ -1275,7 +1262,7 @@ def test_the_array_audit_agrees_with_the_loop_audit():
                 g.rows[code][x] = g.rows[code][y]
             want = loop_audit(g, p)
             try:
-                _seal(g, relators(g))
+                _seal(g)
                 got = None
             except EnumerationInternalError as exc:
                 got = str(exc)
@@ -1301,7 +1288,7 @@ def test_seal_rejects_a_vertex_the_generators_miss():
             row[twin[v]] = twin[row[v]]
     with pytest.raises(EnumerationInternalError,
                        match=f"the generators do not reach vertex {base}$"):
-        _seal(g, relators(g))
+        _seal(g)
 
 
 def test_seal_rejects_an_open_universal_relation_on_mk30():
@@ -1312,4 +1299,4 @@ def test_seal_rejects_an_open_universal_relation_on_mk30():
     assert len(live) == 1070
     swap_edges(g, 0, live[500], live[900])
     with pytest.raises(EnumerationInternalError, match="universal relation"):
-        _seal(g, relators(g))
+        _seal(g)

@@ -187,15 +187,31 @@ def test_the_column_builder_walks_a_deep_tree():
     # the element -1000 sits 2000 edges down the generator tree
     n = 4001
     r = tiny([[(2 * y - x) % n for x in range(n)] for y in (0, 1)], [0, 1], [1, 1], [2])
-    roots, edges = quandle._generator_tree(r)
+    roots, via = r.tree
     depth = {e: 0 for _, e in roots}
-    for y, _, z in edges:
+    for z, (y, _) in via.items():
         depth[z] = depth[y] + 1
-    deepest = edges[-1][2]
+    deepest = list(via)[-1]
     assert depth[deepest] == max(depth.values()) == (n - 1) // 2
     col = quandle._column_builder(r)(deepest)
     assert np.array_equal(col, r.table[:, deepest])
     assert np.array_equal(col, (2 * deepest - np.arange(n)) % n)
+
+
+def test_a_quandle_walks_its_generator_tree_once_when_first_needed():
+    q = enum("Mk", k=6)
+    # enumeration, the orbits and the power relations read no tree
+    assert verify_n_relations(q)
+    assert "tree" not in vars(q)
+    # a name, the table or a search each walks it first
+    for need in (lambda q: q.element_name(0), dense_tables, lambda q: is_isomorphic(q, q)):
+        fresh = dataclasses.replace(q)
+        need(fresh)
+        assert "tree" in vars(fresh)
+    export_dot(q)
+    tree = vars(q)["tree"]
+    assert verify_all(q) and is_isomorphic(q, q)
+    assert q.tree is tree
 
 
 def test_inverse_column_of_an_unreached_element_is_unset():
@@ -332,12 +348,12 @@ def test_verify_axioms_agrees_with_cubic_oracle_on_catalog(catalog_quandles):
 
 def tamperings(quandles):
     """Four tampered copies of each quandle with at least three
-    elements, as (q, g, x1, x2, tampered(q, g, x1, x2)), from a fixed
-    seed."""
-    rng = random.Random(5)
+    elements, as (q, g, x1, x2, tampered(q, g, x1, x2)), drawn from a
+    stream seeded by the JSON text of the quandle's own actions."""
     for q in quandles:
         if q.size < 3:
             continue
+        rng = random.Random(json.dumps(q.action))
         for _ in range(4):
             g = rng.randrange(len(q.generator_names))
             x1, x2 = rng.sample(range(q.size), 2)
@@ -361,16 +377,34 @@ def test_verify_all_rejects_tampered_quandles_that_break_only_their_relations(
     # of its presentation: only the presentation's relations show that
     passed_axioms = [bad for _, _, _, _, bad in tamperings(catalog_quandles)
                      if verify_axioms(bad)]
-    # the swaps come from one seeded stream, so a quandle added to the
-    # sweep moves those drawn after it
-    assert len(passed_axioms) == 7
+    assert len(passed_axioms) == 9
     reports = [verify_all(bad) for bad in passed_axioms]
     assert not any(reports)
     assert all(sum(f.startswith("relation: ") for f in r.failures) == 1 for r in reports)
-    # two of them break nothing else
+    # seven of them break nothing else
     assert [r.failures for r in reports if len(r.failures) == 1] == [
-        ["relation: a^[b' a' b' c b a]=b ends at 4, not 1"],
-        ["relation: a^[b' a' b' c b]=a ends at 3, not 0"]]
+        ["relation: a^[b' c b a]=b ends at 4, not 1"],
+        ["relation: b^[a' b' a' b' c b a]=b ends at 4, not 1"],
+        ["relation: c^[b a]=c ends at 5, not 2"],
+        ["relation: b^[c b a]=b ends at 4, not 1"],
+        ["relation: c^[b a]=c ends at 5, not 2"],
+        ["relation: b^[c b a]=b ends at 4, not 1"],
+        ["relation: c^[b a]=c ends at 5, not 2"]]
+
+
+def test_each_quandle_draws_its_own_tamperings(catalog_quandles):
+    # dropping a quandle from the sweep moves no other quandle's swaps
+    rows = [c.row_id for c in iter_checks()]
+    i = rows.index("T23B")
+    assert rows.count("T23B") == 1 and 0 < i < len(rows) - 1
+
+    def swaps(quandles):
+        return [(q, g, x1, x2) for q, g, x1, x2, _ in tamperings(quandles)]
+
+    dropped = catalog_quandles[i]
+    assert any(q is dropped for q, *_ in swaps(catalog_quandles))
+    kept = catalog_quandles[:i] + catalog_quandles[i + 1:]
+    assert [s for s in swaps(catalog_quandles) if s[0] is not dropped] == swaps(kept)
 
 
 SELF_DISTRIBUTIVITY = re.compile(
@@ -639,6 +673,26 @@ def test_is_isomorphic_same_quandle_relabeled():
     assert d.action != c.action
     assert is_isomorphic(c, d)
     assert is_isomorphic(d, c)
+
+
+@pytest.mark.parametrize("n, swaps", [
+    (3, [(0, 2)]),
+    (4, [(0, 2), (2, 5), (4, 5)]),
+    (5, [(0, 2), (2, 7), (7, 9), (9, 10), (10, 11)]),
+])
+def test_is_isomorphic_checks_every_action_of_the_extended_map(n, swaps):
+    # a swap in a's action that keeps the generator tree and the orbit
+    # kinds, with no relations to prune by: the map extended along the
+    # tree is a bijection, and only its check on every generator action
+    # tells the pair apart
+    q = enum("trefoil", (n,))
+    for x1, x2 in swaps:
+        bad = dataclasses.replace(tampered(q, 0, x1, x2), relations=())
+        assert bad.tree == q.tree
+        assert quandle._orbit_kinds(bad) == quandle._orbit_kinds(q)
+        assert not is_isomorphic(bad, q), (n, x1, x2)
+    if n == 3:
+        assert (q.action[0], bad.action[0]) == ((0, 3, 1, 2), (1, 3, 0, 2))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
