@@ -18,7 +18,8 @@ from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .presentations import FAMILIES, Presentation, PresentationError, augment_n, builtin_family
+from .presentations import (FAMILIES, Presentation, PresentationError, augment_n, builtin_family,
+                            family_components)
 
 _DATA_PATH = Path(__file__).parent / "data" / "cardinalities.txt"
 
@@ -134,10 +135,10 @@ def expected_cardinality(row_id: str, n_values: Sequence[int],
     shapes = _shapes(entry.n_shape)
     if len(shapes) > 1 and entry.family in FAMILIES:
         try:
-            link = builtin_family(entry.family, k=params.get("k"))
+            components = family_components(entry.family, k=params.get("k"))
         except PresentationError as exc:
             raise CatalogError(f"row {row_id}: {exc}") from None
-        shapes = [s for s in shapes if len(s) == max(link.component_of)]
+        shapes = [s for s in shapes if len(s) == components]
     return _value(entry, tuple(int(n) for n in n_values), params, shapes)
 
 

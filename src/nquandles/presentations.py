@@ -40,11 +40,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from itertools import compress, count, islice, repeat
-from operator import ne, xor
 from typing import Mapping, Sequence
 
-from .words import Word, concat, invert, reduce, word_str
+from .words import Word, concat, extend, invert, reduce, word_str
 
 
 class PresentationError(ValueError):
@@ -532,19 +530,13 @@ def braid_presentation(braid_word: Sequence[int], strands: int) -> Presentation:
     letter codes (see ``words``); components are those of ``_braid_arcs``.
     """
     crossings, top, strand_of, component = _braid_arcs(braid_word, strands)
-    # one word of letter codes per arc; the arc passing under ends
-    # there, so its word moves to the arc it becomes and grows in place,
-    # cancelling only at the seams: cut counts the letters that cancel
-    # at a seam
+    # one reduced word of letter codes per arc; the arc passing under
+    # ends there, so its word moves to the arc it becomes and grows in place
     words = {p: [] for p in range(strands)}
     for over, under_in, under_out, sign in crossings:
         v = words[over]
         word = words[under_out] = words.pop(under_in)
-        for part in (invert(v), (2 * strand_of[over] + (sign < 0),), v):
-            cut = next(compress(count(), map(ne, reversed(word), map(xor, part, repeat(1)))),
-                       min(len(word), len(part)))
-            del word[len(word) - cut:]
-            word.extend(islice(part, cut, None))
+        extend(word, (*invert(v), 2 * strand_of[over] + (sign < 0), *v))
 
     relations = []
     for p, arc in enumerate(top):
@@ -599,14 +591,12 @@ FAMILIES: dict[str, tuple | None] = {
 }
 
 
-def builtin_family(family: str, k: int | None = None,
-                   n_values: Sequence[int] | None = None) -> Presentation:
-    """Presentation of a ``FAMILIES`` name.
+def builtin_braid(family: str, k: int | None = None) -> tuple[tuple[int, ...], int] | None:
+    """Braid word and strand count of a ``FAMILIES`` name, or None for Mk.
 
-    A torus link is presented by ``braid_presentation`` from its
-    ``torus_braid``; T2k and Lk take it at q = k, k nonzero.  Mk takes
-    any k.  ``n_values``, when given, is attached with ``augment_n``;
-    T24C defaults to N = (2, 3, 2) and Mk to N = (2, 3).
+    The one rule for a family's k: T2k and Lk take it as q, nonzero, Mk
+    takes any k, and every other family takes none.  An unknown name or
+    a k the family does not take raises ``PresentationError``.
     """
     if family not in FAMILIES:
         raise PresentationError(f"unknown family {family!r}")
@@ -615,15 +605,34 @@ def builtin_family(family: str, k: int | None = None,
         raise PresentationError(
             f"family {family} {'needs' if k is None else 'takes no'} k")
     if torus is None:
-        p = _family_mk(k)
-    else:
-        strands, q, *axis = torus
-        if k == 0:
-            raise PresentationError(f"k must be nonzero for {family}")
-        p = braid_presentation(*torus_braid(strands, q or k, *axis))
-        if family == "T24C":
-            p = augment_n(p, (2, 3, 2))
+        return None
+    strands, q, *axis = torus
+    if k == 0:
+        raise PresentationError(f"k must be nonzero for {family}")
+    return torus_braid(strands, q or k, *axis)
 
+
+def family_components(family: str, k: int | None = None) -> int:
+    """Number of link components of a ``FAMILIES`` name at k: a braid's
+    strand cycles, so no relation word is spelled; Mk has its twist knot
+    and axis.  Refuses what ``builtin_braid`` refuses."""
+    braid = builtin_braid(family, k)
+    return 2 if braid is None else max(_braid_arcs(*braid)[3])
+
+
+def builtin_family(family: str, k: int | None = None,
+                   n_values: Sequence[int] | None = None) -> Presentation:
+    """Presentation of a ``FAMILIES`` name at the k ``builtin_braid``
+    accepts.
+
+    A torus link is presented by ``braid_presentation`` from its braid,
+    and Mk by ``_family_mk``.  ``n_values``, when given, is attached with
+    ``augment_n``; T24C defaults to N = (2, 3, 2) and Mk to N = (2, 3).
+    """
+    braid = builtin_braid(family, k)
+    p = _family_mk(k) if braid is None else braid_presentation(*braid)
+    if family == "T24C":
+        p = augment_n(p, (2, 3, 2))
     if n_values is not None:
         p = augment_n(p, n_values)
     return p

@@ -27,18 +27,20 @@ from typing import Iterable, Sequence
 Word = tuple[int, ...]
 
 
-def reduce(codes: Iterable[int]) -> Word:
-    """Freely reduce a letter sequence by cancelling adjacent inverses.
-
-    Single stack pass; the result is the unique reduced form of the
-    word, so reduce is idempotent and order of cancellation is moot.
-    """
-    out: list[int] = []
+def extend(word: list[int], codes: Iterable[int]) -> None:
+    """Append letters to a reduced word in place, cancelling each one
+    against the word's end: the one stack loop of free reduction."""
     for c in codes:
-        if out and out[-1] == c ^ 1:
-            out.pop()
+        if word and word[-1] == c ^ 1:
+            word.pop()
         else:
-            out.append(c)
+            word.append(c)
+
+
+def reduce(codes: Iterable[int]) -> Word:
+    """The unique free reduction of a letter sequence; idempotent."""
+    out: list[int] = []
+    extend(out, codes)
     return tuple(out)
 
 
@@ -53,8 +55,8 @@ def concat(*words: Iterable[int]) -> Word:
     """Concatenate words and reduce the seams."""
     joined: list[int] = []
     for word in words:
-        joined.extend(word)
-    return reduce(joined)
+        extend(joined, word)
+    return tuple(joined)
 
 
 def word_str(word: Iterable[int], names: Sequence[str]) -> str:

@@ -5,9 +5,9 @@ the braid, ``_braid_arcs``: its crossing convention, arcs and component
 numbering.  So the Wirtinger presentation of the closed braid's diagram
 checks the expressions ``braid_presentation`` carries, not that walk.
 What stays independent of it: the concat walk below, which carries
-whole re-reduced words and numbers the components itself; the coset
-indices of the N-quandle's group; and the catalog's sizes, which both
-routes must reproduce."""
+whole words re-reduced by a stack loop of its own and numbers the
+components itself; the coset indices of the N-quandle's group; and the
+catalog's sizes, which both routes must reproduce."""
 
 import re
 from dataclasses import replace
@@ -31,7 +31,6 @@ from nquandles.presentations import (
     wirtinger,
 )
 from nquandles.quandle import is_isomorphic, orbits
-from nquandles.words import concat, invert
 
 # the builtin torus families with a fixed q
 FIXED = [name for name, torus in FAMILIES.items() if torus and torus[1] is not None]
@@ -151,11 +150,28 @@ def test_orbit_sizes_are_coset_indices(word, strands, ns, sizes):
     assert coset_indices(p) == sizes
 
 
+def concat(*words):
+    """Free reduction of the joined words, by a stack loop that shares no
+    code with ``words``."""
+    out = []
+    for word in words:
+        for c in word:
+            if out and out[-1] == c ^ 1:
+                out.pop()
+            else:
+                out.append(c)
+    return tuple(out)
+
+
+def invert(word):
+    return tuple(c ^ 1 for c in reversed(word))
+
+
 def concat_braid_presentation(braid_word, strands):
     """Reference: the closed braid's presentation with every crossing's
-    word re-reduced whole by ``words.concat``, as before the strand words
-    were joined at their seams.  Each strand's component is numbered by
-    the least strand of its cycle, ranked; at most 26 strands."""
+    word re-reduced whole, not extended in place on the under arc's word.
+    Each strand's component is numbered by the least strand of its cycle,
+    ranked; at most 26 strands."""
     at = [(p, ()) for p in range(strands)]
     for letter in braid_word:
         i = abs(letter) - 1
@@ -184,7 +200,7 @@ def concat_braid_presentation(braid_word, strands):
     return Presentation(names, tuple(number[m] for m in least), None, tuple(relations))
 
 
-def test_seam_joins_match_the_concat_words():
+def test_extend_joins_match_the_concat_words():
     cases = [family_braid(name) for name in FIXED]
     cases += [((1, -2, 1, -2, -1, 2), 3), ((2, 3, -1, 2, -3, -3, 1, 2), 4)]
     cases += [family_braid(name, k) for name in ("T2k", "Lk") for k in range(-40, 41) if k]
@@ -199,5 +215,5 @@ BRAIDS = st.integers(2, 6).flatmap(lambda s: st.tuples(
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(BRAIDS)
-def test_seam_joins_match_the_concat_words_on_random_braids(braid):
+def test_extend_joins_match_the_concat_words_on_random_braids(braid):
     assert braid_presentation(*braid) == concat_braid_presentation(*braid)

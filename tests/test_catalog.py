@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from nquandles import catalog as catalog_module
+from nquandles import presentations
 from nquandles.catalog import (
     CatalogEntry,
     CatalogError,
@@ -15,7 +16,7 @@ from nquandles.catalog import (
 )
 from nquandles.cli import main
 from nquandles.enumerator import enumerate_quandle
-from nquandles.presentations import FAMILIES, builtin_family
+from nquandles.presentations import FAMILIES, builtin_family, family_components
 
 
 def test_catalog_shape():
@@ -107,6 +108,34 @@ def test_expected_cardinality_out_of_scope_rows_still_answer():
     assert expected_cardinality("Lpq", (2, 2), p=3, q=2, k=1) > 0
     assert expected_cardinality("LkpqC", (2, 2, 2), k=1, p=1, q=2) == 8
     assert expected_cardinality("T23B", (2, 2)) == 18
+
+
+def test_family_components_count_the_built_link():
+    for name, torus in FAMILIES.items():
+        for k in ((-5, -2, 1, 4) if not torus or torus[1] is None else (None,)):
+            link = builtin_family(name, k=k)
+            assert family_components(name, k) == max(link.component_of), (name, k)
+
+
+def test_expected_cardinality_spells_no_relation_word(monkeypatch):
+    # a lookup counts components on the braid's strand cycles, so a large
+    # k costs no presentation
+    def refuse(*args):
+        raise AssertionError("braid_presentation called")
+
+    monkeypatch.setattr(presentations, "braid_presentation", refuse)
+    assert expected_cardinality("T2k", (2,), k=1001) == 1001
+    assert expected_cardinality("T2k", (2, 2), k=-1000) == 1000
+    assert expected_cardinality("Lk", (2, 5), k=1001) == 5007
+    assert expected_cardinality("Lk", (2, 2, 5), k=-1000) == 5002
+    for row_id, ns, params, message in [
+            ("T2k", (2, 2), {"k": 0}, "row T2k: k must be nonzero for T2k"),
+            ("Lk", (2, 2), {}, "row Lk: family Lk needs k"),
+            ("T2k", (2, 2), {"k": 1001}, r"row T2k has N of shape \(2\), not N=\(2, 2\)"),
+            ("Lk", (2, 2, 5), {"k": 1001},
+             r"row Lk has N of shape \(2,n\), not N=\(2, 2, 5\)")]:
+        with pytest.raises(CatalogError, match=f"^{message}$"):
+            expected_cardinality(row_id, ns, **params)
 
 
 def test_expected_cardinality_unknown_row():
