@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .presentations import (FAMILIES, Presentation, PresentationError, augment_n, builtin_family,
-                            family_components)
+                            family_components, family_torus)
 
 _DATA_PATH = Path(__file__).parent / "data" / "cardinalities.txt"
 
@@ -139,18 +139,11 @@ def expected_cardinality(row_id: str, n_values: Sequence[int],
         except PresentationError as exc:
             raise CatalogError(f"row {row_id}: {exc}") from None
         shapes = [s for s in shapes if len(s) == components]
-    return _value(entry, tuple(int(n) for n in n_values), params, shapes)
-
-
-def _value(entry: CatalogEntry, ns: tuple[int, ...], params: Mapping[str, int],
-           shapes: Sequence[tuple[int | str, ...]]) -> int:
-    """The row's value at N tuple ``ns``: its exact entry, or its closed
-    form under ``params`` and the parameters ``ns`` binds in the first of
-    ``shapes`` it fits, e.g. {"n": 5} for (2, 5) against (2,n)."""
+    ns = tuple(int(n) for n in n_values)
     exact = entry.exact_values
     if exact is not None:
         if ns not in exact:
-            raise CatalogError(f"row {entry.row_id} has no value for N={ns}")
+            raise CatalogError(f"row {row_id} has no value for N={ns}")
         return exact[ns]
     for shape in shapes:
         if len(shape) == len(ns) and all(
@@ -158,7 +151,7 @@ def _value(entry: CatalogEntry, ns: tuple[int, ...], params: Mapping[str, int],
             bound = {s: n for s, n in zip(shape, ns) if isinstance(s, str)}
             return _eval_formula(entry.expected, {**params, **bound})
     shown = " or ".join(f"({','.join(map(str, s))})" for s in shapes)
-    raise CatalogError(f"row {entry.row_id} has N of shape {shown}, not N={ns}")
+    raise CatalogError(f"row {row_id} has N of shape {shown}, not N={ns}")
 
 
 @dataclass(frozen=True)
@@ -175,12 +168,13 @@ class CatalogCheck:
 def iter_checks(k_values: Sequence[int] = tuple(range(-6, 7)),
                 n_values: Sequence[int] = (2, 3, 4, 5)) -> Iterator[CatalogCheck]:
     """Executable checks for every row that names a ``FAMILIES`` entry:
-    its ``builtin_family`` enumerated at each N, expecting the row's own
-    value.  Exact rows yield one check per recorded N tuple.  Closed-form
-    rows build their link once for each k of ``k_values``, except k = 0
-    for a torus family T(p, k); then, for each N shape in the order
-    listed, they sweep the k whose link has one component per entry of
-    the shape, and the n of the shape over ``n_values``.
+    its ``builtin_family`` enumerated at each N, expecting the row's
+    ``expected_cardinality``.  Exact rows yield one check per recorded N
+    tuple.  Closed-form rows build their link once for each k of
+    ``k_values``, except k = 0 for a torus family T(p, k); then, for each
+    N shape in the order listed, they sweep the k whose link has one
+    component per entry of the shape, and the n of the shape over
+    ``n_values``.
     """
     for entry in catalog():
         if entry.family not in FAMILIES:
@@ -188,16 +182,17 @@ def iter_checks(k_values: Sequence[int] = tuple(range(-6, 7)),
         exact = entry.exact_values
         if exact is not None:
             p = builtin_family(entry.family)
-            for ns, value in sorted(exact.items()):
-                yield CatalogCheck(entry.row_id, f"N={ns}", augment_n(p, ns), value)
+            for ns in sorted(exact):
+                yield CatalogCheck(entry.row_id, f"N={ns}", augment_n(p, ns),
+                                   expected_cardinality(entry.row_id, ns))
             continue
-        links = [(k, builtin_family(entry.family, k=k)) for k in k_values
-                 if k or FAMILIES[entry.family] is None]
+        links = [(k, builtin_family(entry.family, k=k), family_components(entry.family, k))
+                 for k in k_values if k or family_torus(entry.family, 1) is None]
         for shape in _shapes(entry.n_shape):
-            for k, p in links:
-                if max(p.component_of) != len(shape):
+            for k, p, components in links:
+                if components != len(shape):
                     continue
                 for n in (n_values if "n" in shape else (None,)):
                     ns = tuple(n if s == "n" else s for s in shape)
                     yield CatalogCheck(entry.row_id, f"k={k} N={ns}", augment_n(p, ns),
-                                       _value(entry, ns, {"k": k}, [shape]))
+                                       expected_cardinality(entry.row_id, ns, k=k))

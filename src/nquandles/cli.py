@@ -33,6 +33,7 @@ from .enumerator import (
 )
 from .presentations import (
     FAMILIES,
+    TAKES_K,
     Presentation,
     PresentationError,
     augment_n,
@@ -118,10 +119,6 @@ def _read_text(path: str) -> str:
         raise OSError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
 
 
-# the --family names that take --k: Mk, and the torus families whose q is k
-_TAKES_K = [name for name, torus in FAMILIES.items() if not torus or torus[1] is None]
-
-
 def _check_k(k: int, max_steps: int) -> None:
     """Refuse a family parameter before its words are built: every
     family's relation words grow with |k|, and each universal relation
@@ -135,7 +132,7 @@ def _load_presentation(args: argparse.Namespace) -> Presentation:
     if args.family is not None:
         # builtin_family refuses an unknown name, or a k its family does
         # not take, before it spells a word
-        if args.k is not None and args.family in _TAKES_K:
+        if args.k is not None and args.family in TAKES_K:
             _check_k(args.k, args.max_steps)
         return builtin_family(args.family, k=args.k)
     if args.k is not None:
@@ -272,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", help="presentation text file")
     source.add_argument("--diagram", help="diagram file (JSON lines)")
     enum.add_argument("--k", type=int, default=None,
-                      help=f"parameter for {', '.join(_TAKES_K)}")
+                      help=f"parameter for {', '.join(TAKES_K)}")
     enum.add_argument("--N", type=_n_tuple, default=None, metavar="N1,N2,...",
                       help="orders, one per link component")
     enum.add_argument("--max-vertices", type=_cap, default=DEFAULT_MAX_VERTICES)

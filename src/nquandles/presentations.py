@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from math import gcd
 from typing import Mapping, Sequence
 
 from .words import Word, concat, extend, invert, reduce, word_str
@@ -591,8 +592,12 @@ FAMILIES: dict[str, tuple | None] = {
 }
 
 
-def builtin_braid(family: str, k: int | None = None) -> tuple[tuple[int, ...], int] | None:
-    """Braid word and strand count of a ``FAMILIES`` name, or None for Mk.
+# the --family names that take k: Mk, and the torus families whose q is k
+TAKES_K = tuple(name for name, torus in FAMILIES.items() if not torus or torus[1] is None)
+
+
+def family_torus(family: str, k: int | None = None) -> tuple | None:
+    """Arguments of ``torus_braid`` for a ``FAMILIES`` name at k, or None for Mk.
 
     The one rule for a family's k: T2k and Lk take it as q, nonzero, Mk
     takes any k, and every other family takes none.  An unknown name or
@@ -600,37 +605,37 @@ def builtin_braid(family: str, k: int | None = None) -> tuple[tuple[int, ...], i
     """
     if family not in FAMILIES:
         raise PresentationError(f"unknown family {family!r}")
-    torus = FAMILIES[family]
-    if (torus is None or torus[1] is None) != (k is not None):
+    if (family in TAKES_K) != (k is not None):
         raise PresentationError(
             f"family {family} {'needs' if k is None else 'takes no'} k")
+    torus = FAMILIES[family]
     if torus is None:
         return None
-    strands, q, *axis = torus
     if k == 0:
         raise PresentationError(f"k must be nonzero for {family}")
-    return torus_braid(strands, q or k, *axis)
+    p, q, *axis = torus
+    return p, q or k, *axis
 
 
 def family_components(family: str, k: int | None = None) -> int:
-    """Number of link components of a ``FAMILIES`` name at k: a braid's
-    strand cycles, so no relation word is spelled; Mk has its twist knot
-    and axis.  Refuses what ``builtin_braid`` refuses."""
-    braid = builtin_braid(family, k)
-    return 2 if braid is None else max(_braid_arcs(*braid)[3])
+    """Number of link components of a ``FAMILIES`` name at k, read off
+    ``family_torus`` with no braid spelled: gcd(p, q) for T(p, q), one
+    more for its axis, and 2 for Mk, its twist knot and axis."""
+    torus = family_torus(family, k)
+    return 2 if torus is None else gcd(torus[0], torus[1]) + any(torus[2:])
 
 
 def builtin_family(family: str, k: int | None = None,
                    n_values: Sequence[int] | None = None) -> Presentation:
-    """Presentation of a ``FAMILIES`` name at the k ``builtin_braid``
+    """Presentation of a ``FAMILIES`` name at the k ``family_torus``
     accepts.
 
     A torus link is presented by ``braid_presentation`` from its braid,
     and Mk by ``_family_mk``.  ``n_values``, when given, is attached with
     ``augment_n``; T24C defaults to N = (2, 3, 2) and Mk to N = (2, 3).
     """
-    braid = builtin_braid(family, k)
-    p = _family_mk(k) if braid is None else braid_presentation(*braid)
+    torus = family_torus(family, k)
+    p = _family_mk(k) if torus is None else braid_presentation(*torus_braid(*torus))
     if family == "T24C":
         p = augment_n(p, (2, 3, 2))
     if n_values is not None:

@@ -22,6 +22,7 @@ from nquandles.catalog import catalog, iter_checks
 from nquandles.enumerator import enumerate_quandle
 from nquandles.presentations import (
     FAMILIES,
+    TAKES_K,
     Presentation,
     PrimaryRelation,
     augment_n,
@@ -33,7 +34,7 @@ from nquandles.presentations import (
 from nquandles.quandle import is_isomorphic, orbits
 
 # the builtin torus families with a fixed q
-FIXED = [name for name, torus in FAMILIES.items() if torus and torus[1] is not None]
+FIXED = [name for name in FAMILIES if name not in TAKES_K]
 TWO_STRAND = {"trefoil": 3, "hopf": 2, "T24": 4, "T25": 5, "T26": 6, "T28": 8, "T210": 10}
 
 

@@ -16,7 +16,7 @@ from nquandles.catalog import (
 )
 from nquandles.cli import main
 from nquandles.enumerator import enumerate_quandle
-from nquandles.presentations import FAMILIES, builtin_family, family_components
+from nquandles.presentations import FAMILIES, TAKES_K, builtin_family, family_components
 
 
 def test_catalog_shape():
@@ -35,9 +35,7 @@ def test_every_family_column_names_a_builtin_family_of_its_n_shape():
         if not entry.family:
             continue
         assert entry.family in FAMILIES, entry.row_id
-        torus = FAMILIES[entry.family]
-        takes_k = not torus or torus[1] is None
-        ks = [k for k in range(-6, 7) if k] if takes_k else [None]
+        ks = [k for k in range(-6, 7) if k] if entry.family in TAKES_K else [None]
         counts = {max(builtin_family(entry.family, k=k).component_of) for k in ks}
         lengths = [len(shape) for shape in catalog_module._shapes(entry.n_shape)]
         assert set(lengths) <= counts, (entry.row_id, lengths, counts)
@@ -111,15 +109,15 @@ def test_expected_cardinality_out_of_scope_rows_still_answer():
 
 
 def test_family_components_count_the_built_link():
-    for name, torus in FAMILIES.items():
-        for k in ((-5, -2, 1, 4) if not torus or torus[1] is None else (None,)):
+    for name in FAMILIES:
+        for k in ((-5, -2, 1, 4) if name in TAKES_K else (None,)):
             link = builtin_family(name, k=k)
             assert family_components(name, k) == max(link.component_of), (name, k)
 
 
 def test_expected_cardinality_spells_no_relation_word(monkeypatch):
-    # a lookup counts components on the braid's strand cycles, so a large
-    # k costs no presentation
+    # a lookup counts components by the family rule, so a large k costs
+    # no presentation
     def refuse(*args):
         raise AssertionError("braid_presentation called")
 
@@ -223,10 +221,10 @@ def test_data_file_rows(tmp_path, monkeypatch, row, value):
     data = tmp_path / "cardinalities.txt"
     data.write_text(f"# columns\n{row}\n")
     monkeypatch.setattr(catalog_module, "_DATA_PATH", data)
+    monkeypatch.setattr(catalog_module, "catalog", load_catalog)
     if isinstance(value, str):
         with pytest.raises(ValueError) as err:
             load_catalog()
         assert err.value.args == (value + repr(row),)
     else:
-        (entry,) = load_catalog()
-        assert catalog_module._value(entry, (3,), {}, [("n",)]) == value
+        assert expected_cardinality("X", (3,)) == value

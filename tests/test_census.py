@@ -6,19 +6,29 @@ all 3s, each finite result must also be isomorphic to the results of
 the word rotated by one letter and of the word with sigma_1 and sigma_2
 swapped, and its mirror image must give a quandle of the same size.
 Each finite result must also be isomorphic to those of its Markov
-stabilizations on four strands."""
+stabilizations on four strands.
+
+At N all 2 the census also checks the size law against the link's
+determinant, computed twice with no enumerator code: a finite result has
+c·det elements, and a link of determinant 0 never closes.  ``census`` is
+the whole check; the CI workflow imports it, with ``tests`` on the path,
+to run longer words and four strands than the test here."""
 
 import hashlib
+from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 from nquandles import (
     EnumerationLimits,
     augment_n,
     braid_presentation,
+    closed_braid_diagram,
     enumerate_quandle,
     is_isomorphic,
     verify_all,
 )
+from test_pretzels import coloring_determinant
 
 LIMITS = EnumerationLimits(max_vertices=2_000)
 
@@ -100,3 +110,56 @@ def test_finite_results_are_invariant_under_markov_stabilization():
                 assert is_isomorphic(stabilized.quandle, out.quandle), (word, letter, n)
                 pairs += 1
     assert pairs == 212
+
+
+# the reduced Burau matrices of s_1, s_2 and their inverses at t = -1
+BURAU = {1: ((1, 1), (0, 1)), 2: ((1, 0), (-1, 1)),
+         -1: ((1, -1), (0, 1)), -2: ((1, 0), (1, 1))}
+
+
+def burau_determinant(word):
+    """|det(I - B)| for B the reduced Burau matrix of a 3-strand word at
+    t = -1: the Alexander polynomial at -1 times 1 + t + t², which is 1
+    there, so the determinant of the closed braid."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for letter in word:
+        (e, f), (g, h) = BURAU[letter]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return abs((1 - a) * (1 - d) - b * c)
+
+
+def diagram_determinant(word, strands):
+    """The Fox coloring determinant of the closed braid's diagram."""
+    d = closed_braid_diagram(word, strands)
+    arc = {name: i for i, name in enumerate(d.arc_component)}
+    crossings = [(arc[c.over], arc[c.under_in], arc[c.under_out]) for c in d.crossings]
+    return coloring_determinant(crossings, len(arc))
+
+
+def census(strands, max_letters):
+    """Enumerate every closed braid of ``braid_words(strands,
+    max_letters)`` with n = 2 on every component, under the 2,000-vertex
+    cap.  On three strands the two determinants must agree (on four the
+    Burau factor 1 + t + t² + t³ vanishes at t = -1).  A finite run must
+    pass ``verify_all`` and have c·det elements for some c, det > 0; a
+    run of det 0 must stop at the vertex cap.  Returns (by c, det 0,
+    capped): the finite runs counted by c, the det-0 runs, and the other
+    runs that stopped at the cap."""
+    by_c, det_zero, capped = Counter(), 0, 0
+    for word in braid_words(strands, max_letters):
+        det = diagram_determinant(word, strands)
+        if strands == 3:
+            assert burau_determinant(word) == det, word
+        out = uniform(word, 2, strands)
+        if out.finite:
+            assert det and verify_all(out.quandle), (word, det)
+            by_c[Fraction(out.quandle.size, det)] += 1
+        else:
+            assert out.cap_kind == "vertices", (word, out.stats)
+            det_zero += not det
+            capped += bool(det)
+    return dict(by_c), det_zero, capped
+
+
+def test_size_law_at_n_all_2_on_three_strand_words_of_at_most_six_letters():
+    assert census(3, 6) == ({1: 606, Fraction(3, 2): 16}, 304, 90)

@@ -11,6 +11,7 @@ from nquandles.catalog import CatalogError
 from nquandles.cli import main
 from nquandles.presentations import (
     FAMILIES,
+    TAKES_K,
     DiagramError,
     ParseError,
     PresentationError,
@@ -68,8 +69,7 @@ def test_enumerate_missing_n(capsys):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_enumerate_every_builtin_family_at_n_all_2(capsys, family):
     # the fuzz draws these names too, but reaches only a few of them
-    torus = FAMILIES[family]
-    k = 3 if not torus or torus[1] is None else None
+    k = 3 if family in TAKES_K else None
     components = max(builtin_family(family, k=k).component_of)
     code, out, err = run(capsys, "enumerate", "--family", family,
                          *(["--k", str(k)] if k else []), "--N", ",".join(["2"] * components))

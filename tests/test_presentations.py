@@ -4,9 +4,11 @@ import re
 
 import pytest
 
+from nquandles import presentations
 from nquandles.enumerator import TraceGraph, compile_relators, enumerate_quandle
 from nquandles.presentations import (
     FAMILIES,
+    TAKES_K,
     Crossing,
     Diagram,
     DiagramError,
@@ -19,6 +21,8 @@ from nquandles.presentations import (
     braid_presentation,
     builtin_family,
     closed_braid_diagram,
+    family_components,
+    family_torus,
     parse_diagram,
     parse_presentation,
     parse_word,
@@ -28,7 +32,7 @@ from nquandles.presentations import (
     wirtinger,
 )
 
-FIXED = [name for name, torus in FAMILIES.items() if torus and torus[1] is not None]
+FIXED = [name for name in FAMILIES if name not in TAKES_K]
 
 
 # --- words and text round trips -------------------------------------------
@@ -514,6 +518,26 @@ def test_builtin_family_k_handling():
         builtin_family("Lk", k=0)
     # the twist family is defined at every integer
     assert builtin_family("Mk", k=0).n_values == (2, 3)
+
+
+def test_family_rule_spells_no_braid(monkeypatch):
+    # the rule and the component count read the table alone, so a k far
+    # past any braid that could be spelled answers at once
+    def refuse(*args):
+        raise AssertionError("a braid was spelled")
+
+    monkeypatch.setattr(presentations, "torus_braid", refuse)
+    monkeypatch.setattr(presentations, "braid_presentation", refuse)
+    for k in (10**12, -10**12, 10**12 + 1, -10**12 - 1):
+        assert family_torus("T2k", k) == (2, k)
+        assert family_torus("Lk", k) == (2, k, True)
+        # T(2, k) has two components for even k, one for odd
+        assert family_components("T2k", k) == 2 - k % 2, k
+        assert family_components("Lk", k) == 3 - k % 2, k
+    assert family_torus("Mk", -10**12) is None
+    assert family_components("Mk", 10**12) == 2
+    assert family_torus("T23B") == (3, 2, True)
+    assert family_components("T23B") == 2
 
 
 def test_builtin_family_defaults():

@@ -97,11 +97,12 @@ def determinant(a):
     return abs(sum(prod(a[:i] + a[i + 1:]) for i in range(len(a))))
 
 
-def coloring_determinant(a):
-    """The order of the reduced Fox coloring module, 0 if infinite: one
-    row 2·over - under_in - under_out per crossing, the last arc's column
-    deleted, reduced to echelon form by exact integer elimination."""
-    crossings, arcs = pretzel(a)
+def coloring_determinant(crossings, arcs):
+    """The order of the reduced Fox coloring module of a diagram with
+    ``arcs`` arcs numbered from 0 and ``crossings`` given as (over,
+    under_in, under_out), 0 if infinite: one row 2·over - under_in -
+    under_out per crossing, the last arc's column deleted, reduced to
+    echelon form by exact integer elimination."""
     rows = []
     for over, under_in, under_out in crossings:
         row = [0] * arcs
@@ -168,7 +169,7 @@ def grid(rs, a_max):
     for r in rs:
         for a in necklaces(r, a_max):
             det = determinant(a)
-            assert coloring_determinant(a) == det, a
+            assert coloring_determinant(*pretzel(a)) == det, a
             p = presentation(a)
             if predicted_finite(a):
                 out = enumerate_quandle(p)
