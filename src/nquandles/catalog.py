@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .presentations import (FAMILIES, Presentation, PresentationError, augment_n, builtin_family,
                             family_components, family_torus)
@@ -166,18 +166,20 @@ class CatalogCheck:
 
 
 def iter_checks(k_values: Sequence[int] = tuple(range(-6, 7)),
-                n_values: Sequence[int] = (2, 3, 4, 5)) -> Iterator[CatalogCheck]:
-    """Executable checks for every row that names a ``FAMILIES`` entry:
-    its ``builtin_family`` enumerated at each N, expecting the row's
-    ``expected_cardinality``.  Exact rows yield one check per recorded N
-    tuple.  Closed-form rows build their link once for each k of
-    ``k_values``, except k = 0 for a torus family T(p, k); then, for each
-    N shape in the order listed, they sweep the k whose link has one
-    component per entry of the shape, and the n of the shape over
-    ``n_values``.
+                n_values: Sequence[int] = (2, 3, 4, 5),
+                rows: Collection[str] | None = None) -> Iterator[CatalogCheck]:
+    """Executable checks for every row that names a ``FAMILIES`` entry,
+    or for those of them in ``rows`` when given, in catalog order: its
+    ``builtin_family`` enumerated at each N, expecting the row's
+    ``expected_cardinality``.  A row left out builds nothing.  Exact rows
+    yield one check per recorded N tuple.  Closed-form rows build their
+    link once for each k of ``k_values``, except k = 0 for a torus family
+    T(p, k); then, for each N shape in the order listed, they sweep the k
+    whose link has one component per entry of the shape, and the n of the
+    shape over ``n_values``.
     """
     for entry in catalog():
-        if entry.family not in FAMILIES:
+        if entry.family not in FAMILIES or (rows is not None and entry.row_id not in rows):
             continue
         exact = entry.exact_values
         if exact is not None:

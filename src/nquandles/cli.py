@@ -83,6 +83,15 @@ def _int_range(text: str) -> range:
     return range(first, last + 1)
 
 
+def _n_range(text: str) -> range:
+    """An ``_int_range`` of N values, each at least 1."""
+    values = _int_range(text)
+    if values and values.start < 1:
+        raise argparse.ArgumentTypeError(
+            f"n values must be positive integers, not {values.start} in {text!r}")
+    return values
+
+
 def _cap(text: str) -> int:
     """A step or vertex cap: an integer from 0 to sys.maxsize, so that
     every count it bounds stays a machine-sized integer."""
@@ -212,8 +221,7 @@ def cmd_verify_catalog(args: argparse.Namespace) -> int:
         find_row(r.strip()).row_id for r in args.rows.split(",") if r.strip()]
     for k in (args.k_range.start, args.k_range.stop - 1):
         _check_k(k, DEFAULT_MAX_STEPS)
-    checks = [c for c in iter_checks(k_values=args.k_range, n_values=args.n_range)
-              if wanted is None or c.row_id in wanted]
+    checks = list(iter_checks(k_values=args.k_range, n_values=args.n_range, rows=wanted))
     if not checks:
         raise CatalogError("no checks selected")
 
@@ -293,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma separated row ids (default: every row that names a family)")
     vc.add_argument("--k-range", type=_int_range, default=range(-6, 7),
                     metavar="A:B", help="k sweep for parameterized rows")
-    vc.add_argument("--n-range", type=_int_range, default=range(2, 6),
+    vc.add_argument("--n-range", type=_n_range, default=range(2, 6),
                     metavar="A:B", help="n sweep for axis components")
     vc.add_argument("--timing", action="store_true")
     vc.set_defaults(func=cmd_verify_catalog)

@@ -5,7 +5,7 @@ the braid, ``_braid_arcs``: its crossing convention, arcs and component
 numbering.  So the Wirtinger presentation of the closed braid's diagram
 checks the expressions ``braid_presentation`` carries, not that walk.
 What stays independent of it: the concat walk below, which carries
-whole words re-reduced by a stack loop of its own and numbers the
+whole words re-reduced by ``oracles.naive_reduce`` and numbers the
 components itself; the coset indices of the N-quandle's group; and the
 catalog's sizes, which both routes must reproduce."""
 
@@ -32,6 +32,8 @@ from nquandles.presentations import (
     wirtinger,
 )
 from nquandles.quandle import is_isomorphic, orbits
+from nquandles.words import invert
+from oracles import naive_reduce
 
 # the builtin torus families with a fixed q
 FIXED = [name for name in FAMILIES if name not in TAKES_K]
@@ -151,36 +153,19 @@ def test_orbit_sizes_are_coset_indices(word, strands, ns, sizes):
     assert coset_indices(p) == sizes
 
 
-def concat(*words):
-    """Free reduction of the joined words, by a stack loop that shares no
-    code with ``words``."""
-    out = []
-    for word in words:
-        for c in word:
-            if out and out[-1] == c ^ 1:
-                out.pop()
-            else:
-                out.append(c)
-    return tuple(out)
-
-
-def invert(word):
-    return tuple(c ^ 1 for c in reversed(word))
-
-
 def concat_braid_presentation(braid_word, strands):
     """Reference: the closed braid's presentation with every crossing's
-    word re-reduced whole, not extended in place on the under arc's word.
-    Each strand's component is numbered by the least strand of its cycle,
-    ranked; at most 26 strands."""
+    word re-reduced whole by ``naive_reduce``, not extended in place on
+    the under arc's word.  Each strand's component is numbered by the
+    least strand of its cycle, ranked; at most 26 strands."""
     at = [(p, ()) for p in range(strands)]
     for letter in braid_word:
         i = abs(letter) - 1
         (a, u), (b, v) = at[i], at[i + 1]
         if letter > 0:
-            at[i], at[i + 1] = (b, concat(v, invert(u), (2 * a,), u)), (a, u)
+            at[i], at[i + 1] = (b, naive_reduce(v, invert(u), (2 * a,), u)), (a, u)
         else:
-            at[i], at[i + 1] = (b, v), (a, concat(u, invert(v), (2 * b + 1,), v))
+            at[i], at[i + 1] = (b, v), (a, naive_reduce(u, invert(v), (2 * b + 1,), v))
     relations = []
     for p, (base, word) in enumerate(at):
         while word and word[0] >> 1 == base:

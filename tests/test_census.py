@@ -9,10 +9,12 @@ Each finite result must also be isomorphic to those of its Markov
 stabilizations on four strands.
 
 At N all 2 the census also checks the size law against the link's
-determinant, computed twice with no enumerator code: a finite result has
-c·det elements, and a link of determinant 0 never closes.  ``census`` is
-the whole check; the CI workflow imports it, with ``tests`` on the path,
-to run longer words and four strands than the test here."""
+determinant, computed twice with no enumerator code by ``oracles``, from
+the diagram's Fox coloring matrix and from Burau at t = -1: a finite
+result has c·det elements, and a link of determinant 0 never closes.
+The words are ``oracles.rotation_classes``.  ``census`` is the whole
+check; the CI workflow imports it, with ``tests`` on the path, to run
+longer words and four strands than the test here."""
 
 import hashlib
 from collections import Counter
@@ -28,19 +30,12 @@ from nquandles import (
     is_isomorphic,
     verify_all,
 )
-from test_pretzels import coloring_determinant
+from oracles import burau_determinant, coloring_determinant, rotation_classes
 
 LIMITS = EnumerationLimits(max_vertices=2_000)
 
 
-def braid_words(strands, max_letters):
-    """Words in the letters +-1 .. +-(strands - 1), the least of each
-    class of cyclic rotations, by length."""
-    letters = sorted(s * i for i in range(1, strands) for s in (1, -1))
-    for n in range(1, max_letters + 1):
-        for word in product(letters, repeat=n):
-            if word == min(word[i:] + word[:i] for i in range(n)):
-                yield word
+WORDS = list(rotation_classes(2, range(1, 5)))
 
 
 # sha256 of every run's word, N tuple, cap kind and counters, one line
@@ -51,11 +46,10 @@ THREE_STRAND_DIGEST = "788829ac557b9719b38a940d08bf3bf838b514cd65e697388fe44c26d
 
 
 def test_three_strand_words_of_at_most_four_letters():
-    words = list(braid_words(3, 4))
-    assert len(words) == 108
+    assert len(WORDS) == 108
     runs = finite = 0
     digest = hashlib.sha256()
-    for word in words:
+    for word in WORDS:
         p = braid_presentation(word, 3)
         for ns in product((2, 3), repeat=len(set(p.component_of))):
             runs += 1
@@ -79,7 +73,7 @@ def test_finite_results_are_invariant_under_rotation_flip_and_mirror():
     # are numbered, so a braid that closes to the same link must give an
     # isomorphic quandle, and its mirror image one of the same size
     finite = 0
-    for word in braid_words(3, 4):
+    for word in WORDS:
         rotated = word[1:] + word[:1]
         flipped = tuple(3 - x if x > 0 else -3 - x for x in word)
         mirrored = tuple(-x for x in word)
@@ -98,7 +92,7 @@ def test_finite_results_are_invariant_under_rotation_flip_and_mirror():
 def test_finite_results_are_invariant_under_markov_stabilization():
     # w s_3 and w s_3' on four strands close the same link as w on three
     pairs = 0
-    for word in braid_words(3, 4):
+    for word in WORDS:
         for n in (2, 3):
             out = uniform(word, n)
             if not out.finite:
@@ -112,22 +106,6 @@ def test_finite_results_are_invariant_under_markov_stabilization():
     assert pairs == 212
 
 
-# the reduced Burau matrices of s_1, s_2 and their inverses at t = -1
-BURAU = {1: ((1, 1), (0, 1)), 2: ((1, 0), (-1, 1)),
-         -1: ((1, -1), (0, 1)), -2: ((1, 0), (1, 1))}
-
-
-def burau_determinant(word):
-    """|det(I - B)| for B the reduced Burau matrix of a 3-strand word at
-    t = -1: the Alexander polynomial at -1 times 1 + t + t², which is 1
-    there, so the determinant of the closed braid."""
-    (a, b), (c, d) = (1, 0), (0, 1)
-    for letter in word:
-        (e, f), (g, h) = BURAU[letter]
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    return abs((1 - a) * (1 - d) - b * c)
-
-
 def diagram_determinant(word, strands):
     """The Fox coloring determinant of the closed braid's diagram."""
     d = closed_braid_diagram(word, strands)
@@ -137,16 +115,16 @@ def diagram_determinant(word, strands):
 
 
 def census(strands, max_letters):
-    """Enumerate every closed braid of ``braid_words(strands,
-    max_letters)`` with n = 2 on every component, under the 2,000-vertex
-    cap.  On three strands the two determinants must agree (on four the
-    Burau factor 1 + t + t² + t³ vanishes at t = -1).  A finite run must
-    pass ``verify_all`` and have c·det elements for some c, det > 0; a
-    run of det 0 must stop at the vertex cap.  Returns (by c, det 0,
-    capped): the finite runs counted by c, the det-0 runs, and the other
-    runs that stopped at the cap."""
+    """Enumerate every closed braid on ``strands`` strands of at most
+    ``max_letters`` letters, one word per rotation class, with n = 2 on
+    every component, under the 2,000-vertex cap.  On three strands the
+    two determinants must agree (on four the Burau factor 1 + t + t² + t³
+    vanishes at t = -1).  A finite run must pass ``verify_all`` and have
+    c·det elements for some c, det > 0; a run of det 0 must stop at the
+    vertex cap.  Returns (by c, det 0, capped): the finite runs counted by
+    c, the det-0 runs, and the other runs that stopped at the cap."""
     by_c, det_zero, capped = Counter(), 0, 0
-    for word in braid_words(strands, max_letters):
+    for word in rotation_classes(strands - 1, range(1, max_letters + 1)):
         det = diagram_determinant(word, strands)
         if strands == 3:
             assert burau_determinant(word) == det, word

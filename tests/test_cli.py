@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from nquandles import catalog as catalog_module
 from nquandles.catalog import CatalogError
 from nquandles.cli import main
 from nquandles.presentations import (
@@ -244,6 +245,21 @@ def test_an_n_value_below_one_is_a_usage_error(capsys, argv):
         "argument --N: N values must be positive integers")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n-range", "0:2"], "not 0 in '0:2'"),
+    # T24 takes no n, but the option is refused before any row is read
+    (["--rows", "T24", "--n-range", "-3:-1"], "not -3 in '-3:-1'"),
+])
+def test_an_n_range_below_one_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(["verify-catalog", *argv])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument --n-range: n values must be positive integers, {message}")
+
+
 def test_enumerate_source_required():
     with pytest.raises(SystemExit) as err:
         main(["enumerate"])
@@ -365,6 +381,20 @@ def test_verify_catalog_rows(capsys):
     lines = out.splitlines()
     assert lines[0] == "ok   T24 N=(3, 3): 8"
     assert lines[-1] == "checks: 3 total, 3 ok, 0 failed"
+
+
+def test_verify_catalog_builds_only_the_rows_it_selects(capsys, monkeypatch):
+    built = []
+
+    def recording(family, k=None):
+        built.append((family, k))
+        return builtin_family(family, k=k)
+
+    monkeypatch.setattr(catalog_module, "builtin_family", recording)
+    code, out, _ = run(capsys, "verify-catalog", "--rows", "Mk", "--k-range=1:1")
+    assert code == 0
+    assert out == "ok   Mk k=1 N=(2, 3): 26\nchecks: 1 total, 1 ok, 0 failed\n"
+    assert built == [("Mk", 1)]
 
 
 def test_verify_catalog_unknown_row(capsys):

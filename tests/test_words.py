@@ -16,23 +16,10 @@ from nquandles.words import (
     reduce,
     word_str,
 )
+from oracles import naive_reduce
 
 a, A, b, B, c, C = range(6)
 ALPHABET = list(range(6))
-
-
-def naive_reduce(letters):
-    # Quadratic fixpoint deletion, the obviously-correct spelling.
-    out = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            if out[i] == out[i + 1] ^ 1:
-                del out[i:i + 2]
-                changed = True
-                break
-    return tuple(out)
 
 
 def test_reduce_matches_naive_exhaustively():
