@@ -4,10 +4,12 @@ A sealed quandle stores, for each generator g, the permutation x -> x^g
 of the element set {0, ..., size-1}, and derives its inverse on first
 read.  Every element the generators reach is named by an expression
 a^w derived from the tables too: a positive word along the
-breadth-first generator tree, spelled when a name is first read
-(exports and names read them; enumeration, the size checks and
-verification do not).  The operation table M[x, y] = x > y is built
-once per quandle along that tree's forward generator edges, which
+breadth-first generator tree, spelled when a name is first read, each
+name from its tree parent's by one string append (exports and names
+read them; enumeration, the size checks and verification do not).
+``export_json`` writes the bytes of json.dumps(indent=2,
+sort_keys=True) without running json's pure-Python encoder.  The
+operation table M[x, y] = x > y is built once per quandle along that tree's forward generator edges, which
 reach whole orbits since a permutation's inverse is one of its
 powers: the column of a generator element is that generator's action,
 and each other column y^g is the conjugate A[g] R_y A'[g] of a column
@@ -32,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -74,8 +77,9 @@ class FiniteQuandle:
     action[g][x] is x^g; ``arrays`` (the actions and their inverses as
     numpy arrays) and inverse_action[g][x] = x^(g') are derived from it
     once.  Elements are 0-based; generator_element maps a generator
-    index to the element representing it.  ``tree`` and witnesses[x],
-    the name of element x, are derived from those two fields.
+    index to the element representing it.  ``tree``, the names and
+    witnesses[x], the word a^w of element x's name, are derived from
+    those two fields.
     relations carries the defining primary relations when the quandle
     came out of an enumeration (used to prune isomorphism searches);
     hand-built tables may leave it empty.
@@ -109,17 +113,31 @@ class FiniteQuandle:
 
     @cached_property
     def element_names(self) -> tuple[str, ...]:
-        """Each element's witness spelled out, rendered on first read.
-        A ValueError names the first element no generator reaches."""
-        names, words = self.generator_names, self.witnesses
-        if None in words:
-            raise ValueError(f"element {words.index(None)} is not reached from the generators")
-        return tuple(expression_str(w, names) for w in words)
+        """Each element's witness as ``expression_str`` spells it,
+        rendered on first read in one pass over ``tree``: a root is its
+        generator's name, and the edge y --g--> z names z by y's name,
+        a join and g's name, the join "^" after a root and the letter
+        separator deeper.  A ValueError names the first element no
+        generator reaches."""
+        gens = self.generator_names
+        sep = "" if all(len(name) == 1 for name in gens) else " "
+        after_root = ["^" + name for name in gens]
+        deeper = [sep + name for name in gens]
+        roots, via = self.tree
+        names: list = [None] * self.size
+        for g, e in roots:
+            names[e] = gens[g]
+        top = {e for _, e in roots}
+        for z, (y, g) in via.items():
+            names[z] = names[y] + (after_root if y in top else deeper)[g]
+        if None in names:
+            raise ValueError(f"element {names.index(None)} is not reached from the generators")
+        return tuple(names)
 
     @cached_property
     def witnesses(self) -> tuple[Expression | None, ...]:
-        """Names along the breadth-first generator tree, spelled on
-        first read: a root is named by its generator, and the tree edge
+        """The names' words a^w along the breadth-first generator
+        tree, spelled on first read: a root is named by its generator, and the tree edge
         y --g--> z names z by y's word and the letter g, so every word
         is positive, as long as its element's depth, and made of one
         letter object per generator.  None for an element no generator
@@ -163,7 +181,9 @@ class FiniteQuandle:
         """The generator actions A[g] as one read-only array in the
         table's dtype, and their inverses A'[g], derived on first read:
         the sort order of a permutation's values is its inverse."""
-        act = np.asarray(self.action, dtype=_table_dtype(self.size)).reshape(-1, self.size)
+        act = np.asarray(self.action, dtype=_table_dtype(self.size))
+        # both sides named: with no elements, -1 has nothing to infer from
+        act = act.reshape(len(self.action), self.size)
         inv = np.argsort(act, axis=1)
         act.flags.writeable = inv.flags.writeable = False
         return act, inv
@@ -607,21 +627,40 @@ def export_dot(q: FiniteQuandle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_json(q: FiniteQuandle) -> str:
-    """Adjacency export: element names plus per-generator action arrays."""
-    import json
+def _json_array(items: Iterable[str], pad: str = "  ") -> str:
+    """A JSON array of encoded items laid out as json.dumps(indent=2)
+    lays it out on a line indented by pad."""
+    inner = pad + "  "
+    body = (",\n" + inner).join(items)
+    return f"[\n{inner}{body}\n{pad}]" if body else "[]"
 
-    payload = {
-        "size": q.size,
-        "generators": list(q.generator_names),
-        "generator_element": list(q.generator_element),
-        "component_of_generator": list(q.component_of_generator),
-        "n_values": list(q.n_values),
-        "elements": list(q.element_names),
-        "action": [list(row) for row in q.action],
-        "inverse_action": [list(row) for row in q.inverse_action],
+
+def export_json(q: FiniteQuandle) -> str:
+    """Adjacency export: element names plus per-generator action arrays,
+    the bytes of json.dumps(payload, indent=2, sort_keys=True) and a
+    newline.  That call runs the pure-Python encoder, since indent turns
+    the C one off, so the text is joined here instead: ints written by
+    str and strings by json's C escaper."""
+    string = encode_basestring_ascii
+
+    def ints(values: Iterable[int], pad: str = "  ") -> str:
+        return _json_array(map(str, values), pad)
+
+    def rows(table: Iterable[Iterable[int]]) -> str:
+        return _json_array([ints(row, "    ") for row in table])
+
+    fields = {
+        "size": str(q.size),
+        "generators": _json_array(map(string, q.generator_names)),
+        "generator_element": ints(q.generator_element),
+        "component_of_generator": ints(q.component_of_generator),
+        "n_values": ints(q.n_values),
+        "elements": _json_array(map(string, q.element_names)),
+        "action": rows(q.action),
+        "inverse_action": rows(q.inverse_action),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    body = ",\n".join(f"  {string(key)}: {value}" for key, value in sorted(fields.items()))
+    return "{\n" + body + "\n}\n"
 
 
 def verify_all(q: FiniteQuandle) -> VerificationReport:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line surface."""
 
+import dataclasses
 import hashlib
 import re
 import subprocess
@@ -8,8 +9,10 @@ import sys
 import pytest
 
 from nquandles import catalog as catalog_module
-from nquandles.catalog import CatalogError
+from nquandles import cli
+from nquandles.catalog import CatalogError, iter_checks
 from nquandles.cli import main
+from nquandles.enumerator import EnumerationLimits, enumerate_quandle
 from nquandles.presentations import (
     FAMILIES,
     TAKES_K,
@@ -198,6 +201,24 @@ def test_enumerate_writes_dot_and_json(tmp_path, capsys):
     assert f"wrote {dot}" in out
     assert dot.read_text().startswith("digraph quandle {")
     assert js.read_text().startswith("{")
+
+
+def test_one_parser_serves_every_call_with_its_own_options(tmp_path, monkeypatch, capsys):
+    # --verify full and both exports, then the defaults: the second call
+    # keeps nothing of the first
+    monkeypatch.chdir(tmp_path)
+    argvs = (["enumerate", "--family", "T24", "--N", "3,3", "--verify", "full",
+              "--dot", "q.dot", "--json", "q.json"],
+             ["enumerate", "--family", "T24", "--N", "3,3"])
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    parser = cli._build_parser()
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert cli._build_parser() is parser
+    assert fresh[0][1].endswith("verify full: ok\nwrote q.dot\nwrote q.json\n")
+    assert fresh[1][1].endswith("verify axioms: ok\n")
 
 
 def test_enumerate_usage_error():
@@ -395,6 +416,34 @@ def test_verify_catalog_builds_only_the_rows_it_selects(capsys, monkeypatch):
     assert code == 0
     assert out == "ok   Mk k=1 N=(2, 3): 26\nchecks: 1 total, 1 ok, 0 failed\n"
     assert built == [("Mk", 1)]
+
+
+@pytest.mark.parametrize("k_range, tampered, code, out", [
+    # Mk k=3 creates 295 vertices for its 98 elements
+    ("3:3", None, 4,
+     "FAIL Mk k=3 N=(2, 3): want 98 got exceeded vertices cap\n"
+     "checks: 1 total, 0 ok, 1 failed\n"),
+    # Mk k=1 closes at 43 vertices, but its row now wants 27
+    ("1:3", 1, 3,
+     "FAIL Mk k=1 N=(2, 3): want 27 got 26\n"
+     "FAIL Mk k=2 N=(2, 3): want 62 got exceeded vertices cap\n"
+     "FAIL Mk k=3 N=(2, 3): want 98 got exceeded vertices cap\n"
+     "checks: 3 total, 0 ok, 3 failed\n"),
+    ("1:1", 1, 3, "FAIL Mk k=1 N=(2, 3): want 27 got 26\nchecks: 1 total, 0 ok, 1 failed\n"),
+], ids=["cap-stop", "cap-stop-and-mismatch", "mismatch"])
+def test_verify_catalog_exits_4_when_every_failure_is_a_cap_stop(capsys, monkeypatch, k_range,
+                                                                  tampered, code, out):
+    def capped(p):
+        return enumerate_quandle(p, EnumerationLimits(max_vertices=100))
+
+    def tampering(**kwargs):
+        for check in iter_checks(**kwargs):
+            wrong = check.label.startswith(f"k={tampered} ")
+            yield dataclasses.replace(check, expected=check.expected + 1) if wrong else check
+
+    monkeypatch.setattr(cli, "enumerate_quandle", capped)
+    monkeypatch.setattr(cli, "iter_checks", tampering)
+    assert run(capsys, "verify-catalog", "--rows", "Mk", f"--k-range={k_range}") == (code, out, "")
 
 
 def test_verify_catalog_unknown_row(capsys):

@@ -45,7 +45,7 @@ from nquandles.quandle import (
     orbits,
     verify_all,
 )
-from nquandles.quandle import Expression
+from nquandles.quandle import Expression, expression_str
 from nquandles.words import concat
 
 
@@ -1017,6 +1017,22 @@ def test_witnesses_are_positive_and_as_long_as_their_tree_depth(sealed_graphs):
     p, g, live = sealed_graphs[-2]
     q = _seal(g)
     assert q.size == 1070 and max(len(w.word) for w in q.witnesses) == 34
+
+
+def test_element_names_spell_the_witnesses(sealed_graphs):
+    # names are spelled from their tree parent's name, not from the
+    # witnesses; renaming all but the first generator to two characters
+    # switches the letter separator to a space, the first name included
+    for p, g, live in sealed_graphs:
+        q = _seal(g)
+        long = dataclasses.replace(q, generator_names=tuple(
+            name + str(i) if i else name for i, name in enumerate(q.generator_names)))
+        for named in (q, long):
+            assert named.element_names == tuple(
+                expression_str(w, named.generator_names) for w in named.witnesses)
+    assert long.element_names[:5] == ("a", "b1", "c2", "a^b1", "a^c2")
+    # Mk k=-29's last element, a word of 34 letters
+    assert long.element_names[-1] == "a^" + "b1 a " * 13 + "b1 c2 c2 a c2 c2 b1 c2"
 
 
 def test_witnesses_share_one_letter_object_per_letter(sealed_graphs):

@@ -759,12 +759,20 @@ def test_export_dot_n2_edges_undirected():
     assert arrow_lines == []
 
 
-def test_exports_refuse_an_element_no_generator_reaches():
-    # element 1 is fixed by the only generator, which sits at 0
-    q = tiny([[0, 1]], [0], [1], [2])
+def refuses_element_1(q):
     for read in (export_json, export_dot, lambda q: q.element_name(0)):
         with pytest.raises(ValueError, match=r"^element 1 is not reached from the generators$"):
             read(q)
+
+
+def test_exports_refuse_an_element_no_generator_reaches():
+    # element 1 is fixed by the only generator, which sits at 0
+    refuses_element_1(tiny([[0, 1]], [0], [1], [2]))
+
+
+def test_exports_name_the_first_missed_element_before_one_reached():
+    # the generator swaps 0 and 3: the first element missed precedes one reached
+    refuses_element_1(tiny([[3, 1, 2, 0]], [0], [1], [2]))
 
 
 def test_export_json_round_trip():
@@ -779,3 +787,36 @@ def test_export_json_round_trip():
     for row, inv_row in zip(payload["action"], payload["inverse_action"]):
         assert sorted(row) == list(range(8))
         assert all(inv_row[y] == x for x, y in enumerate(row))
+
+
+def dumped(q):
+    """export_json as json.dumps spells its payload."""
+    payload = {
+        "size": q.size,
+        "generators": list(q.generator_names),
+        "generator_element": list(q.generator_element),
+        "component_of_generator": list(q.component_of_generator),
+        "n_values": list(q.n_values),
+        "elements": list(q.element_names),
+        "action": [list(row) for row in q.action],
+        "inverse_action": [list(row) for row in q.inverse_action],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_export_json_writes_the_bytes_of_json_dumps(catalog_quandles):
+    empty = FiniteQuandle(size=0, generator_names=(), action=(), generator_element=(),
+                          component_of_generator=(), n_values=())
+    # the dihedral quandle of order 3, x > y = 2y - x, on generators at 0
+    # and 1 whose names json escapes; element 2 is 0^b
+    escaped = FiniteQuandle(size=3, generator_names=('q"', "\\\u00e9\u2603"),
+                            action=((0, 2, 1), (2, 1, 0)), generator_element=(0, 1),
+                            component_of_generator=(1, 1), n_values=(3,))
+    assert escaped.element_names == ('q"', "\\\u00e9\u2603", 'q"^\\\u00e9\u2603')
+    assert export_json(empty) == dumped(empty) == (
+        '{\n  "action": [],\n  "component_of_generator": [],\n  "elements": [],\n'
+        '  "generator_element": [],\n  "generators": [],\n  "inverse_action": [],\n'
+        '  "n_values": [],\n  "size": 0\n}\n')
+    for q in [empty, escaped, *catalog_quandles]:
+        assert export_json(q) == dumped(q)
+    assert '  "generators": [\n    "q\\"",\n    "\\\\\\u00e9\\u2603"\n  ],' in export_json(escaped)
