@@ -223,14 +223,16 @@ def cmd_verify_catalog(args: argparse.Namespace) -> int:
     wanted = None if args.rows is None else [
         find_row(r.strip()).row_id for r in args.rows.split(",") if r.strip()]
     for k in (args.k_range.start, args.k_range.stop - 1):
-        _check_k(k, DEFAULT_MAX_STEPS)
+        _check_k(k, args.max_steps)
     checks = list(iter_checks(k_values=args.k_range, n_values=args.n_range, rows=wanted))
     if not checks:
         raise CatalogError("no checks selected")
 
+    limits = EnumerationLimits(max_vertices=args.max_vertices,
+                               max_steps=args.max_steps)
     failed = capped = 0
     for check in checks:
-        outcome = enumerate_quandle(check.presentation)
+        outcome = enumerate_quandle(check.presentation, limits)
         got = str(outcome.vertices) if outcome.finite else f"exceeded {outcome.cap_kind} cap"
         if outcome.finite and outcome.vertices == check.expected:
             print(f"ok   {check.row_id} {check.label}: {got}")
@@ -311,6 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar="A:B", help="k sweep for parameterized rows")
     vc.add_argument("--n-range", type=_n_range, default=range(2, 6),
                     metavar="A:B", help="n sweep for axis components")
+    vc.add_argument("--max-vertices", type=_cap, default=DEFAULT_MAX_VERTICES)
+    vc.add_argument("--max-steps", type=_cap, default=DEFAULT_MAX_STEPS)
     vc.add_argument("--timing", action="store_true")
     vc.set_defaults(func=cmd_verify_catalog)
 

@@ -50,16 +50,19 @@ the letter, so a letter that no relation reads would stay undefined.
 Each relation is also bound once per run to the graph's letter rows
 (``TraceGraph.bind``), so a forward read follows row objects, not
 letter codes; the rows grow in place, so a binding stays valid for the
-whole run.  Every row runs at least one entry past the last label made,
-and every entry there is -1, so a read past a missing edge lands on
-index -1 and stays at -1: a scan first reads its whole relator with no
-test per letter, and reads it again letter by letter from both ends
-only when that read ends at -1.  On Mk about three scans in four find
-their relator closed and stop after the first read; a scan counts one
-step per letter either way.  Vertices record nothing about how they
-were made, and merges keep the smaller label; the sealed quandle
-derives its element names from its action tables.  All worklists are
-ordered, so runs are bit-for-bit reproducible.
+whole run.  The union-find keeps only merged labels, each mapped to the
+label it was merged into, so a run that stops at the vertex cap holds
+one entry per union, not one per label.  Every row runs at least one
+entry past the last label made, and every entry there is -1, so a read
+past a missing edge lands on index -1 and stays at -1: a scan first
+reads its whole relator with no test per letter, and reads it again
+letter by letter from both ends only when that read ends at -1.  On Mk
+about three scans in four find their relator closed and stop after the
+first read; a scan counts one step per letter either way.  Vertices
+record nothing about how they were made, and merges keep the smaller
+label; the sealed quandle derives its element names from its action
+tables.  All worklists are ordered, so runs are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -204,29 +207,30 @@ class TraceGraph:
     of that row; ``pairs`` lists each distinct row once beside its
     inverse row, and allocation and collapse go through it.  Vertex
     identities live in a union-find keyed by creation label; the least
-    label represents its class.  ``parent`` and the rows are allocated
-    ahead, geometrically: past ``created`` every entry is -1 and every
-    label its own parent.  Only representatives' rows are read,
-    and between collapses every entry in them is a representative whose
-    reverse entry points back: a union takes each of the loser's edges
-    out of its far end's row and enters it at the survivor, so a scan
-    follows edges without ``find``.  Vertices keep no record of the edge
-    that made them; a sealed quandle names its elements along its
-    generator tree instead.
+    label represents its class.  ``parent`` maps each merged label to
+    the label it was merged into, and a label absent from it is a
+    representative, so it holds one entry per union and nothing for a
+    label that was never merged.  The rows are allocated ahead,
+    geometrically: past ``created`` every entry is -1.  Only
+    representatives' rows are read, and between collapses every entry
+    in them is a representative whose reverse entry points back: a union
+    takes each of the loser's edges out of its far end's row and enters
+    it at the survivor, so a scan follows edges without ``find``.
+    Vertices keep no record of the edge that made them; a sealed quandle
+    names its elements along its generator tree instead.
 
     Invariant: ``rows`` and each row in it are the same list objects
     for the graph's whole life.  ``_allocate`` grows every row in place
     and nothing rebinds ``rows`` or a row during a run, so a relator
     bound once by ``bind`` reads and writes the live rows ever after.
 
-    Sentinel invariant: ``parent`` and every row are longer than
-    ``created``, so each row ends in -1.  Reading row[-1] after a missing
-    edge therefore gives -1 again, and a read that lost its way at any
-    letter ends at -1 without a test per letter.  ``_allocate`` keeps
-    this by growing the rows when the new labels reach their length, not
-    only when they pass it, and a scan makes no label past
-    ``max_vertices - 1``, so the growth cap of ``max_vertices + 1`` keeps
-    it too.
+    Sentinel invariant: every row is longer than ``created``, so each
+    row ends in -1.  Reading row[-1] after a missing edge therefore
+    gives -1 again, and a read that lost its way at any letter ends at
+    -1 without a test per letter.  ``_allocate`` keeps this by growing
+    the rows when the new labels reach their length, not only when they
+    pass it, and a scan makes no label past ``max_vertices - 1``, so the
+    growth cap of ``max_vertices + 1`` keeps it too.
     """
 
     def __init__(self, presentation: Presentation,
@@ -243,7 +247,7 @@ class TraceGraph:
         rows = self.rows
         self.pairs = [(rows[c], rows[c ^ 1]) for c in range(2 * g)
                       if rows[c] is not rows[c ^ 1] or not c & 1]
-        self.parent: list[int] = []
+        self.parent: dict[int, int] = {}
         self.created = 0
         self.unions = 0
         self.steps = 0
@@ -262,27 +266,33 @@ class TraceGraph:
     # -- vertices ----------------------------------------------------
 
     def find(self, v: int) -> int:
+        """The representative of v's class, halving the path walked."""
         parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+        while v in parent:
+            u = parent[v]
+            if u not in parent:
+                return u
+            w = parent[u]
+            parent[v] = w
+            v = w
         return v
 
     def _allocate(self, m: int) -> int:
         """Make m fresh labels, each its own class with no edges yet;
-        return the first.  When they reach the rows' length, ``parent``
-        and each distinct row once grow to twice that length, capped one
-        past the vertex cap, or to one past the new labels' end if that
-        is further, so each row still ends in a -1."""
+        return the first.  A fresh label is a representative, so the
+        union-find takes no entry for it.  When the labels reach the
+        rows' length, read off the first row, each distinct row once
+        grows to twice that length, capped one past the vertex cap, or to
+        one past the new labels' end if that is further, so each row
+        still ends in a -1."""
         base = self.created
         self.created = end = base + m
-        parent = self.parent
-        if end >= len(parent):
-            length = max(end + 1, min(2 * len(parent), self.limits.max_vertices + 1))
-            fill = [-1] * (length - len(parent))
+        size = len(self.rows[0])
+        if end >= size:
+            length = max(end + 1, min(2 * size, self.limits.max_vertices + 1))
+            fill = [-1] * (length - size)
             for row, _ in self.pairs:
                 row += fill
-            parent.extend(range(len(parent), length))
         return base
 
     @property
@@ -421,19 +431,22 @@ class TraceGraph:
         """Drain scheduled identifications to a fixpoint.
 
         Each drained pair is one step.  Each union keeps the smaller
-        label and moves the loser's edges to it in letter-code order, an
-        involution's one row visited once: an edge leaves its far end's
-        reverse row and is entered at the survivor; where the survivor
-        already has an edge with that letter, or the far end one with
-        its inverse, the two vertices that would clash are scheduled for
-        identification instead.  The loser's own entries are left as
-        they are, so a second visit of a shared row would read the edge
-        just moved as the loser's again and take it out.
+        label, enters ``parent[loser] = survivor`` (the loser was a
+        representative, so it had no entry), and moves the loser's edges
+        to the survivor in letter-code order, an involution's one row
+        visited once: an edge leaves its far end's reverse row and is
+        entered at the survivor; where the survivor already has an edge
+        with that letter, or the far end one with its inverse, the two
+        vertices that would clash are scheduled for identification
+        instead.  The loser's own entries are left as they are, so a
+        second visit of a shared row would read the edge just moved as
+        the loser's again and take it out.
 
         The step and union counters are kept in locals while the loop
         runs and written back to the graph before it returns or raises
-        ``_CapExceeded``; ``find`` is called only on a label that is not
-        its own parent, since it leaves a root's entry alone.
+        ``_CapExceeded``; ``find`` is called only on a label in
+        ``parent``, since a label absent from it is its own
+        representative.
         """
         pending, parent, pairs, find = self.pending, self.parent, self.pairs, self.find
         max_steps = self.limits.max_steps
@@ -444,9 +457,9 @@ class TraceGraph:
                 self.steps, self.unions = steps, unions
                 raise _CapExceeded("steps", self.stats())
             a, b = pending.popleft()
-            if parent[a] != a:
+            if a in parent:
                 a = find(a)
-            if parent[b] != b:
+            if b in parent:
                 b = find(b)
             if a == b:
                 continue
@@ -507,7 +520,7 @@ def run_schedule(graph: TraceGraph) -> FiniteQuandle:
     cursor = 0
     while cursor < graph.created:
         v, cursor = cursor, cursor + 1
-        if parent[v] != v:
+        if v in parent:
             continue
         for bound in universals:
             scan(v, bound, v)
@@ -565,11 +578,11 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
     forward = graph.rows[0::2]
     walk = (row[v] for v in live for row in forward)
     for t in chain(map(graph.find, range(graph.ngens)), walk):
-        if t >= 0 and index[t] < 0 and parent[t] == t:
+        if t >= 0 and index[t] < 0 and t not in parent:
             index[t] = len(live)
             live.append(t)
     reached = len(live)
-    live += [v for v in range(graph.created) if parent[v] == v and index[v] < 0]
+    live += [v for v in range(graph.created) if v not in parent and index[v] < 0]
     for i in range(reached, len(live)):
         index[live[i]] = i
     tables = []

@@ -332,11 +332,13 @@ def verify_axioms(q: FiniteQuandle) -> VerificationReport:
     """
     idx = np.arange(q.size)
     act = q.arrays[0]
+    # one mark per element per generator, set where its action lands
+    hit = np.zeros(act.shape, dtype=bool)
+    hit[np.arange(len(act))[:, None], act] = True
     for g, name in enumerate(q.generator_names):
-        missed = np.setdiff1d(idx, act[g])
-        if missed.size:
+        if not hit[g].all():
             return VerificationReport(
-                False, [f"bijection: the action of {name} misses element {missed[0]}"])
+                False, [f"bijection: the action of {name} misses element {int(hit[g].argmin())}"])
 
     fwd = dense_tables(q)
     failures: list[str] = []

@@ -12,7 +12,6 @@ from nquandles import catalog as catalog_module
 from nquandles import cli
 from nquandles.catalog import CatalogError, iter_checks
 from nquandles.cli import main
-from nquandles.enumerator import EnumerationLimits, enumerate_quandle
 from nquandles.presentations import (
     FAMILIES,
     TAKES_K,
@@ -433,17 +432,34 @@ def test_verify_catalog_builds_only_the_rows_it_selects(capsys, monkeypatch):
 ], ids=["cap-stop", "cap-stop-and-mismatch", "mismatch"])
 def test_verify_catalog_exits_4_when_every_failure_is_a_cap_stop(capsys, monkeypatch, k_range,
                                                                   tampered, code, out):
-    def capped(p):
-        return enumerate_quandle(p, EnumerationLimits(max_vertices=100))
-
     def tampering(**kwargs):
         for check in iter_checks(**kwargs):
             wrong = check.label.startswith(f"k={tampered} ")
             yield dataclasses.replace(check, expected=check.expected + 1) if wrong else check
 
-    monkeypatch.setattr(cli, "enumerate_quandle", capped)
     monkeypatch.setattr(cli, "iter_checks", tampering)
-    assert run(capsys, "verify-catalog", "--rows", "Mk", f"--k-range={k_range}") == (code, out, "")
+    assert run(capsys, "verify-catalog", "--rows", "Mk", f"--k-range={k_range}",
+               "--max-vertices", "100") == (code, out, "")
+
+
+@pytest.mark.parametrize("caps, code, line", [
+    ([], 0, "ok   Mk k=30 N=(2, 3): 1070"),
+    # Mk k=30 creates 4318 vertices for its 1070 elements
+    (["--max-vertices", "4000"], 4, "FAIL Mk k=30 N=(2, 3): want 1070 got exceeded vertices cap"),
+    (["--max-steps", "100000"], 4, "FAIL Mk k=30 N=(2, 3): want 1070 got exceeded steps cap"),
+], ids=["default", "vertex-cap", "step-cap"])
+def test_verify_catalog_takes_the_caps_of_enumerate(capsys, caps, code, line):
+    got, out, err = run(capsys, "verify-catalog", "--rows", "Mk", "--k-range=30:30", *caps)
+    assert (got, err) == (code, "")
+    assert out.splitlines()[0] == line
+
+
+def test_verify_catalog_refuses_a_k_past_its_own_step_cap(capsys):
+    # the k check reads --max-steps, not the default step cap
+    code, out, err = run(capsys, "verify-catalog", "--rows", "Mk", "--k-range=30:30",
+                         "--max-steps", "20")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: k 30 exceeds the step cap 20")
 
 
 def test_verify_catalog_unknown_row(capsys):

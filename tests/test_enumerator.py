@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 import weakref
 from collections import deque
 from functools import lru_cache
@@ -460,7 +461,7 @@ def clone(g):
     """A copy of g that shares nothing mutable with it."""
     c = copy.copy(g)
     copy_rows(c, g)
-    c.parent = list(g.parent)
+    c.parent = dict(g.parent)
     c.pending = deque(g.pending)
     assert_rows_shared(c)
     return c
@@ -483,7 +484,7 @@ def sweep_snapshots(p, limits):
             if cursor in (0, 1, 4, 16, 64, 256, 1024):
                 snapshots.append(clone(g))
             v, cursor = cursor, cursor + 1
-            if g.parent[v] != v:
+            if v in g.parent:
                 continue
             for codes in relators.universal:
                 reference_scan(g, v, codes, v)
@@ -526,7 +527,7 @@ def scan_both(snapshot, universal, limits=None):
     if limits is not None:
         ref.limits = new.limits = limits
     bound = [new.bind(codes) for codes in universal]
-    live = [v for v in range(snapshot.created) if snapshot.parent[v] == v]
+    live = [v for v in range(snapshot.created) if v not in snapshot.parent]
     stop = None
     for v in live:
         for codes, rel in zip(universal, bound):
@@ -607,12 +608,12 @@ def test_bound_rows_stay_the_graph_rows():
 
 
 def assert_sentinel(g):
-    """``parent`` and every distinct row run past ``created``, every row
-    entry past it is -1 and every label past it its own parent, so each
-    row ends in the -1 that a read past a missing edge stays at."""
-    length = len(g.parent)
+    """Every distinct row runs past ``created``, every row entry past it
+    is -1 and no label past it is merged, so each row ends in the -1
+    that a read past a missing edge stays at."""
+    length = len(g.rows[0])
     assert length > g.created
-    assert g.parent[g.created:] == list(range(g.created, length))
+    assert all(v < g.created for v in g.parent)
     for row, _ in g.pairs:
         assert len(row) == length
         assert row[g.created:] == [-1] * (length - g.created)
@@ -627,15 +628,15 @@ def test_every_row_ends_in_a_minus_one_past_created(monkeypatch):
     assert_sentinel(g)
     lengths = []
     while g.created < cap:
-        g._allocate(min(len(g.parent), cap) - g.created)
+        g._allocate(min(len(g.rows[0]), cap) - g.created)
         assert_sentinel(g)
-        lengths.append(len(g.parent))
+        lengths.append(len(g.rows[0]))
     assert lengths == [6, 12, 24, cap + 1, cap + 1]
     # an allocation past twice the length grows the rows to one past its end
     g = TraceGraph(family("T24", (2, 3)), EnumerationLimits(max_vertices=1000))
     g._allocate(100)
     assert_sentinel(g)
-    assert len(g.parent) == 103
+    assert len(g.rows[0]) == 103
     # whole runs under small vertex caps, closing and stopped at the cap,
     # checked after every allocation
     allocate = TraceGraph._allocate
@@ -657,6 +658,51 @@ def test_every_row_ends_in_a_minus_one_past_created(monkeypatch):
         out = enumerate_quandle(p, EnumerationLimits(max_vertices=max_vertices))
         assert out.cap_kind == cap_kind
     assert len(calls) > 50
+
+
+def swept(p, limits):
+    """p's graph swept under ``limits`` (steps 1 to 5), stopped by a cap
+    or sealed, and the cap's kind or None."""
+    g = TraceGraph(p, limits)
+    try:
+        for base, codes, target in g.relators.primary:
+            g.scan(g.find(base), g.bind(codes), g.find(target))
+            g.collapse()
+        run_schedule(g)
+    except _CapExceeded as exc:
+        return g, exc.kind
+    return g, None
+
+
+@pytest.mark.parametrize("p, max_vertices, cap_kind", [
+    (family("Mk", k=30), DEFAULT_MAX_VERTICES, None),
+    (family("Mk", k=30), 3000, "vertices"),
+    (family("trefoil", (6,)), 5000, "vertices"),
+], ids=["Mk30", "Mk30-capped", "trefoil6-capped"])
+def test_the_union_find_holds_exactly_the_merged_labels(p, max_vertices, cap_kind):
+    g, kind = swept(p, EnumerationLimits(max_vertices=max_vertices))
+    assert kind == cap_kind
+    merged = {v for v in range(g.created) if g.find(v) != v}
+    assert set(g.parent) == merged
+    assert len(g.parent) == g.unions
+    # each entry points at a smaller label, the survivor of its union
+    assert all(a < b for b, a in g.parent.items())
+
+
+def test_the_graph_holds_at_most_80_traced_bytes_per_created_label():
+    # an infinite N-quandle run to the vertex cap, where the graph is at
+    # its largest: the rows and the union-find of merged labels only
+    p = family("trefoil", (6,))
+    limits = EnumerationLimits(max_vertices=20_000)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = enumerate_quandle(p, limits)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (out.cap_kind, out.stats.created) == ("vertices", 20_001)
+    assert peak / out.stats.created <= 80, peak / out.stats.created
 
 
 # --- graph-level hand checks ---------------------------------------------------
@@ -769,7 +815,8 @@ def test_an_involution_edge_is_entered_at_both_ends_of_one_row():
     trace(g, b, (2 * a + 1,), end=v)
     assert g.rows[0][b] == v and g.rows[0][v] == b
     assert g.created == 3
-    assert len(g.rows[0]) == len(g.rows[2]) == len(g.parent) >= g.created
+    assert len(g.rows[0]) == len(g.rows[2]) >= g.created
+    assert g.parent == {}
 
 
 def test_collapse_moves_an_involution_edge_once():
@@ -845,7 +892,7 @@ def test_live_accounting_after_schedule():
         g.scan(g.find(base), g.bind(codes), g.find(target))
     g.collapse()
     run_schedule(g)
-    live = [v for v in range(g.created) if g.parent[v] == v]
+    live = [v for v in range(g.created) if v not in g.parent]
     assert g.live_count == len(live) == 10
     assert all(g.find(v) == v for v in live)
     # the witnesses of the sealed quandle follow edges that are all
@@ -871,7 +918,7 @@ def full_sweep(p):
     cursor = 0
     while cursor < g.created:
         v, cursor = cursor, cursor + 1
-        if g.parent[v] != v:
+        if v in g.parent:
             continue
         for bound in universals:
             g.scan(v, bound, v)
@@ -945,11 +992,8 @@ def test_a_seal_that_fails_at_the_last_label_is_raised(monkeypatch):
 def closed(p):
     """The finished graph of p under the default limits (steps 1 to 5),
     and its live labels in label order."""
-    g = TraceGraph(p, EnumerationLimits())
-    for base, codes, target in g.relators.primary:
-        g.scan(g.find(base), g.bind(codes), g.find(target))
-        g.collapse()
-    run_schedule(g)
+    g, cap_kind = swept(p, EnumerationLimits())
+    assert cap_kind is None
     return g, [v for v in range(g.created) if g.find(v) == v]
 
 
@@ -1182,7 +1226,7 @@ def test_seal_rejects_an_undefined_edge(code):
 
 def test_seal_rejects_an_edge_to_a_merged_label():
     p, g, live = finished_t24()
-    merged = next(v for v in range(g.created) if g.parent[v] != v)
+    merged = next(v for v in range(g.created) if v in g.parent)
     g.rows[0][live[2]] = merged
     with pytest.raises(EnumerationInternalError,
                        match=f"generator 0 at vertex {live[2]} points at merged label {merged}"):
@@ -1224,7 +1268,7 @@ def loop_audit(g, p):
     universal relation checks one element at a time in Python lists, as
     they ran before the array audit, then the reach from the generators
     over the label-ordered tables; the first failure, or None."""
-    live = [v for v in range(g.created) if g.parent[v] == v]
+    live = [v for v in range(g.created) if v not in g.parent]
     index = {v: i for i, v in enumerate(live)}
     tables = [[index[row[v]] for v in live] for row in g.rows]
     for gen in range(g.ngens):

@@ -278,6 +278,15 @@ def test_verify_axioms_catches_a_non_bijective_action():
     assert verify_axioms(bad).failures == [
         f"bijection: the action of b misses element {missed}"]
     assert not verify_all(bad)
+    # b's action sends 2 and 3, and 5 and 6, to one element each, so it
+    # misses 5 and 0: the smaller is named, though 5 was the image of the
+    # earlier entry
+    row = list(q.action[1])
+    assert (row[2], row[5]) == (5, 0)
+    row[2], row[5] = row[3], row[6]
+    bad = dataclasses.replace(q, action=(q.action[0], tuple(row)))
+    assert sorted(set(range(q.size)) - set(row)) == [0, 5]
+    assert verify_axioms(bad).failures == ["bijection: the action of b misses element 0"]
 
 
 def test_inverse_action_is_derived_not_stored():
