@@ -38,7 +38,13 @@ flat row per letter code, the codes that spell every relation word,
 indexed by vertex label.  Relators are compiled once per graph
 (``TraceGraph.relators``), shared by the scans and the sealing audit, and
 scanned from both ends, as in the HLT strategy of coset enumeration, so
-a vertex is made only for a letter that neither scan could read.  A
+a vertex is made only for a letter that neither scan could read.  Both
+ends of a scan sit at the relator's seam, so a universal relator whose
+seam falls inside a two-letter alternation x y x y ... covering more
+than half of it, as Mk's falls inside its twist, is rotated to start
+where the alternation starts: a universal relation holds at every
+element, so a rotation states the same relation, and on Mk the sweep
+reaches the seal's audit in about a third fewer steps.  A
 generator a with n = 2 acts as an involution, x^(a') = x^a, since
 R_a^2 = id in the N-quandle: its two letters share one row, its letters
 are compiled as a and cancel in pairs, and its power relation a^2 is
@@ -167,7 +173,10 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
     relation a^2 is spelled, last, only when no folded conjugate relator
     reads a, since the sweep defines a letter's edges only by reading
     it.  A power relation longer than the step cap is never spelled
-    either: it could not be scanned in full, and the run stops at it."""
+    either: it could not be scanned in full, and the run stops at it.
+    Each folded conjugate relator is then rotated by ``at_twist``: one
+    whose seam lies inside a long two-letter alternation, as Mk's does
+    inside its twist (ab)^j, starts where the alternation starts."""
     powers = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
     # how each code is written: an involution's inverse letter as itself
     spell = [c & -2 if powers[c >> 1] == 2 else c for c in range(2 * len(powers))]
@@ -189,10 +198,35 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
         if n > max_steps:
             return Relators(primary, universal, (2 * gen, n))
         universal.append([2 * gen] * n)
-    conjugates = [codes for codes in map(fold, conjugate_relations(presentation)) if codes]
+    conjugates = [at_twist(codes) for codes in map(fold, conjugate_relations(presentation))
+                  if codes]
     read = {c for codes in conjugates for c in codes}
     free = [[2 * gen] * 2 for gen, n in enumerate(powers) if n == 2 and 2 * gen not in read]
     return Relators(primary, universal + conjugates + free, None)
+
+
+def at_twist(codes: list[int]) -> list[int]:
+    """A universal relator rotated to start where its twist starts, when
+    its seam lies inside a two-letter alternation x y x y ... that covers
+    more than half of it but not all; otherwise ``codes`` itself.
+
+    A scan starts and ends at the seam, so a seam inside the twist makes
+    every scan read into the twist from both ends.  A universal relation
+    holds at every element, so each rotation states the same relation,
+    and one of a freely reduced word is still reduced across its seam:
+    the new seam joins two letters that were already neighbours."""
+    if len(codes) < 4 or codes[0] != codes[-2] or codes[1] != codes[-1]:
+        return codes
+    n = len(codes)
+    end = 2  # codes[start:] + codes[:end] is the alternation
+    while end < n and codes[end] == codes[end - 2]:
+        end += 1
+    start = n - 2
+    while start > end and codes[start - 1] == codes[start + 1]:
+        start -= 1
+    if start > end and 2 * (n - start + end) > n:
+        return codes[start:] + codes[:start]
+    return codes
 
 
 class TraceGraph:
@@ -554,7 +588,9 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
 
     The walk is ``FiniteQuandle.tree``'s, on the forward rows, and
     canonical: a generated quandle has one isomorphism fixing each
-    generator's element.  Labels it misses are numbered after it.
+    generator's element.  Labels it misses are numbered after it; they
+    are looked for only when it reached fewer labels than the graph has
+    live ones, since one label per union is merged.
 
     ``run_schedule`` also calls it mid-sweep, after a window that
     changed nothing: it reads the graph and changes nothing in it (bar
@@ -569,8 +605,9 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
     apart only when it fails.  The bijection and universal relation
     checks read one (2g, n) array of the tables: the bijection check is
     one fancy index of the inverse tables by the forward ones, and each
-    letter of a relation one ``take`` that moves every element at once.  The quandle gets no names: it
-    derives them from its action tables when one is first read."""
+    letter of a relation one ``take`` that moves every element at once.
+    The quandle gets no names: it derives them from its action tables
+    when one is first read."""
     presentation = graph.presentation
     parent = graph.parent
     index = [-1] * (graph.created + 1)  # index[-1] is the spare -1
@@ -582,9 +619,10 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
             index[t] = len(live)
             live.append(t)
     reached = len(live)
-    live += [v for v in range(graph.created) if v not in parent and index[v] < 0]
-    for i in range(reached, len(live)):
-        index[live[i]] = i
+    if reached < graph.live_count:
+        live += [v for v in range(graph.created) if v not in parent and index[v] < 0]
+        for i in range(reached, len(live)):
+            index[live[i]] = i
     tables = []
     for code, row in enumerate(graph.rows):
         if code & 1 and row is graph.rows[code - 1]:

@@ -179,12 +179,14 @@ class FiniteQuandle:
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The generator actions A[g] as one read-only array in the
-        table's dtype, and their inverses A'[g], derived on first read:
-        the sort order of a permutation's values is its inverse."""
+        table's dtype, and their inverses A'[g], derived on first read
+        by one O(size) scatter, A'[g][A[g][x]] = x; a value that an
+        action misses, which ``verify_axioms`` reports, stays -1."""
         act = np.asarray(self.action, dtype=_table_dtype(self.size))
         # both sides named: with no elements, -1 has nothing to infer from
         act = act.reshape(len(self.action), self.size)
-        inv = np.argsort(act, axis=1)
+        inv = np.full_like(act, -1)
+        inv[np.arange(len(act))[:, None], act] = np.arange(self.size, dtype=act.dtype)
         act.flags.writeable = inv.flags.writeable = False
         return act, inv
 
@@ -612,19 +614,16 @@ def export_dot(q: FiniteQuandle) -> str:
     action and its inverse agree there (loops always, and any pair the
     generator swaps)."""
     lines = ["digraph quandle {", "  node [shape=ellipse];"]
-    for x, name in enumerate(q.element_names):
-        lines.append(f'  v{x} [label="{name}"];')
-    for g in range(len(q.generator_names)):
+    lines += [f'  v{x} [label="{name}"];' for x, name in enumerate(q.element_names)]
+    for g, row in enumerate(q.action):
         style = _EDGE_STYLES[g % len(_EDGE_STYLES)]
-        for x in range(q.size):
-            y = q.action[g][x]
-            if y == x:
-                lines.append(f"  v{x} -> v{x} [style={style}, dir=none];")
-            elif q.action[g][y] == x:
-                if x < y:
-                    lines.append(f"  v{x} -> v{y} [style={style}, dir=none];")
-            else:
-                lines.append(f"  v{x} -> v{y} [style={style}];")
+        undirected = f" [style={style}, dir=none];"
+        directed = f" [style={style}];"
+        for x, y in enumerate(row):
+            if row[y] != x:
+                lines.append(f"  v{x} -> v{y}{directed}")
+            elif x <= y:
+                lines.append(f"  v{x} -> v{y}{undirected}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

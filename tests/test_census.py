@@ -42,7 +42,7 @@ WORDS = list(rotation_classes(2, range(1, 5)))
 # each: a collapse that drops a deduced identification still closes
 # these graphs but moves counters, (3, 2, 26, 1) to (6, 5, 31, 1) for
 # the word (-1, -1, 2, 1) at N=(3,)
-THREE_STRAND_DIGEST = "788829ac557b9719b38a940d08bf3bf838b514cd65e697388fe44c26d4c9aa48"
+THREE_STRAND_DIGEST = "44ab471ef4162a514614d066ecca58a8c124eed94c3b2b1b4b0a167fee7b0bf3"
 
 
 def test_three_strand_words_of_at_most_four_letters():

@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 from collections import deque
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,7 @@ from nquandles.quandle import (
 )
 from nquandles.quandle import Expression, expression_str
 from nquandles.words import concat
+from oracles import rotation_classes
 
 
 def family(name, ns=None, k=None):
@@ -158,20 +160,22 @@ def test_tiny_vertex_cap_trips_during_setup():
 # once: they pin which vertex is created, merged or kept, and where a cap
 # stops the run.  The trefoil is the closed braid on its two strands, and
 # its N=6 quandle merges nothing before the cap, so its mirror pins a
-# vertex cap after merges.  Mk k=6 closes in 12,539 steps, so its step
-# cap sits below that.  Mk's knot generators are involutions (n = 2),
-# each scanned through one shared row.  Mk k=30, 60 and 100 end with the
-# seal's audit after a quiet window, 26-31 % of their steps before the
-# last label (165,059, 588,989 and 1,557,429 steps swept to it).
+# vertex cap after merges.  Mk k=6 closes in 9,218 steps, so its step
+# cap sits below that, after its last vertex is made but before its last
+# merge.  Mk's knot generators are involutions (n = 2), each scanned
+# through one shared row, and its long relator starts at its twist.  Mk
+# k=30, 60 and 100 end with the seal's audit after a quiet window, 48-53 %
+# of their steps before the last label (164,504, 588,314 and 1,556,594
+# steps swept to it).
 @pytest.mark.parametrize("p, limits, counters, cap_kind", [
-    (family("Mk", k=6), {}, (958, 752, 12539, 206), None),
+    (family("Mk", k=6), {}, (878, 672, 9218, 206), None),
     (family("T24", (3, 4)), {}, (16, 2, 330, 14), None),
-    (family("Mk", k=30), {}, (4318, 3248, 122594, 1070), None),
-    (family("Mk", k=60), {}, (8518, 6368, 419788, 2150), None),
+    (family("Mk", k=30), {}, (4766, 3696, 84938, 1070), None),
+    (family("Mk", k=60), {}, (9626, 7476, 283268, 2150), None),
     (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 0, 44283, 2001), "vertices"),
     (family("T2k", (6,), k=-3), {"max_vertices": 2000}, (2001, 260, 38525, 1741), "vertices"),
-    (family("Mk", k=6), {"max_steps": 10000}, (958, 750, 10001, 208), "steps"),
-    (family("Mk", k=100), {}, (14118, 10528, 1081668, 3590), None),
+    (family("Mk", k=6), {"max_steps": 6500}, (878, 652, 6501, 226), "steps"),
+    (family("Mk", k=100), {}, (16106, 12516, 726908, 3590), None),
     (family("T2k", (4,), k=5), {}, (100001, 6181, 702565, 93820), "vertices"),
     (family("T2k", (7,), k=-3), {}, (100001, 4179, 955689, 95822), "vertices"),
 ], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "mirror-trefoil-vertex-cap",
@@ -323,7 +327,8 @@ def test_compiled_relators_fold_involutions():
 # plain lists of ints.  Pinned before relation words became letter
 # codes, so a change of spelling that moved a relator would show here.
 # Re-pinned when T23B joined the sweep; the other 461 still give 7c31ce41.
-GOLDEN_RELATORS_DIGEST = "9b73d7354f5784d865ac29671eb392e421557043828c862a38a4cc0178c1d5d9"
+# Re-pinned when a relator came to start at its twist (``at_twist``).
+GOLDEN_RELATORS_DIGEST = "84cad9087116a52d9b4a0516aa908516496c40f7c56ec172372787d5203a238f"
 
 
 def test_text_and_compiled_relators_match_the_golden_digest():
@@ -349,12 +354,14 @@ def test_an_involution_power_is_never_scanned():
     assert relators.universal[0] == [0, 0, 0] and [2, 2] not in relators.universal
     # a^(b a a b') = a folds to a = a, and so does its conjugate
     # relator b a' a' b' a b a a b' a', which is dropped; the quandle
-    # has the 11 elements that the run without folding finds
+    # has the 11 elements that the run without folding finds.  The
+    # conjugate relator of b^[a b a] = b folds to a b' a b a b a b', whose
+    # seam lies inside the alternation a b' | a b' a, so it starts there
     p = parse_presentation("gens a b\ncomp a:1 b:2\nN 2 3\n"
                            "rel a^[b a a b'] = a\nrel b^[a b a] = b\n")
     relators = compile_relators(p, DEFAULT_MAX_STEPS)
     assert relators.primary == [(0, [], 0), (1, [0, 2, 0], 1)]
-    assert relators.universal == [[2, 2, 2], [0, 3, 0, 2, 0, 2, 0, 3]]
+    assert relators.universal == [[2, 2, 2], [0, 3, 0, 3, 0, 2, 0, 2]]
     q = enumerate_quandle(p).quandle
     assert q.size == 11 and verify_all(q)
 
@@ -372,6 +379,69 @@ def test_a_free_involution_scans_its_power():
         assert enumerate_quandle(p, EnumerationLimits(max_vertices=1000)).cap_kind == "vertices"
     q = enumerate_quandle(parse_presentation(unlink.format(1))).quandle
     assert q.size == 3 and orbits(q).sizes() == (2, 1) and verify_all(q)
+
+
+def unrotated(p):
+    """p's relators as ``compile_relators`` spells them with no relator
+    rotated to its twist."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerator, "at_twist", lambda codes: codes)
+        return compile_relators(p, DEFAULT_MAX_STEPS)
+
+
+def test_a_universal_relator_is_a_reduced_rotation_of_its_unrotated_form():
+    # the powers and the folded conjugates, rotated or not, each freely
+    # reduced across its seam but a free involution's a a; Mk's, Lk's
+    # and T26's are among those rotated
+    rows = [(c.row_id, c.presentation)
+            for c in iter_checks(k_values=range(-20, 21), n_values=range(2, 8))]
+    rows += [("Mk", family("Mk", k=k)) for k in (-59, 60, 100)]
+    rotated = set()
+    for row_id, p in rows:
+        relators, plain = compile_relators(p, DEFAULT_MAX_STEPS), unrotated(p)
+        assert relators.primary == plain.primary
+        assert len(relators.universal) == len(plain.universal)
+        ns = [p.n_of_generator(j) for j in range(len(p.generator_names))]
+        undo = [c if ns[c >> 1] == 2 else c ^ 1 for c in range(2 * len(ns))]
+        for codes, before in zip(relators.universal, plain.universal):
+            assert codes in [before[i:] + before[:i] for i in range(len(before))]
+            assert undo[codes[-1]] != codes[0] or codes == [codes[0]] * 2, codes
+            if codes != before:
+                rotated.add(row_id)
+    assert {"Mk", "Lk", "T26"} <= rotated
+
+
+def test_only_a_seam_inside_a_long_alternation_moves():
+    # the alternation through the seam must cover more than half of the
+    # relator and not all of it; it then starts the relator
+    a, b, c, d = 0, 2, 4, 6
+    assert enumerator.at_twist([a, b, c, d, c, a, b, a, b]) == [a, b, a, b, a, b, c, d, c]
+    assert enumerator.at_twist([b, a, c, b, a, b, a]) == [b, a, b, a, b, a, c]
+    assert enumerator.at_twist([a, b, a, c, d, c, a, b]) == [a, b, a, b, a, c, d, c]
+    for codes in ([a, b, c, d, c, d, a, b],  # an alternation of half the relator
+                  [a, b, c, d, a, c],  # a seam outside any alternation
+                  [a, b, a, b, a, b],  # an alternation all round
+                  [c, c, c], [c] * 5,  # powers
+                  [a, a],  # a free involution's power
+                  [a, b, a, c, b, 1]):  # a first letter that undoes the last
+        assert enumerator.at_twist(codes) is codes
+
+
+def test_a_rotated_relator_seals_the_same_quandle(monkeypatch):
+    # the default sweep, then the closed 3-braids of one to four letters
+    # at every N in {2, 3}^m for their m components, as in test_census
+    ps = [c.presentation for c in iter_checks()]
+    assert len(ps) == 93
+    for word in rotation_classes(2, range(1, 5)):
+        p = braid_presentation(word, 3)
+        ps += [augment_n(p, ns) for ns in product((2, 3), repeat=len(set(p.component_of)))]
+    limits = [EnumerationLimits()] * 93 + [EnumerationLimits(max_vertices=2_000)] * 476
+    outs = [enumerate_quandle(p, lim) for p, lim in zip(ps, limits, strict=True)]
+    monkeypatch.setattr(enumerator, "at_twist", lambda codes: codes)
+    plain = [enumerate_quandle(p, lim) for p, lim in zip(ps, limits, strict=True)]
+    assert [out.cap_kind for out in outs] == [out.cap_kind for out in plain]
+    assert [out.quandle for out in outs] == [out.quandle for out in plain]
+    assert sum(out.finite for out in outs) == 93 + 122
 
 
 def test_default_limits():
