@@ -24,11 +24,12 @@ coset enumeration:
     close, so the graph is already the one the whole sweep would leave;
 6.  sealing: the live vertices become the elements 0..n-1 along the
     generator tree that names them, generator elements first, and the
-    letter rows become integer action tables, which must pass every
+    letter rows become integer action tables, whose forward half makes
+    a ``FiniteQuandle`` that is returned only once it passes every
     postcondition (each generator a bijection with its inverse edges,
-    every primary and universal relation closed, every vertex reached)
-    before the forward tables go to a ``FiniteQuandle``; the checks on
-    all elements at once are array ``take``s over one (2g, n) table.
+    every primary and universal relation closed, every vertex reached);
+    the checks on all elements at once read the quandle's own
+    ``arrays``, the numpy form that its later proofs read too.
 
 The procedure halts exactly when the N-quandle is finite; vertex and
 step caps make the infinite case observable as an Exceeded outcome,
@@ -578,10 +579,11 @@ def run_schedule(graph: TraceGraph) -> FiniteQuandle:
 def _seal(graph: TraceGraph) -> FiniteQuandle:
     """Step 6: number the live labels along the generator tree, read
     the row of each letter code into an action table over them, and
-    check the postconditions on those tables: every edge defined, each
-    generator's inverse edges undoing its action (so it is a bijection,
-    and the quandle derives its inverse), every primary and universal
-    relation closing, then every live label reached.  An involution's
+    check the postconditions on the quandle those tables make before
+    returning it: every edge defined, each generator's inverse edges
+    undoing its action (so it is a bijection, and the quandle's derived
+    inverse is the graph's), every primary and universal relation
+    closing, then every live label reached.  An involution's
     two codes share its one row, so the second reuses the first one's
     table, and its bijection check is the x^(a a) = x that its power a^2
     would check where it is not scanned.
@@ -602,12 +604,16 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
     is a merged label is a broken postcondition, not something to
     remap.  ``index`` has one spare -1 past the labels, which a missing
     edge's -1 reads, so one test finds both faults and they are told
-    apart only when it fails.  The bijection and universal relation
-    checks read one (2g, n) array of the tables: the bijection check is
-    one fancy index of the inverse tables by the forward ones, and each
-    letter of a relation one ``take`` that moves every element at once.
-    The quandle gets no names: it derives them from its action tables
-    when one is first read."""
+    apart only when it fails.  The forward tables then make the quandle,
+    and the bijection and universal relation checks run on its own
+    ``arrays``, the one numpy form of its actions: the bijection check
+    compares the inverses that ``arrays`` scatters with the inverse
+    tables, equal exactly when each inverse table undoes its action (a
+    value the action misses is -1 in the scatter, and no table entry
+    is), and each letter of a relation is one ``take`` along an action
+    row that moves every element at once.  The quandle is returned with
+    those arrays cached and no names: it derives them from its action
+    tables when one is first read."""
     presentation = graph.presentation
     parent = graph.parent
     index = [-1] * (graph.created + 1)  # index[-1] is the spare -1
@@ -638,20 +644,30 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
             raise EnumerationInternalError(
                 f"generator {code >> 1} at vertex {live[i]} points at merged label {ends[i]}")
         tables.append(tuple(table))
-    moves = np.array(tables)
-    identity = np.arange(len(live))
-    undone = moves[1::2][np.arange(graph.ngens)[:, None], moves[0::2]] != identity
+    generator_element = tuple([index[graph.find(j)] for j in range(graph.ngens)])
+    quandle = FiniteQuandle(
+        size=len(live),
+        generator_names=presentation.generator_names,
+        action=tuple(tables[0::2]),
+        generator_element=generator_element,
+        component_of_generator=presentation.component_of,
+        n_values=presentation.n_values,
+        relations=presentation.relations,
+    )
+    act, inv = quandle.arrays
+    undone = inv != tables[1::2]
     if undone.any():
         raise EnumerationInternalError(
             f"generator {int(undone.any(axis=1).argmax())} is not a bijection "
             "with its inverse edges")
-    generator_element = tuple([index[graph.find(j)] for j in range(graph.ngens)])
     for base, codes, target in graph.relators.primary:
         x = generator_element[base]
         for c in codes:
             x = tables[c][x]
         if x != generator_element[target]:
             raise EnumerationInternalError("primary relation does not close")
+    moves = [row for pair in zip(act, inv) for row in pair]
+    identity = np.arange(len(live), dtype=act.dtype)
     for codes in graph.relators.universal:
         perm = identity
         for c in codes:
@@ -661,15 +677,7 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
                 "universal relation does not close at some vertex")
     if reached < len(live):
         raise EnumerationInternalError(f"the generators do not reach vertex {live[reached]}")
-    return FiniteQuandle(
-        size=len(live),
-        generator_names=presentation.generator_names,
-        action=tuple(tables[0::2]),
-        generator_element=generator_element,
-        component_of_generator=presentation.component_of,
-        n_values=presentation.n_values,
-        relations=presentation.relations,
-    )
+    return quandle
 
 
 def enumerate_quandle(presentation: Presentation,

@@ -181,7 +181,11 @@ class FiniteQuandle:
         """The generator actions A[g] as one read-only array in the
         table's dtype, and their inverses A'[g], derived on first read
         by one O(size) scatter, A'[g][A[g][x]] = x; a value that an
-        action misses, which ``verify_axioms`` reports, stays -1."""
+        action misses stays -1.  This is the one numpy form of the
+        actions: the enumerator's seal audits these arrays before it
+        returns the quandle, so they arrive already built, and
+        ``verify_axioms`` reads each action's bijectivity off the -1s
+        of the same scatter."""
         act = np.asarray(self.action, dtype=_table_dtype(self.size))
         # both sides named: with no elements, -1 has nothing to infer from
         act = act.reshape(len(self.action), self.size)
@@ -318,33 +322,33 @@ def verify_axioms(q: FiniteQuandle) -> VerificationReport:
     """Prove the three quandle axioms for the operation table.
 
     Checked, with the first violated instance of each reported: each
-    generator's action is a bijection; idempotence; the generators
-    reach every element; each generator element's column is its
-    generator's action; and for each generator a, R_a is an
-    automorphism of the table, (x>y)>a = (x>a)>(y>a).  Every other
-    column is A[g] R_y A'[g] for a
+    generator's action is a bijection, read off the -1s that the inverse
+    scatter of ``arrays`` leaves at the values it misses (the arrays the
+    enumerator's seal audited); idempotence; the generators reach every
+    element; each generator element's column is its generator's action;
+    and for each generator a, R_a is an automorphism of the table,
+    (x>y)>a = (x>a)>(y>a).  Every other column is A[g] R_y A'[g] for a
     column R_y built before it, so by induction every column is a
     bijective automorphism: right invertibility and self-distributivity
     for all size^3 triples, in O(generators * size^2).  A failed
     bijection or generation check ends the proof, since every later
     check relies on it.  The automorphism check runs over a band of
     columns at a time, so its memory stays bounded beside the table's.
-    No element name is read: each is spelled along the generator tree
+    The quandle with no elements passes every check vacuously.  No
+    element name is read: each is spelled along the generator tree
     from the same actions, so it names its element by construction.
     """
     idx = np.arange(q.size)
-    act = q.arrays[0]
-    # one mark per element per generator, set where its action lands
-    hit = np.zeros(act.shape, dtype=bool)
-    hit[np.arange(len(act))[:, None], act] = True
+    act, inv = q.arrays
     for g, name in enumerate(q.generator_names):
-        if not hit[g].all():
+        if (inv[g] < 0).any():
             return VerificationReport(
-                False, [f"bijection: the action of {name} misses element {int(hit[g].argmin())}"])
+                False, [f"bijection: the action of {name} misses element {int(inv[g].argmin())}"])
 
     fwd = dense_tables(q)
     failures: list[str] = []
-    reached = fwd[0] >= 0
+    # row 0's entries, none at all when there is no element
+    reached = (fwd[:1] >= 0).all(axis=0)
 
     diag = fwd[idx, idx]
     bad = reached & (diag != idx)

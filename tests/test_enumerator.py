@@ -42,10 +42,12 @@ from nquandles.presentations import (
 )
 from nquandles.quandle import (
     FiniteQuandle,
+    _table_dtype,
     export_dot,
     export_json,
     orbits,
     verify_all,
+    verify_axioms,
 )
 from nquandles.quandle import Expression, expression_str
 from nquandles.words import concat
@@ -1419,6 +1421,22 @@ def test_seal_rejects_a_vertex_the_generators_miss():
     with pytest.raises(EnumerationInternalError,
                        match=f"the generators do not reach vertex {base}$"):
         _seal(g)
+
+
+@pytest.mark.parametrize("p", [next(iter_checks()).presentation, family("Mk", k=6)],
+                         ids=["first catalog check", "Mk k=6"])
+def test_the_sealed_quandle_carries_the_arrays_its_audit_read(p):
+    # the seal audits the quandle's own numpy form of its actions, so
+    # the actions are converted once, and verification reads that form
+    q = enumerate_quandle(p).quandle
+    assert "arrays" in vars(q)
+    arrays = vars(q)["arrays"]
+    act, inv = arrays
+    for a in arrays:
+        assert a.dtype == _table_dtype(q.size) and not a.flags.writeable
+    assert act.tolist() == [list(row) for row in q.action]
+    assert verify_axioms(q)
+    assert q.arrays is arrays
 
 
 def test_seal_rejects_an_open_universal_relation_on_mk30():

@@ -592,6 +592,13 @@ def test_verify_all():
     assert not verify_all(tiny([[0, 1]], [0], [1], [2]))
 
 
+def test_the_quandle_with_no_elements_passes_every_check_vacuously():
+    empty = FiniteQuandle(size=0, generator_names=(), action=(), generator_element=(),
+                          component_of_generator=(), n_values=())
+    assert verify_axioms(empty).failures == []
+    assert verify_all(empty).failures == []
+
+
 # --- orbits ----------------------------------------------------------------------
 
 def test_orbits_partition():
