@@ -29,7 +29,9 @@ coset enumeration:
     postcondition (each generator a bijection with its inverse edges,
     every primary and universal relation closed, every vertex reached);
     the checks on all elements at once read the quandle's own
-    ``arrays``, the numpy form that its later proofs read too.
+    ``arrays``, the numpy form that its later proofs read too: the
+    inverses as Python lists against the inverse tables, and the
+    actions, copied once to intp, as the rows the relators gather along.
 
 The procedure halts exactly when the N-quandle is finite; vertex and
 step caps make the infinite case observable as an Exceeded outcome,
@@ -607,13 +609,16 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
     apart only when it fails.  The forward tables then make the quandle,
     and the bijection and universal relation checks run on its own
     ``arrays``, the one numpy form of its actions: the bijection check
-    compares the inverses that ``arrays`` scatters with the inverse
-    tables, equal exactly when each inverse table undoes its action (a
-    value the action misses is -1 in the scatter, and no table entry
-    is), and each letter of a relation is one ``take`` along an action
-    row that moves every element at once.  The quandle is returned with
-    those arrays cached and no names: it derives them from its action
-    tables when one is first read."""
+    compares each generator's inverse that ``arrays`` scatters, read
+    back as a list, with its inverse table, equal exactly when that
+    table undoes its action (a value the action misses is -1 in the
+    scatter, and no table entry is).  Each letter of a universal
+    relation is one ``take`` along an action row that moves every
+    element at once; the rows are read from one intp copy of each
+    array, so no ``take`` casts its indices, and a relation closes when
+    its permutation has the identity's bytes.  The quandle is returned
+    with those arrays, in their own dtype, cached and no names: it
+    derives them from its action tables when one is first read."""
     presentation = graph.presentation
     parent = graph.parent
     index = [-1] * (graph.created + 1)  # index[-1] is the spare -1
@@ -634,45 +639,45 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
         if code & 1 and row is graph.rows[code - 1]:
             tables.append(tables[-1])
             continue
-        ends = [row[v] for v in live]
-        table = [index[t] for t in ends]
+        table = [index[row[v]] for v in live]
         if -1 in table:
+            ends = [row[v] for v in live]
             if -1 in ends:
                 v = live[ends.index(-1)]
                 raise EnumerationInternalError(f"generator {code >> 1} undefined at vertex {v}")
             i = table.index(-1)
             raise EnumerationInternalError(
                 f"generator {code >> 1} at vertex {live[i]} points at merged label {ends[i]}")
-        tables.append(tuple(table))
+        tables.append(table)
     generator_element = tuple([index[graph.find(j)] for j in range(graph.ngens)])
     quandle = FiniteQuandle(
         size=len(live),
         generator_names=presentation.generator_names,
-        action=tuple(tables[0::2]),
+        action=tuple(map(tuple, tables[0::2])),
         generator_element=generator_element,
         component_of_generator=presentation.component_of,
         n_values=presentation.n_values,
         relations=presentation.relations,
     )
     act, inv = quandle.arrays
-    undone = inv != tables[1::2]
-    if undone.any():
-        raise EnumerationInternalError(
-            f"generator {int(undone.any(axis=1).argmax())} is not a bijection "
-            "with its inverse edges")
+    for g, (inverse, table) in enumerate(zip(inv.tolist(), tables[1::2])):
+        if inverse != table:
+            raise EnumerationInternalError(
+                f"generator {g} is not a bijection with its inverse edges")
     for base, codes, target in graph.relators.primary:
         x = generator_element[base]
         for c in codes:
             x = tables[c][x]
         if x != generator_element[target]:
             raise EnumerationInternalError("primary relation does not close")
-    moves = [row for pair in zip(act, inv) for row in pair]
-    identity = np.arange(len(live), dtype=act.dtype)
+    moves = [row for pair in zip(act.astype(np.intp), inv.astype(np.intp)) for row in pair]
+    identity = np.arange(len(live), dtype=np.intp)
+    closed = identity.tobytes()
     for codes in graph.relators.universal:
         perm = identity
         for c in codes:
             perm = moves[c].take(perm)
-        if not np.array_equal(perm, identity):
+        if perm.tobytes() != closed:
             raise EnumerationInternalError(
                 "universal relation does not close at some vertex")
     if reached < len(live):

@@ -183,9 +183,11 @@ class FiniteQuandle:
         by one O(size) scatter, A'[g][A[g][x]] = x; a value that an
         action misses stays -1.  This is the one numpy form of the
         actions: the enumerator's seal audits these arrays before it
-        returns the quandle, so they arrive already built, and
-        ``verify_axioms`` reads each action's bijectivity off the -1s
-        of the same scatter."""
+        returns the quandle, so they arrive already built.  The seal
+        compares the inverses, read back as lists, with its inverse
+        tables, and gathers its relators along intp copies of both, so
+        these stay as they are.  ``verify_axioms`` reads each action's
+        bijectivity off the -1s of the same scatter."""
         act = np.asarray(self.action, dtype=_table_dtype(self.size))
         # both sides named: with no elements, -1 has nothing to infer from
         act = act.reshape(len(self.action), self.size)

@@ -95,6 +95,16 @@ def test_enumerate_cap_exceeded(capsys):
                    "before the stop, 10001 live, 231723 steps\n")
 
 
+def test_a_cap_equal_to_the_generator_count_stops_at_the_first_vertex_a_scan_makes(capsys):
+    # the trefoil's two generator vertices fit under a 2-vertex cap, so
+    # the run starts, and its first scan stops one step in, on the third vertex
+    code, out, err = run(capsys, "enumerate", "--family", "trefoil", "--N", "2",
+                         "--max-vertices", "2")
+    assert code == 4 and err == ""
+    assert out == ("exceeded vertices cap (2); 3 vertices created "
+                   "before the stop, 3 live, 1 steps\n")
+
+
 def test_enumerate_a_free_involution_hits_the_cap(tmp_path, capsys):
     # the 2-component unlink at N=(2,2) is infinite; no relation but its
     # own power reads either generator

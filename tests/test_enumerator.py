@@ -1319,6 +1319,24 @@ def test_seal_rejects_inverse_edges_that_disagree():
         _seal(g)
 
 
+@pytest.mark.parametrize("k, spots", [(6, (50, 100, 150)), (30, (500, 600, 900))])
+def test_seal_rejects_an_involution_row_that_is_not_its_own_inverse(k, spots):
+    # a is an involution on Mk, so its one row serves both its letters: a
+    # 3-cycle of three far ends leaves a bijection that is not its own
+    # inverse, which only the comparison of the scattered inverse with
+    # that same table can tell (k=30 has 1070 elements, in int16 arrays)
+    g, live = closed(family("Mk", k=k))
+    row = g.rows[0]
+    assert g.rows[1] is row
+    x, y, z = (live[i] for i in spots)
+    fx, fy, fz = (g.find(row[v]) for v in (x, y, z))
+    assert fy not in (x, y, z)  # so the new a sends x to fy, and fy back to y
+    row[x], row[y], row[z] = fy, fz, fx
+    with pytest.raises(EnumerationInternalError,
+                       match="^generator 0 is not a bijection with its inverse edges$"):
+        _seal(g)
+
+
 def test_seal_rejects_an_open_primary_relation():
     p, g, live = finished_t24()
     swap_edges(g, 0, live[0], live[1])
