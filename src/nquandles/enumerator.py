@@ -78,7 +78,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from operator import length_hint
 from typing import NamedTuple
 
@@ -622,13 +621,18 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
     presentation = graph.presentation
     parent = graph.parent
     index = [-1] * (graph.created + 1)  # index[-1] is the spare -1
-    live: list[int] = []  # read by the walk while it grows
-    forward = graph.rows[0::2]
-    walk = (row[v] for v in live for row in forward)
-    for t in chain(map(graph.find, range(graph.ngens)), walk):
-        if t >= 0 and index[t] < 0 and t not in parent:
+    live: list[int] = []
+    for t in map(graph.find, range(graph.ngens)):
+        if index[t] < 0:
             index[t] = len(live)
             live.append(t)
+    forward = graph.rows[0::2]
+    for v in live:  # the walk reads live while it grows
+        for row in forward:
+            t = row[v]
+            if t >= 0 and index[t] < 0 and t not in parent:
+                index[t] = len(live)
+                live.append(t)
     reached = len(live)
     if reached < graph.live_count:
         live += [v for v in range(graph.created) if v not in parent and index[v] < 0]

@@ -486,6 +486,80 @@ def test_verify_axioms_finds_a_violation_past_the_first_band(mk30, g, x1, x2):
     assert assert_true_violation(bad, failure) >= first_broken
 
 
+@pytest.fixture
+def compared(monkeypatch):
+    """The sources of the columns verify_axioms compares, one array per
+    generator it checks, in the order it checks them."""
+    seen = []
+    real = quandle._first_non_automorphism
+
+    def recording(cols, a, sources):
+        seen.append(sources)
+        return real(cols, a, sources)
+
+    monkeypatch.setattr(quandle, "_first_non_automorphism", recording)
+    return seen
+
+
+def edges(quandles):
+    """Generator edges y --g--> y^g of the quandles, one per generator
+    and element."""
+    return sum(q.size * len(q.action) for q in quandles)
+
+
+def column_rule_holds(m, a, ys):
+    """Whether (x>y)^a = x^a > y^a in the table m for every x and every
+    y in ys: the column rule on each edge y --a--> y^a."""
+    return np.array_equal(a[m[:, ys]], m[np.ix_(a, a[ys])])
+
+
+def open_and_skipped(q, open_sources):
+    """(action, its open sources, the sources left out) per generator."""
+    for a, sources in zip(np.array(q.action).reshape(-1, q.size), open_sources, strict=True):
+        yield a, sources, np.setdiff1d(np.arange(q.size), sources)
+
+
+def test_verify_axioms_compares_only_the_open_columns(compared, catalog_quandles):
+    # the tree edges and one edge of each full-order cycle are left out;
+    # comparing every column again would raise these counts
+    mk12 = enum("Mk", k=12)
+    assert verify_axioms(mk12)
+    assert (sum(map(len, compared)), edges([mk12])) == (287, 1266)
+    compared.clear()
+    assert all(verify_axioms(q) for q in catalog_quandles)
+    assert (sum(map(len, compared)), edges(catalog_quandles)) == (2248, 8110)
+
+
+def test_every_edge_the_proof_skips_keeps_the_column_rule(compared, catalog_quandles, mk30):
+    skipped = 0
+    for q in catalog_quandles + [mk30]:
+        compared.clear()
+        assert verify_axioms(q)
+        m, _ = two_tables(q)
+        for a, _, ys in open_and_skipped(q, compared):
+            assert column_rule_holds(m, a, ys)
+            skipped += len(ys)
+    assert skipped == 8110 - 2248 + 3210 - 719
+
+
+def test_the_open_edges_decide_the_column_rule_on_tampered_actions(catalog_quandles):
+    # a swap leaves each action a bijection, so wherever the generators
+    # still reach every element the table is built along the oracle's
+    # tree, and an action's skipped edges may break the column rule
+    # only when one of its open edges breaks it too
+    checked = decided = 0
+    for q, g, x1, x2, bad in tamperings(catalog_quandles):
+        if None in bad.witnesses:
+            continue
+        m, _ = two_tables(bad)
+        for a, sources, ys in open_and_skipped(bad, quandle._open_edges(bad)):
+            if not column_rule_holds(m, a, ys):
+                assert not column_rule_holds(m, a, sources), (q.generator_names, g, x1, x2)
+                decided += 1
+            checked += 1
+    assert (checked, decided) == (982, 773)
+
+
 def test_exports_golden_digest(catalog_quandles):
     # pins element names and both exports byte for byte over the sweep;
     # the closed-braid families name their elements after the strands.
