@@ -22,6 +22,10 @@ coset enumeration:
     tried after each window of live vertices that made no vertex and
     merged none, passes: it then proves that every scan left would
     close, so the graph is already the one the whole sweep would leave;
+    a conjugate relator longer than all the others together, as Mk's
+    is, is swept on a second cursor that lags the first in proportion
+    to the lengths, so it is scanned mostly on a graph that the short
+    relators have already closed;
 6.  sealing: the live vertices become the elements 0..n-1 along the
     generator tree that names them, generator elements first, and the
     letter rows become integer action tables, whose forward half makes
@@ -66,7 +70,7 @@ entry past the last label made, and every entry there is -1, so a read
 past a missing edge lands on index -1 and stays at -1: a scan first
 reads its whole relator with no test per letter, and reads it again
 letter by letter from both ends only when that read ends at -1.  On Mk
-about three scans in four find their relator closed and stop after the
+about two scans in three find their relator closed and stop after the
 first read; a scan counts one step per letter either way.  Vertices
 record nothing about how they were made, and merges keep the smaller
 label; the sealed quandle derives its element names from its action
@@ -89,8 +93,9 @@ from .words import Word
 
 DEFAULT_MAX_VERTICES = 100_000
 DEFAULT_MAX_STEPS = 100_000_000
-# live vertices per window of the sweep; a window that changes nothing
-# is followed by the seal's audit (see ``run_schedule``)
+# live vertices per window of the sweep, and of a lagging relator's
+# cursor; a window that changes nothing is followed by the seal's audit
+# (see ``run_schedule``)
 _QUIET_WINDOW = 32
 
 
@@ -159,12 +164,18 @@ class Relators(NamedTuple):
     the codes of each universal relation in sweep order.  overrun is
     None, or (code, n) for the first power relation code^n longer than
     the step cap: universal then stops just before it, since its first
-    scan, at the sweep's first vertex, is where the run stops.
+    scan, at the sweep's first vertex, is where the run stops.  lag is
+    None, or the index in universal of the one conjugate relator that
+    the sweep scans on its lagging cursor (see ``run_schedule``): one
+    longer than all the other universal relators together, as Mk's long
+    relator is.  The seal's audit reads every relator in universal, the
+    lagging one included.
     """
 
     primary: list[tuple[int, list[int], int]]
     universal: list[list[int]]
     overrun: tuple[int, int] | None
+    lag: int | None = None
 
 
 def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
@@ -178,7 +189,11 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
     either: it could not be scanned in full, and the run stops at it.
     Each folded conjugate relator is then rotated by ``at_twist``: one
     whose seam lies inside a long two-letter alternation, as Mk's does
-    inside its twist (ab)^j, starts where the alternation starts."""
+    inside its twist (ab)^j, starts where the alternation starts.  The
+    longest conjugate relator lags when its length is more than half of
+    the summed length of all universal relators, and it is not the only
+    one; a power, a free involution's square or a run with an overrun
+    never lags."""
     powers = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
     # how each code is written: an involution's inverse letter as itself
     spell = [c & -2 if powers[c >> 1] == 2 else c for c in range(2 * len(powers))]
@@ -204,7 +219,15 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
                   if codes]
     read = {c for codes in conjugates for c in codes}
     free = [[2 * gen] * 2 for gen, n in enumerate(powers) if n == 2 and 2 * gen not in read]
-    return Relators(primary, universal + conjugates + free, None)
+    relators = universal + conjugates + free
+    longest = max(map(len, conjugates), default=0)
+    # the longest conjugate relator lags when it outweighs the rest, and
+    # the rest is not empty, so the lead cursor has a relator to scan
+    rest = sum(map(len, relators)) - longest
+    lag = None
+    if 0 < rest < longest:
+        lag = len(universal) + [len(codes) for codes in conjugates].index(longest)
+    return Relators(primary, relators, None, lag)
 
 
 def at_twist(codes: list[int]) -> list[int]:
@@ -547,34 +570,71 @@ def run_schedule(graph: TraceGraph) -> FiniteQuandle:
     was and the sweep goes on, each later window twice as long, so
     failed audits stay few.  Past the last label the seal runs once
     more, and its errors propagate.
+
+    When ``relators.lag`` names a relator of length L, more than half of
+    the summed length S of all of them, the cursor above leads over
+    every other relator, and the lagging relator has a second cursor of
+    its own.  The lead window is ``_QUIET_WINDOW`` * ceil(L / (S - L))
+    live labels; at its end the lag cursor scans the lagging relator at
+    its next ``_QUIET_WINDOW`` live labels, and only then does the quiet
+    check run.  Once the lead cursor has passed the last label, the lag
+    cursor goes on alone, a window at a time, each followed by the same
+    check; labels it makes send the lead cursor on again, and the final
+    seal runs when both have passed the last label.  Both cursors move
+    in every window, so every label is still scanned with every
+    relator, and the audit still reads every relator, so the quandle
+    is the one of the sweep without a lag.  On Mk the short relators
+    close the graph first, and the lagging one then needs scanning at
+    few labels: about half the vertices and a fraction of the steps.
     """
-    universals = [graph.bind(codes) for codes in graph.relators.universal]
-    overrun = graph.relators.overrun
+    relators = graph.relators
+    universals = [graph.bind(codes) for codes in relators.universal]
+    overrun, lag = relators.overrun, relators.lag
     parent, scan, pending = graph.parent, graph.scan, graph.pending
-    window = left = _QUIET_WINDOW
+    window = _QUIET_WINDOW
+    if lag is not None:
+        lagging = universals.pop(lag)
+        length = len(lagging[0])
+        window *= -(-length // (sum(map(len, relators.universal)) - length))
+    left = window
     mark = graph.created + graph.unions
-    cursor = 0
-    while cursor < graph.created:
-        v, cursor = cursor, cursor + 1
-        if v in parent:
-            continue
-        for bound in universals:
-            scan(v, bound, v)
-            if pending:
-                graph.collapse()
-                v = graph.find(v)
-        if overrun is not None:
-            graph.overrun(v, *overrun)
-        left -= 1
-        if not left:
-            if graph.created + graph.unions == mark:
-                try:
-                    return _seal(graph)
-                except EnumerationInternalError:
-                    window *= 2
-            left = window
-            mark = graph.created + graph.unions
-    return _seal(graph)
+    cursor = trail = 0
+    while True:
+        while cursor < graph.created:
+            v, cursor = cursor, cursor + 1
+            if v in parent:
+                continue
+            for bound in universals:
+                scan(v, bound, v)
+                if pending:
+                    graph.collapse()
+                    v = graph.find(v)
+            if overrun is not None:
+                graph.overrun(v, *overrun)
+            left -= 1
+            if not left:
+                break
+        else:
+            # the lead cursor has passed the last label
+            if lag is None or trail >= graph.created:
+                return _seal(graph)
+        if lag is not None:
+            count = _QUIET_WINDOW
+            while count and trail < graph.created:
+                v, trail = trail, trail + 1
+                if v in parent:
+                    continue
+                scan(v, lagging, v)
+                if pending:
+                    graph.collapse()
+                count -= 1
+        if graph.created + graph.unions == mark:
+            try:
+                return _seal(graph)
+            except EnumerationInternalError:
+                window *= 2
+        left = window
+        mark = graph.created + graph.unions
 
 
 def _seal(graph: TraceGraph) -> FiniteQuandle:

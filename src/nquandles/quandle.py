@@ -237,13 +237,19 @@ def _table_dtype(size: int) -> type[np.signedinteger]:
 def _build_table(q: FiniteQuandle) -> np.ndarray:
     n = q.size
     act, inv = q.arrays
-    # cols[y] is column y of M, so each step writes one contiguous row
+    # cols[y] is column y of M, so each step writes one contiguous row;
+    # every reached column is written in full, so only the others are
+    # filled with -1
     try:
-        cols = np.full((n, n), -1, dtype=act.dtype)
+        cols = np.empty((n, n), dtype=act.dtype)
     except MemoryError:
         raise MemoryError(f"the operation table of {n} elements needs {n * n * act.itemsize} "
                           "bytes, more than could be allocated") from None
     roots, via = q.tree
+    if len(roots) + len(via) < n:
+        unreached = np.ones(n, dtype=bool)
+        unreached[[e for _, e in roots] + list(via)] = False
+        cols[unreached] = -1
     for g, e in roots:
         cols[e] = act[g]
     for z, (y, g) in via.items():

@@ -41,8 +41,10 @@ WORDS = list(rotation_classes(2, range(1, 5)))
 # sha256 of every run's word, N tuple, cap kind and counters, one line
 # each: a collapse that drops a deduced identification still closes
 # these graphs but moves counters, (3, 2, 26, 1) to (6, 5, 31, 1) for
-# the word (-1, -1, 2, 1) at N=(3,)
-THREE_STRAND_DIGEST = "44ab471ef4162a514614d066ecca58a8c124eed94c3b2b1b4b0a167fee7b0bf3"
+# the word (-1, -1, 2, 1) at N=(3,).  Re-pinned when a conjugate relator
+# longer than all the others came to lag: 9 of the 476 runs lag, and 4
+# of them, all capped, stop at another step count
+THREE_STRAND_DIGEST = "4eb8c2a9e113579e0b81eb1e851a08f5c7cd807ed4c2b3975be7a120d49d33c2"
 
 
 def test_three_strand_words_of_at_most_four_letters():

@@ -162,22 +162,22 @@ def test_tiny_vertex_cap_trips_during_setup():
 # once: they pin which vertex is created, merged or kept, and where a cap
 # stops the run.  The trefoil is the closed braid on its two strands, and
 # its N=6 quandle merges nothing before the cap, so its mirror pins a
-# vertex cap after merges.  Mk k=6 closes in 9,218 steps, so its step
+# vertex cap after merges.  Mk k=6 closes in 9,529 steps, so its step
 # cap sits below that, after its last vertex is made but before its last
 # merge.  Mk's knot generators are involutions (n = 2), each scanned
-# through one shared row, and its long relator starts at its twist.  Mk
-# k=30, 60 and 100 end with the seal's audit after a quiet window, 48-53 %
-# of their steps before the last label (164,504, 588,314 and 1,556,594
-# steps swept to it).
+# through one shared row, and its long relator starts at its twist and
+# lags: it is swept on the second cursor.  Mk k=30, 60 and 100 end with
+# the seal's audit after a quiet window, at 12-37 % of the steps that
+# take both cursors past the last label (161,232, 581,341 and 1,545,833).
 @pytest.mark.parametrize("p, limits, counters, cap_kind", [
-    (family("Mk", k=6), {}, (878, 672, 9218, 206), None),
+    (family("Mk", k=6), {}, (698, 492, 9529, 206), None),
     (family("T24", (3, 4)), {}, (16, 2, 330, 14), None),
-    (family("Mk", k=30), {}, (4766, 3696, 84938, 1070), None),
-    (family("Mk", k=60), {}, (9626, 7476, 283268, 2150), None),
+    (family("Mk", k=30), {}, (2498, 1428, 60296, 1070), None),
+    (family("Mk", k=60), {}, (4707, 2557, 119205, 2150), None),
     (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 0, 44283, 2001), "vertices"),
     (family("T2k", (6,), k=-3), {"max_vertices": 2000}, (2001, 260, 38525, 1741), "vertices"),
-    (family("Mk", k=6), {"max_steps": 6500}, (878, 652, 6501, 226), "steps"),
-    (family("Mk", k=100), {}, (16106, 12516, 726908, 3590), None),
+    (family("Mk", k=6), {"max_steps": 6500}, (698, 488, 6501, 210), "steps"),
+    (family("Mk", k=100), {}, (8723, 5133, 185969, 3590), None),
     (family("T2k", (4,), k=5), {}, (100001, 6181, 702565, 93820), "vertices"),
     (family("T2k", (7,), k=-3), {}, (100001, 4179, 955689, 95822), "vertices"),
 ], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "mirror-trefoil-vertex-cap",
@@ -381,6 +381,49 @@ def test_a_free_involution_scans_its_power():
         assert enumerate_quandle(p, EnumerationLimits(max_vertices=1000)).cap_kind == "vertices"
     q = enumerate_quandle(parse_presentation(unlink.format(1))).quandle
     assert q.size == 3 and orbits(q).sizes() == (2, 1) and verify_all(q)
+
+
+def test_only_a_conjugate_relator_longer_than_all_the_others_lags():
+    # Mk's conjugate relator grows with |k|: from k = 6 and k = -4 on it
+    # is longer than the powers and the other conjugate relators together
+    for k in range(-20, 21):
+        relators = compile_relators(family("Mk", k=k), DEFAULT_MAX_STEPS)
+        lengths = list(map(len, relators.universal))
+        if k >= 6 or k <= -4:
+            assert relators.lag == lengths.index(max(lengths)) == len(lengths) - 1
+            assert 2 * max(lengths) > sum(lengths)
+        else:
+            assert relators.lag is None, k
+    checks = list(iter_checks(k_values=range(-20, 21), n_values=range(2, 8)))
+    lagging = {c.row_id for c in checks
+               if compile_relators(c.presentation, DEFAULT_MAX_STEPS).lag is not None}
+    assert lagging == {"Mk"}
+    # nor does a power past the step cap, two equal longest relators or
+    # a lone relator, which would leave the lead cursor nothing to scan
+    lone = parse_presentation("gens a b\ncomp a:1 b:2\nN 2 2\nrel a^[b] = a\n")
+    for p, max_steps in [(family("trefoil", (6,)), DEFAULT_MAX_STEPS),
+                         (family("T2k", (4,), k=5), DEFAULT_MAX_STEPS),
+                         (family("T2k", (6,), k=-3), DEFAULT_MAX_STEPS),
+                         (family("Mk", k=30), 2), (lone, DEFAULT_MAX_STEPS)]:
+        assert compile_relators(p, max_steps).lag is None
+    assert compile_relators(lone, DEFAULT_MAX_STEPS).universal == [[2, 0, 2, 0]]
+
+
+# sha256 over the counters of the 398 default and wide sweep checks with
+# no lagging relator, pinned before the lagging cursor was added: their
+# sweeps scan in the same order, step for step
+UNLAGGED_STATS_DIGEST = "5f3160f56441786c7a28b835dfa31a565a5ccfd33209e0a831135d59379774f0"
+
+
+def test_runs_with_no_lagging_relator_keep_their_counters():
+    checks = list(iter_checks()) + list(iter_checks(k_values=range(-20, 21), n_values=range(2, 8)))
+    unlagged = [c.presentation for c in checks
+                if compile_relators(c.presentation, DEFAULT_MAX_STEPS).lag is None]
+    assert (len(checks), len(unlagged)) == (434, 398)
+    digest = hashlib.sha256()
+    for p in unlagged:
+        digest.update(json.dumps(list(enumerate_quandle(p).stats)).encode())
+    assert digest.hexdigest() == UNLAGGED_STATS_DIGEST
 
 
 def unrotated(p):
@@ -748,7 +791,7 @@ def swept(p, limits):
 
 @pytest.mark.parametrize("p, max_vertices, cap_kind", [
     (family("Mk", k=30), DEFAULT_MAX_VERTICES, None),
-    (family("Mk", k=30), 3000, "vertices"),
+    (family("Mk", k=30), 2000, "vertices"),
     (family("trefoil", (6,)), 5000, "vertices"),
 ], ids=["Mk30", "Mk30-capped", "trefoil6-capped"])
 def test_the_union_find_holds_exactly_the_merged_labels(p, max_vertices, cap_kind):
@@ -978,27 +1021,20 @@ def test_live_accounting_after_schedule():
 # --- the sweep ended by the seal's audit -------------------------------------------
 
 def full_sweep(p):
-    """Reference: p's graph swept to its last label, as the sweep ran
-    before the seal's audit could end it, then sealed; the quandle and
-    the counters."""
-    g = TraceGraph(p, EnumerationLimits())
-    rel = g.relators
-    for base, codes, target in rel.primary:
-        g.scan(g.find(base), g.bind(codes), g.find(target))
-        g.collapse()
-    universals = [g.bind(codes) for codes in rel.universal]
-    cursor = 0
-    while cursor < g.created:
-        v, cursor = cursor, cursor + 1
-        if v in g.parent:
-            continue
-        for bound in universals:
-            g.scan(v, bound, v)
-            if g.pending:
-                g.collapse()
-                v = g.find(v)
-        if rel.overrun is not None:
-            g.overrun(v, *rel.overrun)
+    """Reference: p's graph swept by the same schedule with every audit
+    declined, so that both cursors pass its last label, then sealed; the
+    quandle and the counters."""
+    graphs = []
+
+    def declined(g):
+        graphs.append(g)
+        raise EnumerationInternalError("declined")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerator, "_seal", declined)
+        with pytest.raises(EnumerationInternalError, match="declined"):
+            enumerate_quandle(p)
+    g = graphs[-1]
     return _seal(g), g.stats()
 
 
@@ -1464,5 +1500,23 @@ def test_seal_rejects_an_open_universal_relation_on_mk30():
     g, live = closed(p)
     assert len(live) == 1070
     swap_edges(g, 0, live[500], live[900])
+    with pytest.raises(EnumerationInternalError, match="universal relation"):
+        _seal(g)
+
+
+def test_seal_rejects_a_graph_only_the_lagging_relator_leaves_open():
+    # Mk k=6 swept with every relator but the lagging one closes on 246
+    # labels, which that sweep's own seal accepts; with the lagging
+    # relator back, the audit finds it open (the quandle has 206 elements)
+    p = family("Mk", k=6)
+    g = TraceGraph(p)
+    relators = g.relators
+    g.relators = relators._replace(
+        universal=[u for i, u in enumerate(relators.universal) if i != relators.lag], lag=None)
+    for base, codes, target in g.relators.primary:
+        g.scan(g.find(base), g.bind(codes), g.find(target))
+        g.collapse()
+    assert run_schedule(g).size == g.live_count == 246
+    g.relators = relators
     with pytest.raises(EnumerationInternalError, match="universal relation"):
         _seal(g)

@@ -221,6 +221,13 @@ def test_inverse_column_of_an_unreached_element_is_unset():
     assert full_op(q, 0, 1, -1) == full_op(q, 1, 1, -1) == -1
 
 
+def test_generation_reports_the_element_no_generator_reaches():
+    # the unreached column is all -1, so the table's first row misses it
+    report = verify_axioms(tiny([[0, 1]], [0], [1], [2]))
+    assert not report.ok
+    assert report.failures == ["generation: element 1 is not reached from the generators"]
+
+
 def test_table_dtype_widens_from_two_to_the_fifteen():
     assert quandle._table_dtype(1) == np.int16
     assert quandle._table_dtype(2**15 - 1) == np.int16
