@@ -45,13 +45,7 @@ flat row per letter code, the codes that spell every relation word,
 indexed by vertex label.  Relators are compiled once per graph
 (``TraceGraph.relators``), shared by the scans and the sealing audit, and
 scanned from both ends, as in the HLT strategy of coset enumeration, so
-a vertex is made only for a letter that neither scan could read.  Both
-ends of a scan sit at the relator's seam, so a universal relator whose
-seam falls inside a two-letter alternation x y x y ... covering more
-than half of it, as Mk's falls inside its twist, is rotated to start
-where the alternation starts: a universal relation holds at every
-element, so a rotation states the same relation, and on Mk the sweep
-reaches the seal's audit in about a third fewer steps.  A
+a vertex is made only for a letter that neither scan could read.  A
 generator a with n = 2 acts as an involution, x^(a') = x^a, since
 R_a^2 = id in the N-quandle: its two letters share one row, its letters
 are compiled as a and cancel in pairs, and its power relation a^2 is
@@ -187,13 +181,10 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
     reads a, since the sweep defines a letter's edges only by reading
     it.  A power relation longer than the step cap is never spelled
     either: it could not be scanned in full, and the run stops at it.
-    Each folded conjugate relator is then rotated by ``at_twist``: one
-    whose seam lies inside a long two-letter alternation, as Mk's does
-    inside its twist (ab)^j, starts where the alternation starts.  The
-    longest conjugate relator lags when its length is more than half of
-    the summed length of all universal relators, and it is not the only
-    one; a power, a free involution's square or a run with an overrun
-    never lags."""
+    The longest conjugate relator lags when its length is more than half
+    of the summed length of all universal relators, and it is not the
+    only one; a power, a free involution's square or a run with an
+    overrun never lags."""
     powers = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
     # how each code is written: an involution's inverse letter as itself
     spell = [c & -2 if powers[c >> 1] == 2 else c for c in range(2 * len(powers))]
@@ -215,8 +206,7 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
         if n > max_steps:
             return Relators(primary, universal, (2 * gen, n))
         universal.append([2 * gen] * n)
-    conjugates = [at_twist(codes) for codes in map(fold, conjugate_relations(presentation))
-                  if codes]
+    conjugates = [codes for codes in map(fold, conjugate_relations(presentation)) if codes]
     read = {c for codes in conjugates for c in codes}
     free = [[2 * gen] * 2 for gen, n in enumerate(powers) if n == 2 and 2 * gen not in read]
     relators = universal + conjugates + free
@@ -228,30 +218,6 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
     if 0 < rest < longest:
         lag = len(universal) + [len(codes) for codes in conjugates].index(longest)
     return Relators(primary, relators, None, lag)
-
-
-def at_twist(codes: list[int]) -> list[int]:
-    """A universal relator rotated to start where its twist starts, when
-    its seam lies inside a two-letter alternation x y x y ... that covers
-    more than half of it but not all; otherwise ``codes`` itself.
-
-    A scan starts and ends at the seam, so a seam inside the twist makes
-    every scan read into the twist from both ends.  A universal relation
-    holds at every element, so each rotation states the same relation,
-    and one of a freely reduced word is still reduced across its seam:
-    the new seam joins two letters that were already neighbours."""
-    if len(codes) < 4 or codes[0] != codes[-2] or codes[1] != codes[-1]:
-        return codes
-    n = len(codes)
-    end = 2  # codes[start:] + codes[:end] is the alternation
-    while end < n and codes[end] == codes[end - 2]:
-        end += 1
-    start = n - 2
-    while start > end and codes[start - 1] == codes[start + 1]:
-        start -= 1
-    if start > end and 2 * (n - start + end) > n:
-        return codes[start:] + codes[:start]
-    return codes
 
 
 class TraceGraph:

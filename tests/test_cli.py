@@ -454,7 +454,7 @@ def test_verify_catalog_exits_4_when_every_failure_is_a_cap_stop(capsys, monkeyp
 
 @pytest.mark.parametrize("caps, code, line", [
     ([], 0, "ok   Mk k=30 N=(2, 3): 1070"),
-    # Mk k=30 creates 2498 vertices and scans 60,296 letters for its 1070 elements
+    # Mk k=30 creates 2463 vertices and scans 60,265 letters for its 1070 elements
     (["--max-vertices", "2000"], 4, "FAIL Mk k=30 N=(2, 3): want 1070 got exceeded vertices cap"),
     (["--max-steps", "60000"], 4, "FAIL Mk k=30 N=(2, 3): want 1070 got exceeded steps cap"),
 ], ids=["default", "vertex-cap", "step-cap"])
@@ -549,7 +549,7 @@ def test_enumerate_refuses_a_k_past_the_step_cap(capsys, family, extra):
 
 
 def test_enumerate_closes_below_a_step_cap_its_full_sweep_breaks(capsys):
-    # the sweep ends with the seal's audit at 60,296 steps, before the
+    # the sweep ends with the seal's audit at 60,265 steps, before the
     # cap; swept to its last label it stopped at 150,001
     code, out, err = run(capsys, "enumerate", "--family", "Mk", "--k", "30",
                          "--max-steps", "150000")

@@ -10,7 +10,6 @@ import tracemalloc
 import weakref
 from collections import deque
 from functools import lru_cache
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -35,6 +34,7 @@ from nquandles.presentations import (
     augment_n,
     braid_presentation,
     builtin_family,
+    conjugate_relations,
     parse_presentation,
     parse_word,
     print_presentation,
@@ -51,7 +51,6 @@ from nquandles.quandle import (
 )
 from nquandles.quandle import Expression, expression_str
 from nquandles.words import concat
-from oracles import rotation_classes
 
 
 def family(name, ns=None, k=None):
@@ -162,22 +161,22 @@ def test_tiny_vertex_cap_trips_during_setup():
 # once: they pin which vertex is created, merged or kept, and where a cap
 # stops the run.  The trefoil is the closed braid on its two strands, and
 # its N=6 quandle merges nothing before the cap, so its mirror pins a
-# vertex cap after merges.  Mk k=6 closes in 9,529 steps, so its step
+# vertex cap after merges.  Mk k=6 closes in 10,468 steps, so its step
 # cap sits below that, after its last vertex is made but before its last
 # merge.  Mk's knot generators are involutions (n = 2), each scanned
-# through one shared row, and its long relator starts at its twist and
-# lags: it is swept on the second cursor.  Mk k=30, 60 and 100 end with
-# the seal's audit after a quiet window, at 12-37 % of the steps that
-# take both cursors past the last label (161,232, 581,341 and 1,545,833).
+# through one shared row, and its long relator lags: it is swept on the
+# second cursor.  Mk k=30, 60 and 100 end with the seal's audit after a
+# quiet window, at 13-37 % of the steps that take both cursors past the
+# last label (161,201, 581,038 and 1,543,879).
 @pytest.mark.parametrize("p, limits, counters, cap_kind", [
-    (family("Mk", k=6), {}, (698, 492, 9529, 206), None),
+    (family("Mk", k=6), {}, (707, 501, 10468, 206), None),
     (family("T24", (3, 4)), {}, (16, 2, 330, 14), None),
-    (family("Mk", k=30), {}, (2498, 1428, 60296, 1070), None),
-    (family("Mk", k=60), {}, (4707, 2557, 119205, 2150), None),
+    (family("Mk", k=30), {}, (2463, 1393, 60265, 1070), None),
+    (family("Mk", k=60), {}, (4400, 2250, 118902, 2150), None),
     (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 0, 44283, 2001), "vertices"),
     (family("T2k", (6,), k=-3), {"max_vertices": 2000}, (2001, 260, 38525, 1741), "vertices"),
-    (family("Mk", k=6), {"max_steps": 6500}, (698, 488, 6501, 210), "steps"),
-    (family("Mk", k=100), {}, (8723, 5133, 185969, 3590), None),
+    (family("Mk", k=6), {"max_steps": 6500}, (707, 486, 6501, 221), "steps"),
+    (family("Mk", k=100), {}, (6842, 3252, 196943, 3590), None),
     (family("T2k", (4,), k=5), {}, (100001, 6181, 702565, 93820), "vertices"),
     (family("T2k", (7,), k=-3), {}, (100001, 4179, 955689, 95822), "vertices"),
 ], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "mirror-trefoil-vertex-cap",
@@ -300,8 +299,10 @@ def test_a_huge_power_is_never_spelled():
 def test_compiled_relators_fold_involutions():
     # an involution's inverse letter is written as the letter itself,
     # no compiled word has a letter beside one that undoes it, and an
-    # involution's power relation a^2 is gone; words without
-    # involutions compile letter for letter
+    # involution's power relation a^2 is gone; the universal relators
+    # are the other powers, then each folded conjugate relator as it is,
+    # in relation order, then the free involutions' squares; words
+    # without involutions compile letter for letter
     ps = [c.presentation for c in iter_checks()] + [family("Mk", k=k) for k in (6, -5)]
     ps += [family("T2k", (6,), k=3), family("T24", (3, 2))]
     folded = 0
@@ -310,12 +311,25 @@ def test_compiled_relators_fold_involutions():
         assert_rows_shared(TraceGraph(p))
         ns = [p.n_of_generator(j) for j in range(len(p.generator_names))]
         undo = [c if ns[c >> 1] == 2 else c ^ 1 for c in range(2 * len(ns))]
+
+        def fold(word):
+            out = []
+            for c in (c & -2 if ns[c >> 1] == 2 else c for c in word):
+                if out and undo[out[-1]] == c:
+                    out.pop()
+                else:
+                    out.append(c)
+            return out
+
         words = [codes for _, codes, _ in relators.primary] + relators.universal
         for codes in words:
             assert all(ns[c >> 1] != 2 or c % 2 == 0 for c in codes), codes
             assert all(undo[c] != d for c, d in zip(codes, codes[1:])), codes
-        assert [codes for codes in relators.universal if len(set(codes)) == 1] == [
-            [2 * j] * n for j, n in enumerate(ns) if n != 2]
+        assert relators.primary == [(r.base, fold(r.word), r.target) for r in p.relations]
+        conjugates = [codes for codes in map(fold, conjugate_relations(p)) if codes]
+        read = {c for codes in conjugates for c in codes}
+        assert relators.universal == [[2 * j] * n for j, n in enumerate(ns) if n != 2] + \
+            conjugates + [[2 * j] * 2 for j, n in enumerate(ns) if n == 2 and 2 * j not in read]
         assert all(relators.universal)
         if 2 not in ns:
             assert relators.primary == [(r.base, list(r.word), r.target) for r in p.relations]
@@ -329,8 +343,10 @@ def test_compiled_relators_fold_involutions():
 # plain lists of ints.  Pinned before relation words became letter
 # codes, so a change of spelling that moved a relator would show here.
 # Re-pinned when T23B joined the sweep; the other 461 still give 7c31ce41.
-# Re-pinned when a relator came to start at its twist (``at_twist``).
-GOLDEN_RELATORS_DIGEST = "84cad9087116a52d9b4a0516aa908516496c40f7c56ec172372787d5203a238f"
+# Re-pinned to 84cad908 when a relator came to start at its twist, then
+# back here when that rotation was retired: each folded conjugate relator
+# is spelled as it is again.
+GOLDEN_RELATORS_DIGEST = "9b73d7354f5784d865ac29671eb392e421557043828c862a38a4cc0178c1d5d9"
 
 
 def test_text_and_compiled_relators_match_the_golden_digest():
@@ -357,13 +373,12 @@ def test_an_involution_power_is_never_scanned():
     # a^(b a a b') = a folds to a = a, and so does its conjugate
     # relator b a' a' b' a b a a b' a', which is dropped; the quandle
     # has the 11 elements that the run without folding finds.  The
-    # conjugate relator of b^[a b a] = b folds to a b' a b a b a b', whose
-    # seam lies inside the alternation a b' | a b' a, so it starts there
+    # conjugate relator of b^[a b a] = b folds to a b a b a b' a b'
     p = parse_presentation("gens a b\ncomp a:1 b:2\nN 2 3\n"
                            "rel a^[b a a b'] = a\nrel b^[a b a] = b\n")
     relators = compile_relators(p, DEFAULT_MAX_STEPS)
     assert relators.primary == [(0, [], 0), (1, [0, 2, 0], 1)]
-    assert relators.universal == [[2, 2, 2], [0, 3, 0, 3, 0, 2, 0, 2]]
+    assert relators.universal == [[2, 2, 2], [0, 3, 0, 2, 0, 2, 0, 3]]
     q = enumerate_quandle(p).quandle
     assert q.size == 11 and verify_all(q)
 
@@ -411,8 +426,10 @@ def test_only_a_conjugate_relator_longer_than_all_the_others_lags():
 
 # sha256 over the counters of the 398 default and wide sweep checks with
 # no lagging relator, pinned before the lagging cursor was added: their
-# sweeps scan in the same order, step for step
-UNLAGGED_STATS_DIGEST = "5f3160f56441786c7a28b835dfa31a565a5ccfd33209e0a831135d59379774f0"
+# sweeps scan in the same order, step for step.  Re-pinned when relators
+# stopped being rotated to start at a twist: 32 of the 398 runs, all Lk,
+# T26 or Mk, moved their counters, and every size stayed
+UNLAGGED_STATS_DIGEST = "54a8548644f15e63e2bd4480a21095900f98ee4c7095c06f33d62fda7918789b"
 
 
 def test_runs_with_no_lagging_relator_keep_their_counters():
@@ -424,69 +441,6 @@ def test_runs_with_no_lagging_relator_keep_their_counters():
     for p in unlagged:
         digest.update(json.dumps(list(enumerate_quandle(p).stats)).encode())
     assert digest.hexdigest() == UNLAGGED_STATS_DIGEST
-
-
-def unrotated(p):
-    """p's relators as ``compile_relators`` spells them with no relator
-    rotated to its twist."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumerator, "at_twist", lambda codes: codes)
-        return compile_relators(p, DEFAULT_MAX_STEPS)
-
-
-def test_a_universal_relator_is_a_reduced_rotation_of_its_unrotated_form():
-    # the powers and the folded conjugates, rotated or not, each freely
-    # reduced across its seam but a free involution's a a; Mk's, Lk's
-    # and T26's are among those rotated
-    rows = [(c.row_id, c.presentation)
-            for c in iter_checks(k_values=range(-20, 21), n_values=range(2, 8))]
-    rows += [("Mk", family("Mk", k=k)) for k in (-59, 60, 100)]
-    rotated = set()
-    for row_id, p in rows:
-        relators, plain = compile_relators(p, DEFAULT_MAX_STEPS), unrotated(p)
-        assert relators.primary == plain.primary
-        assert len(relators.universal) == len(plain.universal)
-        ns = [p.n_of_generator(j) for j in range(len(p.generator_names))]
-        undo = [c if ns[c >> 1] == 2 else c ^ 1 for c in range(2 * len(ns))]
-        for codes, before in zip(relators.universal, plain.universal):
-            assert codes in [before[i:] + before[:i] for i in range(len(before))]
-            assert undo[codes[-1]] != codes[0] or codes == [codes[0]] * 2, codes
-            if codes != before:
-                rotated.add(row_id)
-    assert {"Mk", "Lk", "T26"} <= rotated
-
-
-def test_only_a_seam_inside_a_long_alternation_moves():
-    # the alternation through the seam must cover more than half of the
-    # relator and not all of it; it then starts the relator
-    a, b, c, d = 0, 2, 4, 6
-    assert enumerator.at_twist([a, b, c, d, c, a, b, a, b]) == [a, b, a, b, a, b, c, d, c]
-    assert enumerator.at_twist([b, a, c, b, a, b, a]) == [b, a, b, a, b, a, c]
-    assert enumerator.at_twist([a, b, a, c, d, c, a, b]) == [a, b, a, b, a, c, d, c]
-    for codes in ([a, b, c, d, c, d, a, b],  # an alternation of half the relator
-                  [a, b, c, d, a, c],  # a seam outside any alternation
-                  [a, b, a, b, a, b],  # an alternation all round
-                  [c, c, c], [c] * 5,  # powers
-                  [a, a],  # a free involution's power
-                  [a, b, a, c, b, 1]):  # a first letter that undoes the last
-        assert enumerator.at_twist(codes) is codes
-
-
-def test_a_rotated_relator_seals_the_same_quandle(monkeypatch):
-    # the default sweep, then the closed 3-braids of one to four letters
-    # at every N in {2, 3}^m for their m components, as in test_census
-    ps = [c.presentation for c in iter_checks()]
-    assert len(ps) == 93
-    for word in rotation_classes(2, range(1, 5)):
-        p = braid_presentation(word, 3)
-        ps += [augment_n(p, ns) for ns in product((2, 3), repeat=len(set(p.component_of)))]
-    limits = [EnumerationLimits()] * 93 + [EnumerationLimits(max_vertices=2_000)] * 476
-    outs = [enumerate_quandle(p, lim) for p, lim in zip(ps, limits, strict=True)]
-    monkeypatch.setattr(enumerator, "at_twist", lambda codes: codes)
-    plain = [enumerate_quandle(p, lim) for p, lim in zip(ps, limits, strict=True)]
-    assert [out.cap_kind for out in outs] == [out.cap_kind for out in plain]
-    assert [out.quandle for out in outs] == [out.quandle for out in plain]
-    assert sum(out.finite for out in outs) == 93 + 122
 
 
 def test_default_limits():
