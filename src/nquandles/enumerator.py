@@ -17,7 +17,9 @@ coset enumeration:
 5.  a sweep in vertex-label order that scans every universal relation
     y^w = y (the N relations first, then the conjugates of the primary
     relations) from each live vertex back to itself in the same way,
-    collapsing after each scan that schedules an identification, until
+    collapsing after each scan that schedules an identification, and
+    skipping a power relation a^n at a vertex one of whose a-neighbours
+    has a smaller label, since a^n closed there already, until
     every live vertex has been processed, or until the audit of step 6,
     tried after each window of live vertices that made no vertex and
     merged none, passes: it then proves that every scan left would
@@ -46,16 +48,24 @@ indexed by vertex label.  Relators are compiled once per graph
 (``TraceGraph.relators``), shared by the scans and the sealing audit, and
 scanned from both ends, as in the HLT strategy of coset enumeration, so
 a vertex is made only for a letter that neither scan could read.  A
-generator a with n = 2 acts as an involution, x^(a') = x^a, since
-R_a^2 = id in the N-quandle: its two letters share one row, its letters
-are compiled as a and cancel in pairs, and its power relation a^2 is
-scanned only when no other universal relation reads a (a free
-involution, as on a component of an unlink).  The fold is a sound
-deduction, and it leaves the halting behaviour as it was only because
-that power is kept: the sweep defines a letter's edges only by reading
-the letter, so a letter that no relation reads would stay undefined.
-Each relation is also bound once per run to the graph's letter rows
-(``TraceGraph.bind``), so a forward read follows row objects, not
+power relation a^n is never spelled: it is the run (code, n), scanned
+round a's cycle through the vertex (``TraceGraph.scan_run``), which
+reads no more than that cycle or path whatever n is, and gives what the
+spelled scan would.  Each letter has one edge into and out of a vertex,
+so a closed a^n at one vertex closes it on the vertex's whole a-cycle;
+the sweep therefore scans a^n at a vertex only when neither of its
+a-neighbours has a smaller label, which the sweep has passed, and each
+cycle is read about once, not n times.  A generator a with n = 2 acts
+as an involution, x^(a') = x^a, since R_a^2 = id in the N-quandle: its
+two letters share one row, its letters are compiled as a and cancel in
+pairs, and its power relation a^2 is scanned only when no other
+universal relation reads a (a free involution, as on a component of an
+unlink).  The fold is a sound deduction, and it leaves the halting
+behaviour as it was only because that power is kept: the sweep defines
+a letter's edges only by reading the letter, so a letter that no
+relation reads would stay undefined.  Every other relation is bound
+once per run to the graph's letter rows (``TraceGraph.bind``), the row
+of each letter and of its inverse, so a read follows row objects, not
 letter codes; the rows grow in place, so a binding stays valid for the
 whole run.  The union-find keeps only merged labels, each mapped to the
 label it was merged into, so a run that stops at the vertex cap holds
@@ -109,10 +119,11 @@ class EnumerationStats(NamedTuple):
     scanned letter is one read forwards, read backwards or filled into
     the gap between the two, so that every scan of a relation costs its
     length; live is created - unions.  Only scans that ran count: a
-    sweep ended early by the seal's audit counts none of the scans it
-    skipped, and the audit itself counts no step.  A named tuple, not a
-    frozen dataclass, because it is about ten times cheaper to define
-    at import.
+    power relation that the sweep skips at a vertex because it closed at
+    a neighbour counts no step, a sweep ended early by the seal's audit
+    counts none of the scans it skipped, and the audit itself counts no
+    step.  A named tuple, not a frozen dataclass, because it is about
+    ten times cheaper to define at import.
     """
 
     created: int
@@ -154,40 +165,39 @@ class EnumerationOutcome:
 class Relators(NamedTuple):
     """A presentation's relations as letter codes, compiled once per run.
 
-    primary holds (base, codes, target) per primary relation, universal
-    the codes of each universal relation in sweep order.  overrun is
-    None, or (code, n) for the first power relation code^n longer than
-    the step cap: universal then stops just before it, since its first
-    scan, at the sweep's first vertex, is where the run stops.  lag is
-    None, or the index in universal of the one conjugate relator that
-    the sweep scans on its lagging cursor (see ``run_schedule``): one
-    longer than all the other universal relators together, as Mk's long
-    relator is.  The seal's audit reads every relator in universal, the
-    lagging one included.
+    primary holds (base, codes, target) per primary relation.  The
+    universal relations come in three lists, swept in this order at each
+    vertex: powers, each non-2 power relation a^n as the run (code, n);
+    conjugates, the codes of each conjugate relator; and squares, each
+    free involution's a a as the run (code, 2).  A run is never spelled,
+    so a power costs two ints whatever its n.  lag is None, or the index
+    in conjugates of the one relator that the sweep scans on its lagging
+    cursor (see ``run_schedule``): one longer than all the other
+    universal relators together, a run counting its n letters, as Mk's
+    long relator is.  The seal's audit reads every universal relator,
+    the lagging one included.
     """
 
     primary: list[tuple[int, list[int], int]]
-    universal: list[list[int]]
-    overrun: tuple[int, int] | None
+    powers: list[tuple[int, int]]
+    conjugates: list[list[int]]
+    squares: list[tuple[int, int]]
     lag: int | None = None
 
 
-def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
-    """The relators of a presentation with n-values, for one run under
-    ``max_steps``.  Words are already letter codes, so only involutions
-    change: a generator a with n = 2 is folded, a' written a, a a
-    cancelling and a relator that folds to nothing dropped.  Its power
-    relation a^2 is spelled, last, only when no folded conjugate relator
-    reads a, since the sweep defines a letter's edges only by reading
-    it.  A power relation longer than the step cap is never spelled
-    either: it could not be scanned in full, and the run stops at it.
-    The longest conjugate relator lags when its length is more than half
-    of the summed length of all universal relators, and it is not the
-    only one; a power, a free involution's square or a run with an
-    overrun never lags."""
-    powers = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
+def compile_relators(presentation: Presentation) -> Relators:
+    """The relators of a presentation with n-values, for one run.  Words
+    are already letter codes, so only involutions change: a generator a
+    with n = 2 is folded, a' written a, a a cancelling and a relator that
+    folds to nothing dropped.  Its power relation a^2 is kept, as the run
+    (code, 2), only when no folded conjugate relator reads a, since the
+    sweep defines a letter's edges only by reading it.  The longest
+    conjugate relator lags when its length is more than half of the
+    summed length of all universal relators, and it is not the only one;
+    a run never lags."""
+    ns = [presentation.n_of_generator(j) for j in range(len(presentation.generator_names))]
     # how each code is written: an involution's inverse letter as itself
-    spell = [c & -2 if powers[c >> 1] == 2 else c for c in range(2 * len(powers))]
+    spell = [c & -2 if ns[c >> 1] == 2 else c for c in range(2 * len(ns))]
 
     def fold(word: Word) -> list[int]:
         out: list[int] = []
@@ -199,25 +209,18 @@ def compile_relators(presentation: Presentation, max_steps: int) -> Relators:
         return out
 
     primary = [(rel.base, fold(rel.word), rel.target) for rel in presentation.relations]
-    universal = []
-    for gen, n in enumerate(powers):
-        if n == 2:
-            continue
-        if n > max_steps:
-            return Relators(primary, universal, (2 * gen, n))
-        universal.append([2 * gen] * n)
     conjugates = [codes for codes in map(fold, conjugate_relations(presentation)) if codes]
     read = {c for codes in conjugates for c in codes}
-    free = [[2 * gen] * 2 for gen, n in enumerate(powers) if n == 2 and 2 * gen not in read]
-    relators = universal + conjugates + free
+    powers = [(2 * gen, n) for gen, n in enumerate(ns) if n != 2]
+    squares = [(2 * gen, 2) for gen, n in enumerate(ns) if n == 2 and 2 * gen not in read]
     longest = max(map(len, conjugates), default=0)
     # the longest conjugate relator lags when it outweighs the rest, and
     # the rest is not empty, so the lead cursor has a relator to scan
-    rest = sum(map(len, relators)) - longest
+    rest = sum(n for _, n in powers) + sum(map(len, conjugates)) + 2 * len(squares) - longest
     lag = None
     if 0 < rest < longest:
-        lag = len(universal) + [len(codes) for codes in conjugates].index(longest)
-    return Relators(primary, relators, None, lag)
+        lag = [len(codes) for codes in conjugates].index(longest)
+    return Relators(primary, powers, conjugates, squares, lag)
 
 
 class TraceGraph:
@@ -247,7 +250,8 @@ class TraceGraph:
     Invariant: ``rows`` and each row in it are the same list objects
     for the graph's whole life.  ``_allocate`` grows every row in place
     and nothing rebinds ``rows`` or a row during a run, so a relator
-    bound once by ``bind`` reads and writes the live rows ever after.
+    bound once by ``bind``, or a run's two rows, read and write the live
+    rows ever after.
 
     Sentinel invariant: every row is longer than ``created``, so each
     row ends in -1.  Reading row[-1] after a missing edge therefore
@@ -262,7 +266,7 @@ class TraceGraph:
                  limits: EnumerationLimits = EnumerationLimits()):
         self.presentation = presentation
         self.limits = limits
-        self.relators = compile_relators(presentation, limits.max_steps)
+        self.relators = compile_relators(presentation)
         g = len(presentation.generator_names)
         self.ngens = g
         self.rows: list[list[int]] = []
@@ -326,21 +330,21 @@ class TraceGraph:
 
     # -- edges ---------------------------------------------------------
 
-    def bind(self, codes: list[int]) -> tuple[list[int], list[list[int]]]:
-        """The relator ``codes`` bound to this graph's letter rows: the
-        codes and the row of each letter, the very list objects of
-        ``rows``.  A plain tuple, not a named one, because small runs
+    def bind(self, codes: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+        """The relator ``codes`` bound to this graph's letter rows: the row
+        of each letter and the row of its inverse, the very list objects
+        of ``rows``.  A plain tuple, not a named one, because small runs
         bind about as often as they scan."""
         rows = self.rows
-        return codes, [rows[c] for c in codes]
+        return [rows[c] for c in codes], [rows[c ^ 1] for c in codes]
 
     def scan(self, v: int, bound: tuple, e: int) -> None:
         """Close the path labeled by a relator, ``bound`` to this graph
         by ``bind``, from representative ``v`` to representative ``e``.
 
         The forward scan follows defined edges from v through the bound
-        rows, the backward scan follows the inverse letters from e, each
-        until an edge is missing.  Scans that meet schedule the
+        rows, the backward scan follows the bound inverse rows from e,
+        each until an edge is missing.  Scans that meet schedule the
         identification of their ends when these differ.  Otherwise the
         gap between them is filled: one fresh vertex per gap letter but
         the last, entered along the forward side, and the last letter
@@ -358,11 +362,11 @@ class TraceGraph:
         at -1 reads again, letter by letter, from both ends.
 
         Every letter is one step, whether read forwards, read backwards
-        or filled into the gap, so a scan costs len(codes) steps on
+        or filled into the gap, so a scan costs its length in steps on
         either path, and the cap stops it at the same letter.
         """
-        codes, fwd = bound
-        n = len(codes)
+        fwd, bwd = bound
+        n = len(fwd)
         x = v
         for row in fwd:
             x = row[x]
@@ -384,10 +388,9 @@ class TraceGraph:
                 i = n - 1 - length_hint(it)
                 break
             v = t
-        rows = self.rows
         j = n
         while j > i:
-            t = rows[codes[j - 1] ^ 1][e]
+            t = bwd[j - 1][e]
             if t < 0:
                 break
             e = t
@@ -402,20 +405,87 @@ class TraceGraph:
             if v != e:
                 self.pending.append((v, e))
             return
+        j -= 1
         if gap > 1:
             y = self._allocate(gap - 1)
-            for c in codes[i:j - 1]:
-                rows[c][v] = y
-                rows[c ^ 1][y] = v
+            for k in range(i, j):
+                fwd[k][v] = y
+                bwd[k][y] = v
                 v = y
                 y += 1
-        c = codes[j - 1]
-        w = rows[c ^ 1][e]
+        w = bwd[j][e]
         if w < 0:
-            rows[c][v] = e
-            rows[c ^ 1][e] = v
+            fwd[j][v] = e
+            bwd[j][e] = v
         else:
             self.pending.append((w, v))
+
+    def scan_run(self, v: int, n: int, row: list[int], back: list[int]) -> None:
+        """Close the run a^n from representative ``v`` back to v, where
+        ``row`` is the row of the letter a and ``back`` that of its
+        inverse, exactly as ``scan`` closes the spelled relator a a ... a
+        of n letters: the same steps, the same gap fill, join or
+        identification, and the same cap stop.
+
+        Each letter has at most one edge into and out of a vertex, so
+        the forward read either comes back to v after d letters, and then
+        goes on round v's cycle to read all n and end at v·a^(n mod d),
+        or follows v's path until a missing edge or the n-th letter; the
+        backward read from v follows that path the other way and never
+        meets the forward one.  Either way no read goes further than v's
+        path or cycle, whatever n is.
+        """
+        x = v
+        i = 0
+        while i < n:
+            t = row[x]
+            if t < 0:
+                break
+            i += 1
+            x = t
+            if t == v:
+                # round v's cycle of i letters: the read of all n ends
+                # n mod i letters on from v
+                for _ in range(n % i):
+                    x = row[x]
+                i = n
+        if i == n:
+            if self.steps + n > self.limits.max_steps:
+                self._stop(n, 0)
+            self.steps += n
+            if x != v:
+                self.pending.append((x, v))
+            return
+        e = v
+        j = n
+        while j > i:
+            t = back[e]
+            if t < 0:
+                break
+            e = t
+            j -= 1
+        gap = j - i
+        limits = self.limits
+        if (self.steps + n > limits.max_steps
+                or gap > 1 and self.created + gap > limits.max_vertices + 1):
+            self._stop(n - gap, gap)
+        self.steps += n
+        if not gap:
+            # the two reads end apart: had they met, v would lie on a cycle
+            self.pending.append((x, e))
+            return
+        if gap > 1:
+            base = self._allocate(gap - 1)
+            for y in range(base, base + gap - 1):
+                row[x] = y
+                back[y] = x
+                x = y
+        w = back[e]
+        if w < 0:
+            row[x] = e
+            back[e] = x
+        else:
+            self.pending.append((w, x))
 
     def _stop(self, scanned: int, gap: int) -> None:
         """Raise the cap broken by a scan that read ``scanned`` letters
@@ -432,25 +502,6 @@ class TraceGraph:
         self.steps += scanned + vertex_at
         self.created = limits.max_vertices + 1
         raise _CapExceeded("vertices", self.stats())
-
-    def overrun(self, v: int, code: int, n: int) -> None:
-        """Stop the run where ``scan`` would stop it on code^n from v
-        back to v, for n past the step cap, without spelling n letters.
-
-        Each letter has at most one edge into and out of a vertex, so
-        the forward scan either goes round v's cycle and reads all n
-        letters, or ends at a missing edge, and then so does the
-        backward scan; the letters read decide the stop."""
-        reads = 0
-        for row in (self.rows[code], self.rows[code ^ 1]):
-            t = row[v]
-            while t >= 0:
-                reads += 1
-                if t == v:
-                    self._stop(n, 0)
-                t = row[t]
-        reads = min(reads, n)
-        self._stop(reads, n - reads)
 
     def collapse(self):
         """Drain scheduled identifications to a fixpoint.
@@ -518,12 +569,21 @@ def run_schedule(graph: TraceGraph) -> FiniteQuandle:
 
     Expects the primary relations already scanned (steps 1 to 4) and
     collapsed; each universal relator of ``graph.relators`` is bound to
-    the graph's rows once per call, before the sweep starts.  A cursor
-    visits each label once, including the labels created during the
-    sweep; a vertex merged away mid-sweep continues as its
-    representative.  A survivor behind the cursor is not scanned again:
-    a relation that closes at a vertex still closes at its class after
-    any later identification.
+    the graph's rows once per call, before the sweep starts, a run to
+    the row of its letter and of the letter's inverse.  A cursor visits
+    each label once, including the labels created during the sweep; a
+    vertex merged away mid-sweep continues as its representative.  A
+    survivor behind the cursor is not scanned again: a relation that
+    closes at a vertex still closes at its class after any later
+    identification.
+
+    For the same reason a run a^n is skipped at v when v's a-edge or
+    a'-edge leads to a label u with 0 <= u < v.  Rows hold only
+    representatives between collapses, so u is one, and the cursor has
+    passed it and closed a^n there, so u lies on an a-cycle whose length
+    divides n.  An a-edge is the only one into or out of its ends, so v
+    lies on that cycle too, and a^n closes at v: the skipped scan would
+    read round and change nothing.  It reads nothing and counts no step.
 
     The sweep counts the live vertices it processes in windows of
     ``_QUIET_WINDOW``.  A window that made no vertex and merged none
@@ -554,14 +614,22 @@ def run_schedule(graph: TraceGraph) -> FiniteQuandle:
     few labels: about half the vertices and a fraction of the steps.
     """
     relators = graph.relators
-    universals = [graph.bind(codes) for codes in relators.universal]
-    overrun, lag = relators.overrun, relators.lag
-    parent, scan, pending = graph.parent, graph.scan, graph.pending
+    rows = graph.rows
+    powers = [(n, rows[code], rows[code ^ 1]) for code, n in relators.powers]
+    squares = [(n, rows[code], rows[code ^ 1]) for code, n in relators.squares]
+    conjugates = [graph.bind(codes) for codes in relators.conjugates]
+    lag = relators.lag
+    parent, scan, scan_run, pending = graph.parent, graph.scan, graph.scan_run, graph.pending
     window = _QUIET_WINDOW
     if lag is not None:
-        lagging = universals.pop(lag)
+        lagging = conjugates.pop(lag)
         length = len(lagging[0])
-        window *= -(-length // (sum(map(len, relators.universal)) - length))
+        total = (sum(n for n, _, _ in powers + squares)
+                 + sum(map(len, relators.conjugates)))
+        window *= -(-length // (total - length))
+    # at each vertex the powers, then the conjugate relators, then the
+    # free involutions' squares
+    order = [(powers, conjugates), (squares, ())] if squares else [(powers, conjugates)]
     left = window
     mark = graph.created + graph.unions
     cursor = trail = 0
@@ -570,13 +638,20 @@ def run_schedule(graph: TraceGraph) -> FiniteQuandle:
             v, cursor = cursor, cursor + 1
             if v in parent:
                 continue
-            for bound in universals:
-                scan(v, bound, v)
-                if pending:
-                    graph.collapse()
-                    v = graph.find(v)
-            if overrun is not None:
-                graph.overrun(v, *overrun)
+            for runs, bounds in order:
+                for n, row, back in runs:
+                    # a neighbour u < v along the letter: a^n closed at u
+                    if -1 < row[v] < v or -1 < back[v] < v:
+                        continue
+                    scan_run(v, n, row, back)
+                    if pending:
+                        graph.collapse()
+                        v = graph.find(v)
+                for bound in bounds:
+                    scan(v, bound, v)
+                    if pending:
+                        graph.collapse()
+                        v = graph.find(v)
             left -= 1
             if not left:
                 break
@@ -637,11 +712,13 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
     compares each generator's inverse that ``arrays`` scatters, read
     back as a list, with its inverse table, equal exactly when that
     table undoes its action (a value the action misses is -1 in the
-    scatter, and no table entry is).  Each letter of a universal
-    relation is one ``take`` along an action row that moves every
-    element at once; the rows are read from one intp copy of each
-    array, so no ``take`` casts its indices, and a relation closes when
-    its permutation has the identity's bytes.  The quandle is returned
+    scatter, and no table entry is).  Each letter of a conjugate
+    relator is one ``take`` along an action row that moves every
+    element at once, and a run a^n is a's row raised to the n-th power
+    by repeated squaring, in fewer than 2 log2(n) + 2 ``take``s; the rows
+    are read from one intp copy of each array, so no ``take`` casts its
+    indices, and a relation closes when its permutation has the
+    identity's bytes.  The quandle is returned
     with those arrays, in their own dtype, cached and no names: it
     derives them from its action tables when one is first read."""
     presentation = graph.presentation
@@ -703,10 +780,23 @@ def _seal(graph: TraceGraph) -> FiniteQuandle:
     moves = [row for pair in zip(act.astype(np.intp), inv.astype(np.intp)) for row in pair]
     identity = np.arange(len(live), dtype=np.intp)
     closed = identity.tobytes()
-    for codes in graph.relators.universal:
+    relators = graph.relators
+    perms = []
+    for codes in relators.conjugates:
         perm = identity
         for c in codes:
             perm = moves[c].take(perm)
+        perms.append(perm)
+    for code, n in relators.powers + relators.squares:
+        # a^n by repeated squaring: about 2 log2(n) takes, never more than n
+        power, perm = moves[code], identity
+        while n > 1:
+            if n & 1:
+                perm = power.take(perm)
+            power = power.take(power)
+            n >>= 1
+        perms.append(power.take(perm))
+    for perm in perms:
         if perm.tobytes() != closed:
             raise EnumerationInternalError(
                 "universal relation does not close at some vertex")

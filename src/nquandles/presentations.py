@@ -268,9 +268,10 @@ def secondary_relations(p: Presentation) -> list[UniversalRelation]:
     First the N relations, one per generator g on component i:
     w = g^(n_i); short words that collapse early.  Then the
     ``conjugate_relations``, in relation order.  The enumerator scans
-    another order: ``compile_relators`` folds away the n = 2 powers and
-    puts a free involution's a a last.  The words are spelled in letter
-    codes and decoded into (generator, sign) pairs here.
+    another order and form: ``compile_relators`` keeps each power as the
+    run (code, n), folds away the n = 2 powers and puts a free
+    involution's a a last.  The words are spelled in letter codes and
+    decoded into (generator, sign) pairs here.
     """
     words = [(2 * gen,) * p.n_of_generator(gen) for gen in range(len(p.generator_names))]
     return [UniversalRelation(tuple([(c >> 1, -1 if c & 1 else 1) for c in word]))

@@ -92,7 +92,7 @@ def test_enumerate_cap_exceeded(capsys):
     assert code == 4
     assert out.startswith("exceeded vertices cap (10000)")
     assert out == ("exceeded vertices cap (10000); 10001 vertices created "
-                   "before the stop, 10001 live, 231723 steps\n")
+                   "before the stop, 10001 live, 135621 steps\n")
 
 
 def test_a_cap_equal_to_the_generator_count_stops_at_the_first_vertex_a_scan_makes(capsys):
@@ -113,7 +113,7 @@ def test_enumerate_a_free_involution_hits_the_cap(tmp_path, capsys):
     code, out, err = run(capsys, "enumerate", "--file", str(path), "--max-vertices", "1000")
     assert code == 4 and err == ""
     assert out == ("exceeded vertices cap (1000); 1001 vertices created "
-                   "before the stop, 1001 live, 4991 steps\n")
+                   "before the stop, 1001 live, 2999 steps\n")
 
 
 def test_enumerate_from_file(tmp_path, capsys):
@@ -379,16 +379,37 @@ def test_a_table_that_does_not_fit_in_memory_is_an_error_line():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 @pytest.mark.parametrize("argv", [
-    # an n this large spells a power relator of 10^8 letters
-    ["enumerate", "--family", "Lk", "--k", "1", "--N", "2,99999999"],
-    ["verify-catalog", "--rows", "Lk", "--k-range=1:1", "--n-range", "99999999:99999999"],
-    # a k this large spells a relation text of 6 * 10^8 characters
+    # a k this large spells relation texts of hundreds of millions of
+    # characters
+    ["enumerate", "--family", "Lk", "--k", "99999999", "--verify", "none"],
+    ["verify-catalog", "--rows", "Mk", "--k-range=99999999:99999999"],
     ["enumerate", "--family", "Mk", "--k", "99999999", "--verify", "none"],
 ])
 def test_running_out_of_memory_is_an_error_line(argv):
     proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("argv, out", [
+    (["enumerate", "--family", "Lk", "--k", "1", "--N", "2,99999999"],
+     "exceeded vertices cap (100000); 100001 vertices created before the stop, "
+     "100001 live, 100002 steps\n"),
+    (["verify-catalog", "--rows", "Lk", "--k-range=1:1", "--n-range", "99999999:99999999"],
+     "FAIL Lk k=1 N=(2, 99999999): want 100000001 got exceeded vertices cap\n"
+     "checks: 1 total, 0 ok, 1 failed\n"),
+    (["enumerate", "--family", "trefoil", "--N", "3000000"],
+     "exceeded vertices cap (100000); 100001 vertices created before the stop, "
+     "100001 live, 3100003 steps\n"),
+], ids=["enumerate-Lk", "verify-catalog-Lk", "enumerate-trefoil"])
+def test_a_huge_n_stops_at_the_vertex_cap_in_bounded_memory(argv, out):
+    # a power relation is the run (code, n), never n spelled letters, so
+    # an n of 10^8 runs within the same address-space cap to the vertex
+    # cap
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, out, "")
 
 
 # --- verify-catalog --------------------------------------------------------------
@@ -454,9 +475,11 @@ def test_verify_catalog_exits_4_when_every_failure_is_a_cap_stop(capsys, monkeyp
 
 @pytest.mark.parametrize("caps, code, line", [
     ([], 0, "ok   Mk k=30 N=(2, 3): 1070"),
-    # Mk k=30 creates 2463 vertices and scans 60,265 letters for its 1070 elements
+    # Mk k=30 creates 2463 vertices and scans 58,114 letters for its 1070
+    # elements; its last merge is done by step 49,803, so a cap of 58,000
+    # stops it in the scans that follow
     (["--max-vertices", "2000"], 4, "FAIL Mk k=30 N=(2, 3): want 1070 got exceeded vertices cap"),
-    (["--max-steps", "60000"], 4, "FAIL Mk k=30 N=(2, 3): want 1070 got exceeded steps cap"),
+    (["--max-steps", "58000"], 4, "FAIL Mk k=30 N=(2, 3): want 1070 got exceeded steps cap"),
 ], ids=["default", "vertex-cap", "step-cap"])
 def test_verify_catalog_takes_the_caps_of_enumerate(capsys, caps, code, line):
     got, out, err = run(capsys, "verify-catalog", "--rows", "Mk", "--k-range=30:30", *caps)
@@ -549,7 +572,7 @@ def test_enumerate_refuses_a_k_past_the_step_cap(capsys, family, extra):
 
 
 def test_enumerate_closes_below_a_step_cap_its_full_sweep_breaks(capsys):
-    # the sweep ends with the seal's audit at 60,265 steps, before the
+    # the sweep ends with the seal's audit at 58,114 steps, before the
     # cap; swept to its last label it stopped at 150,001
     code, out, err = run(capsys, "enumerate", "--family", "Mk", "--k", "30",
                          "--max-steps", "150000")

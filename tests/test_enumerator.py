@@ -4,8 +4,11 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import inspect
+import itertools
 import json
 import random
+import sys
 import tracemalloc
 import weakref
 from collections import deque
@@ -51,6 +54,7 @@ from nquandles.quandle import (
 )
 from nquandles.quandle import Expression, expression_str
 from nquandles.words import concat
+from oracles import rotation_classes
 
 
 def family(name, ns=None, k=None):
@@ -161,24 +165,28 @@ def test_tiny_vertex_cap_trips_during_setup():
 # once: they pin which vertex is created, merged or kept, and where a cap
 # stops the run.  The trefoil is the closed braid on its two strands, and
 # its N=6 quandle merges nothing before the cap, so its mirror pins a
-# vertex cap after merges.  Mk k=6 closes in 10,468 steps, so its step
-# cap sits below that, after its last vertex is made but before its last
-# merge.  Mk's knot generators are involutions (n = 2), each scanned
-# through one shared row, and its long relator lags: it is swept on the
-# second cursor.  Mk k=30, 60 and 100 end with the seal's audit after a
-# quiet window, at 13-37 % of the steps that take both cursors past the
-# last label (161,201, 581,038 and 1,543,879).
+# vertex cap after merges.  Mk k=6 closes in 10,045 steps, so its step
+# cap sits below that, after its last vertex is made (by step 5,122) but
+# before its last merge (after step 7,878).  Mk's knot generators are
+# involutions (n = 2), each scanned through one shared row, and its long
+# relator lags: it is swept on the second cursor.  Mk k=30, 60 and 100
+# end with the seal's audit after a quiet window, at 12-37 % of the
+# steps that take both cursors past the last label (159,050, 576,727
+# and 1,536,688).  A power relation is skipped at a vertex whose
+# neighbour along its letter the sweep has passed, so only steps moved
+# when that rule came in: every other counter here is the one of the
+# sweep that scanned every power at every vertex.
 @pytest.mark.parametrize("p, limits, counters, cap_kind", [
-    (family("Mk", k=6), {}, (707, 501, 10468, 206), None),
-    (family("T24", (3, 4)), {}, (16, 2, 330, 14), None),
-    (family("Mk", k=30), {}, (2463, 1393, 60265, 1070), None),
-    (family("Mk", k=60), {}, (4400, 2250, 118902, 2150), None),
-    (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 0, 44283, 2001), "vertices"),
-    (family("T2k", (6,), k=-3), {"max_vertices": 2000}, (2001, 260, 38525, 1741), "vertices"),
-    (family("Mk", k=6), {"max_steps": 6500}, (707, 486, 6501, 221), "steps"),
-    (family("Mk", k=100), {}, (6842, 3252, 196943, 3590), None),
-    (family("T2k", (4,), k=5), {}, (100001, 6181, 702565, 93820), "vertices"),
-    (family("T2k", (7,), k=-3), {}, (100001, 4179, 955689, 95822), "vertices"),
+    (family("Mk", k=6), {}, (707, 501, 10045, 206), None),
+    (family("T24", (3, 4)), {}, (16, 2, 270, 14), None),
+    (family("Mk", k=30), {}, (2463, 1393, 58114, 1070), None),
+    (family("Mk", k=60), {}, (4400, 2250, 114591, 2150), None),
+    (family("trefoil", (6,)), {"max_vertices": 2000}, (2001, 0, 26037, 2001), "vertices"),
+    (family("T2k", (6,), k=-3), {"max_vertices": 2000}, (2001, 260, 22769, 1741), "vertices"),
+    (family("Mk", k=6), {"max_steps": 6500}, (707, 488, 6501, 219), "steps"),
+    (family("Mk", k=100), {}, (6842, 3252, 189752, 3590), None),
+    (family("T2k", (4,), k=5), {}, (100001, 6181, 573705, 93820), "vertices"),
+    (family("T2k", (7,), k=-3), {}, (100001, 4179, 586383, 95822), "vertices"),
 ], ids=["Mk6", "T24", "Mk30", "Mk60", "trefoil-vertex-cap", "mirror-trefoil-vertex-cap",
         "Mk6-step-cap", "Mk100", "T25-N4-vertex-cap", "mirror-trefoil-N7-vertex-cap"])
 def test_trajectory_is_pinned(p, limits, counters, cap_kind):
@@ -258,6 +266,13 @@ def test_cap_inside_a_gap(limits, counters):
     assert exc.value.stats == counters
 
 
+def spelled(relators):
+    """The universal relators of ``relators`` in sweep order, each run
+    (code, n) spelled as the list of its n codes."""
+    return ([[code] * n for code, n in relators.powers] + relators.conjugates
+            + [[code] * n for code, n in relators.squares])
+
+
 # A power relation past the step cap is never spelled: the run stops at
 # its first scan, on the sweep's first vertex, with the counters that
 # scanning it in full would give.  The trefoil's vertex 0 lies on its own
@@ -271,14 +286,14 @@ def test_cap_inside_a_gap(limits, counters):
 def test_a_power_past_the_step_cap_stops_where_its_scan_would(p, limits):
     limits = EnumerationLimits(**limits)
     out = enumerate_quandle(p, limits)
-    assert compile_relators(p, limits.max_steps).overrun is not None
+    assert max(n for _, n in compile_relators(p).powers) > limits.max_steps
     # oracle: the same run with every power spelled out and scanned
-    spelled = Relators([(r.base, list(r.word), r.target) for r in p.relations],
-                       [_codes(u.word) for u in secondary_relations(p)], None)
+    relators = Relators([(r.base, list(r.word), r.target) for r in p.relations],
+                        [], [_codes(u.word) for u in secondary_relations(p)], [])
     g = TraceGraph(p, limits)
-    g.relators = spelled
+    g.relators = relators
     with pytest.raises(_CapExceeded) as exc:
-        for base, codes, target in spelled.primary:
+        for base, codes, target in relators.primary:
             g.scan(g.find(base), g.bind(codes), g.find(target))
             g.collapse()
         run_schedule(g)
@@ -291,23 +306,37 @@ def test_a_huge_power_is_never_spelled():
     out = enumerate_quandle(family("trefoil", (10**20,)))
     assert out.cap_kind == "steps"
     assert out.stats == (4, 0, DEFAULT_MAX_STEPS + 1, 4)
-    relators = compile_relators(family("T24", (3, 10**20)), DEFAULT_MAX_STEPS)
-    assert relators.universal == [[0, 0, 0]]
-    assert relators.overrun == (2, 10**20)
+    relators = compile_relators(family("T24", (3, 10**20)))
+    assert relators.powers == [(0, 3), (2, 10**20)]
+    # no compiled relator spells a power as a list of its n codes: the
+    # powers and squares are runs, and the words of N = 3 * 10^6 are
+    # those of N = 6
+    free = parse_presentation("gens a b\ncomp a:1 b:2\nN 2 3000000\n")
+    for p, small in [(family("trefoil", (3_000_000,)), family("trefoil", (6,))),
+                     (family("T2k", (2, 3_000_000), k=2), family("T2k", (2, 6), k=2)),
+                     (free, parse_presentation("gens a b\ncomp a:1 b:2\nN 2 6\n"))]:
+        relators = compile_relators(p)
+        words = [codes for _, codes, _ in relators.primary] + relators.conjugates
+        runs = relators.powers + relators.squares
+        assert runs and all(isinstance(run, tuple) and len(run) == 2 for run in runs)
+        for code, n in runs:
+            assert not any(len(codes) == n and set(codes) == {code} for codes in words)
+        small = compile_relators(small)
+        assert (relators.primary, relators.conjugates) == (small.primary, small.conjugates)
 
 
 def test_compiled_relators_fold_involutions():
     # an involution's inverse letter is written as the letter itself,
     # no compiled word has a letter beside one that undoes it, and an
     # involution's power relation a^2 is gone; the universal relators
-    # are the other powers, then each folded conjugate relator as it is,
-    # in relation order, then the free involutions' squares; words
-    # without involutions compile letter for letter
+    # are the other powers as runs, then each folded conjugate relator as
+    # it is, in relation order, then the free involutions' squares as
+    # runs; words without involutions compile letter for letter
     ps = [c.presentation for c in iter_checks()] + [family("Mk", k=k) for k in (6, -5)]
     ps += [family("T2k", (6,), k=3), family("T24", (3, 2))]
     folded = 0
     for p in ps:
-        relators = compile_relators(p, DEFAULT_MAX_STEPS)
+        relators = compile_relators(p)
         assert_rows_shared(TraceGraph(p))
         ns = [p.n_of_generator(j) for j in range(len(p.generator_names))]
         undo = [c if ns[c >> 1] == 2 else c ^ 1 for c in range(2 * len(ns))]
@@ -321,19 +350,20 @@ def test_compiled_relators_fold_involutions():
                     out.append(c)
             return out
 
-        words = [codes for _, codes, _ in relators.primary] + relators.universal
+        words = [codes for _, codes, _ in relators.primary] + relators.conjugates
         for codes in words:
             assert all(ns[c >> 1] != 2 or c % 2 == 0 for c in codes), codes
             assert all(undo[c] != d for c, d in zip(codes, codes[1:])), codes
         assert relators.primary == [(r.base, fold(r.word), r.target) for r in p.relations]
         conjugates = [codes for codes in map(fold, conjugate_relations(p)) if codes]
         read = {c for codes in conjugates for c in codes}
-        assert relators.universal == [[2 * j] * n for j, n in enumerate(ns) if n != 2] + \
-            conjugates + [[2 * j] * 2 for j, n in enumerate(ns) if n == 2 and 2 * j not in read]
-        assert all(relators.universal)
+        assert relators.powers == [(2 * j, n) for j, n in enumerate(ns) if n != 2]
+        assert relators.conjugates == conjugates and all(conjugates)
+        assert relators.squares == [(2 * j, 2) for j, n in enumerate(ns)
+                                    if n == 2 and 2 * j not in read]
         if 2 not in ns:
             assert relators.primary == [(r.base, list(r.word), r.target) for r in p.relations]
-            assert relators.universal == [_codes(u.word) for u in secondary_relations(p)]
+            assert spelled(relators) == [_codes(u.word) for u in secondary_relations(p)]
         folded += 2 in ns
     assert 2 < folded < len(ps)
 
@@ -344,9 +374,10 @@ def test_compiled_relators_fold_involutions():
 # codes, so a change of spelling that moved a relator would show here.
 # Re-pinned when T23B joined the sweep; the other 461 still give 7c31ce41.
 # Re-pinned to 84cad908 when a relator came to start at its twist, then
-# back here when that rotation was retired: each folded conjugate relator
-# is spelled as it is again.
-GOLDEN_RELATORS_DIGEST = "9b73d7354f5784d865ac29671eb392e421557043828c862a38a4cc0178c1d5d9"
+# back to 9b73d735 when that rotation was retired, and re-pinned when
+# the powers became runs (code, n), hashed as the four lists of
+# ``Relators`` in place of the spelled universal relators.
+GOLDEN_RELATORS_DIGEST = "5f1c8a946208c1790516dc1a8dc285c35e004151105582938141746000248c0e"
 
 
 def test_text_and_compiled_relators_match_the_golden_digest():
@@ -355,30 +386,27 @@ def test_text_and_compiled_relators_match_the_golden_digest():
     assert len(checks) == 462
     digest = hashlib.sha256()
     for check in checks:
-        r = compile_relators(check.presentation, DEFAULT_MAX_STEPS)
+        r = compile_relators(check.presentation)
         digest.update(print_presentation(check.presentation).encode())
-        digest.update(json.dumps([r.primary, r.universal, r.overrun]).encode())
+        digest.update(json.dumps([r.primary, r.powers, r.conjugates, r.squares]).encode())
     assert digest.hexdigest() == GOLDEN_RELATORS_DIGEST
 
 
 def test_an_involution_power_is_never_scanned():
-    # T24 at N=(3,2): b's power b^2 is no relator, so under a step cap
-    # of one the run stops at a^3 and under a cap of two it does not
-    # stop at b^2
+    # T24 at N=(3,2): b's power b^2 is no relator, and a^3 is a run
     p = family("T24", (3, 2))
-    assert compile_relators(p, 1) == Relators(compile_relators(p, 1).primary, [], (0, 3))
-    relators = compile_relators(p, 3)
-    assert relators.overrun is None
-    assert relators.universal[0] == [0, 0, 0] and [2, 2] not in relators.universal
+    relators = compile_relators(p)
+    assert (relators.powers, relators.squares) == ([(0, 3)], [])
+    assert [2, 2] not in relators.conjugates
     # a^(b a a b') = a folds to a = a, and so does its conjugate
     # relator b a' a' b' a b a a b' a', which is dropped; the quandle
     # has the 11 elements that the run without folding finds.  The
     # conjugate relator of b^[a b a] = b folds to a b a b a b' a b'
     p = parse_presentation("gens a b\ncomp a:1 b:2\nN 2 3\n"
                            "rel a^[b a a b'] = a\nrel b^[a b a] = b\n")
-    relators = compile_relators(p, DEFAULT_MAX_STEPS)
+    relators = compile_relators(p)
     assert relators.primary == [(0, [], 0), (1, [0, 2, 0], 1)]
-    assert relators.universal == [[2, 2, 2], [0, 3, 0, 2, 0, 2, 0, 3]]
+    assert relators == Relators(relators.primary, [(2, 3)], [[0, 3, 0, 2, 0, 2, 0, 3]], [], 0)
     q = enumerate_quandle(p).quandle
     assert q.size == 11 and verify_all(q)
 
@@ -389,9 +417,9 @@ def test_a_free_involution_scans_its_power():
     # 2-component unlink and a closed braid with a free strand
     unlink = "gens a b\ncomp a:1 b:2\nN {} 2\n"
     p = parse_presentation(unlink.format(2))
-    assert compile_relators(p, DEFAULT_MAX_STEPS).universal == [[0, 0], [2, 2]]
+    assert compile_relators(p) == Relators([], [], [], [(0, 2), (2, 2)])
     free_strand = augment_n(braid_presentation((1,), 3), (2, 2))
-    assert compile_relators(free_strand, DEFAULT_MAX_STEPS).universal[-1] == [4, 4]
+    assert compile_relators(free_strand).squares == [(4, 2)]
     for p in (p, free_strand):
         assert enumerate_quandle(p, EnumerationLimits(max_vertices=1000)).cap_kind == "vertices"
     q = enumerate_quandle(parse_presentation(unlink.format(1))).quandle
@@ -402,40 +430,41 @@ def test_only_a_conjugate_relator_longer_than_all_the_others_lags():
     # Mk's conjugate relator grows with |k|: from k = 6 and k = -4 on it
     # is longer than the powers and the other conjugate relators together
     for k in range(-20, 21):
-        relators = compile_relators(family("Mk", k=k), DEFAULT_MAX_STEPS)
-        lengths = list(map(len, relators.universal))
+        relators = compile_relators(family("Mk", k=k))
+        lengths = list(map(len, spelled(relators)))
         if k >= 6 or k <= -4:
-            assert relators.lag == lengths.index(max(lengths)) == len(lengths) - 1
+            assert relators.lag == len(relators.conjugates) - 1
+            assert len(relators.conjugates[-1]) == max(lengths)
             assert 2 * max(lengths) > sum(lengths)
         else:
             assert relators.lag is None, k
     checks = list(iter_checks(k_values=range(-20, 21), n_values=range(2, 8)))
-    lagging = {c.row_id for c in checks
-               if compile_relators(c.presentation, DEFAULT_MAX_STEPS).lag is not None}
+    lagging = {c.row_id for c in checks if compile_relators(c.presentation).lag is not None}
     assert lagging == {"Mk"}
-    # nor does a power past the step cap, two equal longest relators or
-    # a lone relator, which would leave the lead cursor nothing to scan
+    # nor does a conjugate relator shorter than a power's run, two equal
+    # longest relators or a lone relator, which would leave the lead
+    # cursor nothing to scan
     lone = parse_presentation("gens a b\ncomp a:1 b:2\nN 2 2\nrel a^[b] = a\n")
-    for p, max_steps in [(family("trefoil", (6,)), DEFAULT_MAX_STEPS),
-                         (family("T2k", (4,), k=5), DEFAULT_MAX_STEPS),
-                         (family("T2k", (6,), k=-3), DEFAULT_MAX_STEPS),
-                         (family("Mk", k=30), 2), (lone, DEFAULT_MAX_STEPS)]:
-        assert compile_relators(p, max_steps).lag is None
-    assert compile_relators(lone, DEFAULT_MAX_STEPS).universal == [[2, 0, 2, 0]]
+    for p in [family("trefoil", (6,)), family("T2k", (4,), k=5), family("T2k", (6,), k=-3),
+              family("Mk", k=30, ns=(2, 1000)), lone]:
+        assert compile_relators(p).lag is None
+    assert compile_relators(lone) == Relators([(0, [2], 0)], [], [[2, 0, 2, 0]], [])
 
 
 # sha256 over the counters of the 398 default and wide sweep checks with
 # no lagging relator, pinned before the lagging cursor was added: their
 # sweeps scan in the same order, step for step.  Re-pinned when relators
 # stopped being rotated to start at a twist: 32 of the 398 runs, all Lk,
-# T26 or Mk, moved their counters, and every size stayed
-UNLAGGED_STATS_DIGEST = "54a8548644f15e63e2bd4480a21095900f98ee4c7095c06f33d62fda7918789b"
+# T26 or Mk, moved their counters, and every size stayed.  Re-pinned when
+# a power relation came to be skipped at a vertex whose neighbour along
+# its letter the sweep has passed: 286 of the 398 runs moved their steps,
+# and no other counter moved
+UNLAGGED_STATS_DIGEST = "e51a4edeb9e2af1c968a9ae05c47883bdface5c62fbab707355786f2dfcdca64"
 
 
 def test_runs_with_no_lagging_relator_keep_their_counters():
     checks = list(iter_checks()) + list(iter_checks(k_values=range(-20, 21), n_values=range(2, 8)))
-    unlagged = [c.presentation for c in checks
-                if compile_relators(c.presentation, DEFAULT_MAX_STEPS).lag is None]
+    unlagged = [c.presentation for c in checks if compile_relators(c.presentation).lag is None]
     assert (len(checks), len(unlagged)) == (434, 398)
     digest = hashlib.sha256()
     for p in unlagged:
@@ -538,11 +567,12 @@ def clone(g):
 
 def sweep_snapshots(p, limits):
     """Copies of p's graph at sweep cursor 0, at each power of four
-    and after the sweep, the sweep run with ``reference_scan``, and the
-    universal relators.  A sweep stopped by a cap ends the snapshots."""
+    and after the sweep, the sweep run with ``reference_scan`` on every
+    universal relator spelled, at every vertex, and p's relators.  A
+    sweep stopped by a cap ends the snapshots."""
     g = TraceGraph(p, limits)
     relators = g.relators
-    assert relators.overrun is None
+    universal = spelled(relators)
     snapshots = []
     try:
         for base, codes, target in relators.primary:
@@ -555,7 +585,7 @@ def sweep_snapshots(p, limits):
             v, cursor = cursor, cursor + 1
             if v in g.parent:
                 continue
-            for codes in relators.universal:
+            for codes in universal:
                 reference_scan(g, v, codes, v)
                 if g.pending:
                     g.collapse()
@@ -563,7 +593,7 @@ def sweep_snapshots(p, limits):
         snapshots.append(clone(g))
     except _CapExceeded:
         pass
-    return snapshots, relators.universal
+    return snapshots, relators
 
 
 def graph_state(g):
@@ -579,10 +609,12 @@ def attempt(scan, *args):
     return None
 
 
-def assert_bound_to(g, bound):
-    """Every bound row is the very row of g that its letter names."""
-    for codes, forward in bound:
+def assert_bound_to(g, words, bound):
+    """Every bound row is the very row of g that its letter names, and
+    every bound inverse row the row of the letter's inverse."""
+    for codes, (forward, backward) in zip(words, bound, strict=True):
         assert all(row is g.rows[c] for c, row in zip(codes, forward, strict=True))
+        assert all(row is g.rows[c ^ 1] for c, row in zip(codes, backward, strict=True))
 
 
 def scan_both(snapshot, universal, limits=None):
@@ -611,23 +643,61 @@ def scan_both(snapshot, universal, limits=None):
         if stop:
             break
     assert graph_state(ref) == graph_state(new)
-    assert_bound_to(new, bound)
+    assert_bound_to(new, universal, bound)
     assert_rows_shared(new)
     return stop, new.steps - snapshot.steps, new.created - snapshot.created
 
 
+def runs_both(snapshot, runs, limits=None):
+    """Scan every run (code, n) of ``runs`` at every live vertex of two
+    copies of ``snapshot``, with no collapse and no vertex skipped, one
+    copy by ``reference_scan`` on the spelled [code] * n and one by
+    ``TraceGraph.scan_run``; assert that both raise the same cap or
+    none, with the same pending list, created and steps after every
+    scan, and that both make the same rows.  A scan that raises has
+    changed no edge, so both copies take back the counters it moved and
+    go on.  Returns the set of stops, each None or the cap's kind and
+    whether the spelled read went all the way round, and the steps and
+    vertices that the scans added."""
+    ref, new = clone(snapshot), clone(snapshot)
+    if limits is not None:
+        ref.limits = new.limits = limits
+    live = [v for v in range(snapshot.created) if v not in snapshot.parent]
+    stops = set()
+    for v in live:
+        for code, n in runs:
+            counters = ref.created, ref.steps
+            errors = [attempt(reference_scan, ref, v, [code] * n, v),
+                      attempt(new.scan_run, v, n, new.rows[code], new.rows[code ^ 1])]
+            assert errors[0] == errors[1], (v, code, n)
+            assert (ref.created, ref.steps, ref.pending) == (
+                new.created, new.steps, new.pending), (v, code, n)
+            if errors[0] is None:
+                stops.add(None)
+            else:
+                stops.add((errors[0][0], "round" if reads_round(new, v, [code] * n) else "gap"))
+                ref.created, ref.steps = new.created, new.steps = counters
+    assert graph_state(ref) == graph_state(new)
+    assert_rows_shared(new)
+    return stops, new.steps - snapshot.steps, new.created - snapshot.created
+
+
+# graphs snapshotted mid-sweep, on every default-sweep check, Mk k=6
+# and a capped infinite run
+SNAPSHOT_CASES = [(c.presentation, EnumerationLimits()) for c in iter_checks()] + [
+    (family("Mk", k=6), EnumerationLimits()),
+    (family("T2k", (6,), k=3), EnumerationLimits(max_vertices=2000))]
+
+
 def test_the_bound_scan_matches_the_letter_code_scan():
-    # graphs snapshotted mid-sweep, on every default-sweep check, Mk k=6
-    # and a capped infinite run; each scanned with no cap, with a step
-    # cap half way through the scans and with a vertex cap half way
-    # through the vertices they make
-    cases = [(c.presentation, EnumerationLimits()) for c in iter_checks()]
-    cases += [(family("Mk", k=6), EnumerationLimits()),
-              (family("T2k", (6,), k=3), EnumerationLimits(max_vertices=2000))]
+    # each snapshot scanned with no cap, with a step cap half way through
+    # the scans and with a vertex cap half way through the vertices they
+    # make; every universal relator, the powers spelled
     stops = set()
     snapshots = 0
-    for p, limits in cases:
-        shots, universal = sweep_snapshots(p, limits)
+    for p, limits in SNAPSHOT_CASES:
+        shots, relators = sweep_snapshots(p, limits)
+        universal = spelled(relators)
         snapshots += len(shots)
         for snapshot in shots:
             stop, steps, created = scan_both(snapshot, universal)
@@ -638,11 +708,41 @@ def test_the_bound_scan_matches_the_letter_code_scan():
             if created > 1:
                 stops.add(scan_both(snapshot, universal, dataclasses.replace(
                     limits, max_vertices=snapshot.created + created // 2))[0])
-    assert snapshots > 3 * len(cases)
+    assert snapshots > 3 * len(SNAPSHOT_CASES)
     # most of the cases scan an involution through its one row
-    assert sum(2 in p.n_values for p, _ in cases) > len(cases) // 2
+    assert sum(2 in p.n_values for p, _ in SNAPSHOT_CASES) > len(SNAPSHOT_CASES) // 2
     # a cap was raised after a read all the way round and after one
     # that left a gap
+    assert {("steps", "round"), ("steps", "gap"), ("vertices", "gap"), None} <= stops
+
+
+def test_the_run_scan_matches_the_spelled_scan():
+    # the same snapshots, each run scanned at every live vertex, skipped
+    # or not: the relators' own runs, and a^5 and a^7 for every
+    # generator a that is no involution, so that a read goes round
+    # cycles whose length does not divide n; with no cap, with the
+    # step and the vertex cap half way, and with an n past the step cap
+    stops = set()
+    for p, limits in SNAPSHOT_CASES:
+        shots, relators = sweep_snapshots(p, limits)
+        runs = relators.powers + relators.squares + [
+            (2 * j, n) for j in range(len(p.generator_names)) if p.n_of_generator(j) != 2
+            for n in (5, 7)]
+        for snapshot in shots:
+            found, steps, created = runs_both(snapshot, runs)
+            stops |= found
+            stops |= runs_both(snapshot, runs, dataclasses.replace(
+                limits, max_steps=snapshot.steps + steps // 2))[0]
+            stops |= runs_both(snapshot, runs, dataclasses.replace(
+                limits, max_vertices=snapshot.created + created // 2))[0]
+            # every scan of a power of 9 letters under a cap of 8 steps,
+            # the steps counted from zero, stops at that cap or, with
+            # 3 vertices to go, at the vertex cap
+            past = clone(snapshot)
+            past.steps = 0
+            codes = dict.fromkeys(code for code, _ in runs)
+            stops |= runs_both(past, [(code, 9) for code in codes], EnumerationLimits(
+                max_vertices=snapshot.created + 3, max_steps=8))[0]
     assert {("steps", "round"), ("steps", "gap"), ("vertices", "gap"), None} <= stops
 
 
@@ -650,7 +750,9 @@ def test_bound_rows_stay_the_graph_rows():
     p = family("T24", (3, 3))
     g = TraceGraph(p, EnumerationLimits())
     a = 0
-    bb = g.bind(parse_word("b b", p.generator_names))
+    words = [parse_word("b b", p.generator_names)]
+    bb = g.bind(words[0])
+    assert_bound_to(g, words, [bb])
     # a^[b b] = a makes v = a^b after the binding
     g.scan(a, bb, a)
     v = 2
@@ -664,16 +766,67 @@ def test_bound_rows_stay_the_graph_rows():
     for p in (p, family("T24", (2, 3)), family("Mk", k=6)):
         g = TraceGraph(p, EnumerationLimits())
         relators = g.relators
-        primary = [g.bind(codes) for _, codes, _ in relators.primary]
-        bound = primary + [g.bind(codes) for codes in relators.universal]
-        for (base, _, target), rel in zip(relators.primary, primary):
+        words = [codes for _, codes, _ in relators.primary] + relators.conjugates
+        bound = [g.bind(codes) for codes in words]
+        for (base, _, target), rel in zip(relators.primary, bound):
             g.scan(g.find(base), rel, g.find(target))
             g.collapse()
         run_schedule(g)
         assert g.unions > 0 and g.created > 3
-        assert_bound_to(g, bound)
+        assert_bound_to(g, words, bound)
         assert_rows_shared(g)
         assert _seal(g) == enumerate_quandle(p).quandle
+
+
+def skipped_runs(p, limits):
+    """Run p under ``limits`` and, at each (vertex, run) pair that the
+    sweep skips, at the moment it skips it, read the spelled run from the
+    vertex; the list of those reads' verdicts, each whether the read went
+    round to the vertex itself.  A line tracer on ``run_schedule`` sees
+    the skip's ``continue`` and reads the sweep's locals there."""
+    lines, first = inspect.getsourcelines(run_schedule)
+    test = next(i for i, line in enumerate(lines) if "row[v]" in line and "back[v]" in line)
+    assert lines[test + 1].strip() == "continue"
+    skip = first + test + 1
+    verdicts = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == skip:
+            names = frame.f_locals
+            g, v, n, row = names["graph"], names["v"], names["n"], names["row"]
+            code = next(c for c, r in enumerate(g.rows) if r is row)
+            verdicts.append(follow(g, v, [code] * n) == v)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is run_schedule.__code__ else None
+
+    sys.settrace(calls)
+    try:
+        enumerate_quandle(p, limits)
+    finally:
+        sys.settrace(None)
+    return verdicts
+
+
+def test_a_skipped_run_reads_round_where_it_is_skipped():
+    # every check of the default sweep, and the closed braids of the
+    # three-strand census: words of one to four letters at every N in
+    # {2, 3}^m, under its 2,000-vertex cap
+    cases = [(c.presentation, EnumerationLimits()) for c in iter_checks()]
+    for word in rotation_classes(2, range(1, 5)):
+        p = braid_presentation(word, 3)
+        for ns in itertools.product((2, 3), repeat=len(set(p.component_of))):
+            cases.append((augment_n(p, ns), EnumerationLimits(max_vertices=2000)))
+    assert len(cases) == 93 + 476
+    skipped = []
+    for p, limits in cases:
+        verdicts = skipped_runs(p, limits)
+        assert all(verdicts), p
+        skipped.append(len(verdicts))
+    # 223,677 skips in 415 of the runs, 1,831 of them in 65 default-sweep checks
+    assert (sum(skipped), sum(map(bool, skipped))) == (223_677, 415)
+    assert (sum(skipped[:93]), sum(map(bool, skipped[:93]))) == (1_831, 65)
 
 
 def assert_sentinel(g):
@@ -869,6 +1022,22 @@ def test_collapse_moves_a_loop_onto_an_inverse_edge():
     assert g.live_count == 1
     assert g.find(v) == a
     assert [row[a] for row in g.rows] == [a, a, a, a]
+
+
+def test_a_loop_moved_onto_the_end_of_vertex_0s_edge_identifies_vertex_0():
+    # 0 --c--> 1, and 1 has no c-edge of its own; merging c's generator
+    # vertex 2 into 1 brings 2's loop 2 --c--> 2 to 1, whose c'-edge
+    # already leads to 0, the least label: 0 and 1 are identified, and
+    # then all three vertices are one
+    p = parse_presentation("gens a b c\ncomp a:1 b:1 c:1\nN 3\n")
+    g = TraceGraph(p, EnumerationLimits())
+    c = 4
+    g.rows[c][0], g.rows[c ^ 1][1] = 1, 0
+    g.pending.append((1, 2))
+    g.collapse()
+    assert (g.unions, g.live_count) == (2, 1)
+    assert [g.find(v) for v in range(3)] == [0, 0, 0]
+    assert [row[0] for row in g.rows] == [0] * 6
 
 
 def test_an_involution_edge_is_entered_at_both_ends_of_one_row():
@@ -1466,7 +1635,7 @@ def test_seal_rejects_a_graph_only_the_lagging_relator_leaves_open():
     g = TraceGraph(p)
     relators = g.relators
     g.relators = relators._replace(
-        universal=[u for i, u in enumerate(relators.universal) if i != relators.lag], lag=None)
+        conjugates=[u for i, u in enumerate(relators.conjugates) if i != relators.lag], lag=None)
     for base, codes, target in g.relators.primary:
         g.scan(g.find(base), g.bind(codes), g.find(target))
         g.collapse()

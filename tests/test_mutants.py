@@ -12,7 +12,7 @@ MUTANTS = json.loads((ROOT / "tests" / "data" / "mutants.json").read_text())
 
 
 def test_every_mutant_text_occurs_exactly_once_in_its_file():
-    assert len(MUTANTS) == 29
+    assert len(MUTANTS) == 34
     for m in MUTANTS:
         assert (ROOT / m["file"]).read_text().count(m["old"]) == 1, (m["file"], m["old"])
         assert m["new"] != m["old"]

@@ -188,7 +188,7 @@ def test_malformed_relation_words_refused(word):
                  "presentation has no n-values", id="enumerate-without-n"),
     pytest.param(lambda: TraceGraph(builtin_family("T24")),
                  "presentation has no n-values", id="trace-graph-without-n"),
-    pytest.param(lambda: compile_relators(builtin_family("T24"), 100),
+    pytest.param(lambda: compile_relators(builtin_family("T24")),
                  "presentation has no n-values", id="compile-relators-without-n"),
     pytest.param(lambda: secondary_relations(builtin_family("T24")),
                  "presentation has no n-values", id="secondary-relations-without-n"),
